@@ -159,7 +159,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     fit.add_argument("--validation-fraction", type=float, default=0.2,
                      help="FSR holdout fraction of the training rows (default 0.2)")
     fit.add_argument("--min-models", type=int, default=200,
-                     help="FSR keeps exploring until this many candidate fits ran")
+                     help="FSR keeps exploring until this many candidates were scored"
+                          " (each remaining candidate counts once per greedy step)")
     fit.add_argument("--improvement-tolerance", type=float, default=0.0,
                      help="FSR stops once the best candidate improves by less than this")
     fit.add_argument("--max-iter", type=int, default=100, help="logistic IRLS iterations")

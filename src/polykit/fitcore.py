@@ -342,6 +342,12 @@ def fit_poly_model(
         )
     if method == "logistic":
         lf = fit_logistic_ova(P, response, max_iter, tol, n_jobs=n_jobs)
+        stalled = [c for c, ok in zip(lf.classes, lf.converged) if not ok]
+        if stalled:
+            warnings.warn(
+                f"logistic IRLS did not converge within {max_iter} iterations"
+                f" for class(es) {', '.join(map(repr, stalled))}"
+            )
         _, std = standardize_columns(P)
         return PolyModel(
             terms, lf.intercepts, lf.coefs, "logistic",

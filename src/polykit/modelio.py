@@ -12,7 +12,7 @@ import json
 import numpy as np
 
 from .dataset import ColumnSpec, DummyGroups, Schema
-from .errors import ModelFormatError
+from .errors import DataError, ModelFormatError
 from .fitcore import PCABasis, PolyModel, Standardization
 from .polyterms import TermSet
 
@@ -91,10 +91,13 @@ def model_to_json(model: PolyModel) -> str:
 
 
 def model_from_json(text: str) -> PolyModel:
+    """Parse a container; any malformed content raises ModelFormatError."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ModelFormatError(f"not a JSON model container: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise ModelFormatError("model container is not a JSON object")
     if obj.get("format") != FORMAT_NAME:
         raise ModelFormatError("missing or wrong container format marker")
     if obj.get("version") != FORMAT_VERSION:
@@ -102,6 +105,15 @@ def model_from_json(text: str) -> PolyModel:
             f"model container version {obj.get('version')!r} unsupported"
             f" (this build reads version {FORMAT_VERSION})"
         )
+    try:
+        return _model_from_obj(obj)
+    except KeyError as exc:
+        raise ModelFormatError(f"model container lacks the key {exc}") from exc
+    except (AttributeError, TypeError, ValueError, DataError) as exc:
+        raise ModelFormatError(f"malformed model container: {exc}") from exc
+
+
+def _model_from_obj(obj: dict) -> PolyModel:
     groups = _groups_from_obj(obj["groups"])
     terms = TermSet.from_text(obj["terms"], groups=_groups_from_obj(obj["term_groups"]))
     pca = None

@@ -1,14 +1,29 @@
 """Forward stepwise regression: greedy term-by-term model growth scored on
 a validation holdout carved out of the training data.
 
-Each greedy step refits the model once per remaining candidate term and
-keeps the candidate that most improves the validation score (mean absolute
-error for regression, proportion correct for classification). The loop
-keeps adding best candidates until no candidate improves by more than the
-tolerance AND at least ``min_models`` candidate fits have been evaluated.
-The returned model is the shortest prefix of the growth trace scoring
-within the tolerance of the best score seen, refit on the sub-training
-rows.
+Each greedy step scores every remaining candidate term as an addition to
+the current model and keeps the candidate that most improves the
+validation score (mean absolute error for regression, proportion correct
+for classification). The loop keeps adding best candidates until no
+candidate improves by more than the tolerance AND at least ``min_models``
+candidates have been scored. The returned model is the shortest prefix of
+the growth trace scoring within the tolerance of the best score seen, refit
+on the sub-training rows.
+
+Regression candidates are scored by orthogonal least-squares updating
+(Chen, Billings & Luo 1989, "Orthogonal least squares methods and their
+application to non-linear system identification", Int. J. Control 50:1873).
+The search keeps an orthonormal basis of the selected, centred columns on
+the sub-training rows and, for every candidate, its residual against that
+basis, with the same Gram-Schmidt combination applied to its validation
+rows. Adding candidate j to the model adds gamma_j * r_j to the fit, where
+r_j is its residual and gamma_j = r_j'y_res / |r_j|^2, so one step scores
+all candidates with a few array operations, and an accepted term costs one
+O(n m) projection of the remaining residuals (done twice, "twice is
+enough" re-orthogonalisation). A candidate whose residual is negligible
+next to the column norms is aliased with the model and scores the parent
+model, as a pivoted-QR refit that drops it would. Classification refits
+the one-vs-all logistic model once per candidate.
 """
 
 from __future__ import annotations
@@ -65,16 +80,82 @@ def trace_to_csv(trace: tuple[FSRTraceRow, ...]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _score_regression(cols: np.ndarray, y: np.ndarray, vcols: np.ndarray, yv: np.ndarray) -> float:
-    fit = fitcore.fit_ols(cols, y)
-    return fitcore.mape(vcols @ fit.coef + fit.intercept, yv)
+class _OrthogonalScorer:
+    """Validation MAE of the current OLS model plus each candidate, from one
+    maintained orthonormal basis (see the module docstring)."""
+
+    def __init__(self, P_sub: np.ndarray, y_sub: np.ndarray, P_val: np.ndarray,
+                 y_val: np.ndarray, base_score: float):
+        mean = P_sub.mean(axis=0)
+        self.norms = np.linalg.norm(P_sub, axis=0)
+        self.resid = P_sub - mean  # candidate residuals against the basis
+        self.vresid = P_val - mean  # the same combinations on validation rows
+        self.y_res = y_sub - y_sub.mean()
+        self.pred = np.full(len(y_val), y_sub.mean())
+        self.y_val = y_val
+        self.parent_score = base_score
+        self.n_selected = 0
+        self.selected_norm = 0.0  # largest of self.norms over the selected columns
+
+    def _gamma(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """New-term coefficients of candidates ``idx`` and which are not aliased."""
+        R = self.resid[:, idx]
+        ss = np.einsum("ij,ij->j", R, R)
+        # aliased: residual norm <= max(n, k)*eps*(largest column norm among the
+        # k model columns), fit_ols's rank rule on |r11|; norms are taken before
+        # centring, so a column constant on these rows is aliased even when
+        # its mean is inexact
+        tol = (max(R.shape[0], self.n_selected + 1) * np.finfo(np.float64).eps
+               * np.maximum(self.norms[idx], self.selected_norm))
+        live = np.sqrt(ss) > tol
+        gamma = np.zeros(len(idx))
+        gamma[live] = (self.y_res @ R[:, live]) / ss[live]
+        return gamma, live
+
+    def scores(self, idx: np.ndarray) -> np.ndarray:
+        gamma, live = self._gamma(idx)
+        scores = np.full(len(idx), self.parent_score)
+        pred = self.pred[:, None] + self.vresid[:, idx[live]] * gamma[live]
+        scores[live] = np.mean(np.abs(pred - self.y_val[:, None]), axis=0)
+        return scores
+
+    def accept(self, j: int, score: float) -> None:
+        gamma, live = self._gamma(np.array([j]))
+        self.n_selected += 1
+        self.selected_norm = max(self.selected_norm, float(self.norms[j]))
+        self.parent_score = score
+        if not live[0]:
+            return
+        r, vr = self.resid[:, j], self.vresid[:, j]
+        self.y_res -= gamma[0] * r
+        self.pred += gamma[0] * vr
+        scale = np.linalg.norm(r)
+        q, vq = r / scale, vr / scale
+        for _ in range(2):  # twice is enough
+            a = q @ self.resid
+            self.resid -= np.outer(q, a)
+            self.vresid -= np.outer(vq, a)
 
 
-def _score_classification(
-    cols: np.ndarray, y: np.ndarray, vcols: np.ndarray, yv: np.ndarray, max_iter: int
-) -> float:
-    fit = fitcore.fit_logistic_ova(cols, y, max_iter=max_iter)
-    return fitcore.pcc(fit.predict(vcols), yv)
+class _LogisticScorer:
+    """Validation PCC of a one-vs-all logistic refit per candidate."""
+
+    def __init__(self, P_sub: np.ndarray, y_sub: np.ndarray, P_val: np.ndarray,
+                 y_val: np.ndarray, max_iter: int):
+        self.P_sub, self.y_sub, self.P_val, self.y_val = P_sub, y_sub, P_val, y_val
+        self.max_iter = max_iter
+        self.selected: list[int] = []
+
+    def scores(self, idx: np.ndarray) -> np.ndarray:
+        out = np.empty(len(idx))
+        for i, j in enumerate(idx):
+            cols = self.selected + [int(j)]
+            fit = fitcore.fit_logistic_ova(self.P_sub[:, cols], self.y_sub, max_iter=self.max_iter)
+            out[i] = fitcore.pcc(fit.predict(self.P_val[:, cols]), self.y_val)
+        return out
+
+    def accept(self, j: int, score: float) -> None:
+        self.selected.append(j)
 
 
 def fsr(train: Dataset, config: FSRConfig, seed: int) -> FSRResult:
@@ -84,6 +165,15 @@ def fsr(train: Dataset, config: FSRConfig, seed: int) -> FSRResult:
     ``validation_fraction`` under ``seed``; growth is scored on the
     holdout and the final model is refit on the sub-training part with
     the best prefix of selected terms.
+
+    Each step scores every remaining candidate (``fits_evaluated`` counts
+    them) and keeps the first strict best in candidate order. Regression
+    scores come from orthogonal least-squares updating (Chen, Billings &
+    Luo 1989): they equal the validation error of an OLS refit on the
+    selected terms plus the candidate, without refitting. A candidate whose
+    residual against the selected columns is at most max(n, k) * eps times
+    the largest column norm among the k model columns is aliased and scores
+    the current model, as a pivoted-QR refit would drop it.
     """
     design, groups = encode_design(train)
     if design.shape[1] != config.candidates.width:
@@ -109,14 +199,15 @@ def fsr(train: Dataset, config: FSRConfig, seed: int) -> FSRResult:
     y_sub, y_val = y[sub_idx], y[val_idx]
 
     labels = config.candidates.labels()
-    better = (lambda a, b: a > b) if classify else (lambda a, b: a < b)
 
     if classify:
         values, counts = np.unique(y_sub, return_counts=True)
         majority = values[np.argmax(counts)]
         base_score = fitcore.pcc(np.full(n_val, majority), y_val)
+        scorer = _LogisticScorer(P_sub, y_sub, P_val, y_val, config.max_iter)
     else:
         base_score = fitcore.mape(np.full(n_val, y_sub.mean()), y_val)
+        scorer = _OrthogonalScorer(P_sub, y_sub, P_val, y_val, base_score)
 
     selected: list[int] = []
     remaining = list(range(len(config.candidates)))
@@ -125,22 +216,17 @@ def fsr(train: Dataset, config: FSRConfig, seed: int) -> FSRResult:
     prev_score = base_score
 
     while remaining:
-        best_j, best_score = None, None
-        for j in remaining:
-            cols = P_sub[:, selected + [j]]
-            vcols = P_val[:, selected + [j]]
-            if classify:
-                score = _score_classification(cols, y_sub, vcols, y_val, config.max_iter)
-            else:
-                score = _score_regression(cols, y_sub, vcols, y_val)
-            fits += 1
-            if best_score is None or better(score, best_score):
-                best_j, best_score = j, score
+        step_scores = scorer.scores(np.array(remaining))
+        fits += len(remaining)
+        # the first strict best in candidate order
+        b = int(np.argmax(step_scores) if classify else np.argmin(step_scores))
+        best_j, best_score = remaining[b], float(step_scores[b])
         improvement = (best_score - prev_score) if classify else (prev_score - best_score)
         if improvement <= config.improvement_tolerance and fits >= config.min_models:
             break
+        scorer.accept(best_j, best_score)
         selected.append(best_j)
-        remaining.remove(best_j)
+        del remaining[b]
         trace.append(FSRTraceRow(len(selected), labels[best_j], best_score, fits))
         prev_score = best_score
 

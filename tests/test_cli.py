@@ -1,5 +1,7 @@
 """End-to-end command-line behavior (run in-process through main)."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -196,6 +198,19 @@ class TestPredict:
         bad.write_text("{}", encoding="utf-8")
         rc = main(["predict", "--model", str(bad), "--data", str(quad_csv)])
         assert rc == EXIT_MODEL
+
+    @pytest.mark.parametrize("mutate", [
+        lambda obj: [obj],
+        lambda obj: {k: v for k, v in obj.items() if k != "coef"},
+        lambda obj: dict(obj, coef=obj["coef"][:-1]),
+    ], ids=["top-level-list", "missing-key", "coef-term-mismatch"])
+    def test_malformed_container(self, tmp_path, quad_csv, capsys, mutate):
+        model = self._fit(tmp_path, quad_csv)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(mutate(json.loads(model.read_text()))), encoding="utf-8")
+        rc = main(["predict", "--model", str(bad), "--data", str(quad_csv)])
+        assert rc == EXIT_MODEL
+        assert "Traceback" not in capsys.readouterr().err
 
 
 class TestVifProbe:

@@ -1,5 +1,7 @@
 """Fitters, PCA, prediction and metrics."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -251,6 +253,24 @@ class TestPredict:
             standardization=fc.Standardization(np.zeros(1), np.ones(1)),
         )
         assert fc.predict(model, np.array([[1.0]]))[0] == 2
+
+    @staticmethod
+    def _three_classes():
+        rng = np.random.default_rng(2)
+        X = rng.normal(size=(200, 2))
+        return X, np.digitize(X[:, 0] + 0.5 * rng.normal(size=200), [-0.5, 0.5])
+
+    def test_logistic_non_convergence_warns(self):
+        X, labels = self._three_classes()
+        with pytest.warns(UserWarning, match=r"did not converge.*class\(es\) 0, 1, 2"):
+            self._model(X, labels, method="logistic", max_iter=1)
+
+    def test_converged_logistic_fit_does_not_warn(self):
+        X, labels = self._three_classes()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = self._model(X, labels, method="logistic")
+        assert model.classes == (0, 1, 2)
 
     def test_width_mismatch(self):
         model = self._model(np.random.default_rng(1).normal(size=(30, 3)), np.zeros(30))

@@ -5,9 +5,9 @@ import pytest
 
 from polykit import fitcore as fc
 from polykit import stepwise as sw
-from polykit.dataset import DummyGroups, dataset_from_arrays
+from polykit.dataset import DummyGroups, dataset_from_arrays, encode_design, load_csv
 from polykit.errors import DataError
-from polykit.polyterms import Monomial, PolySpec, TermSet, enumerate_terms
+from polykit.polyterms import Monomial, PolySpec, TermSet, enumerate_terms, expand
 
 
 def candidate_set():
@@ -29,6 +29,130 @@ def quadratic_dataset(seed, n=400, sigma=0.5):
     X = rng.uniform(-2, 2, size=(n, 3))
     y = 2 * X[:, 0] + X[:, 0] ** 2 + rng.normal(0, sigma, n)
     return dataset_from_arrays(X, y, feature_names=("u", "v", "w"))
+
+
+def reference_trace(train, config, seed):
+    """The refit-per-candidate regression search that ``fsr`` replaced: at
+    every greedy step, one pivoted-QR OLS fit per remaining candidate.
+
+    Returns the growth trace as (term label, validation score, fits
+    evaluated) rows, the intercept-only row first.
+    """
+    design, _ = encode_design(train)
+    y = train.response_values()
+    n = design.shape[0]
+    n_val = int(n * config.validation_fraction)
+    rng = np.random.default_rng(seed)
+    val_idx = np.sort(rng.choice(n, size=n_val, replace=False))
+    mask = np.ones(n, dtype=bool)
+    mask[val_idx] = False
+    sub_idx = np.flatnonzero(mask)
+    expanded = expand(design, config.candidates)
+    P_sub, P_val = expanded[sub_idx], expanded[val_idx]
+    y_sub, y_val = y[sub_idx], y[val_idx]
+    labels = config.candidates.labels()
+
+    prev_score = fc.mape(np.full(n_val, y_sub.mean()), y_val)
+    trace = [("", prev_score, 0)]
+    selected: list[int] = []
+    remaining = list(range(len(config.candidates)))
+    fits = 0
+    while remaining:
+        best_j, best_score = None, None
+        for j in remaining:
+            fit = fc.fit_ols(P_sub[:, selected + [j]], y_sub)
+            score = fc.mape(P_val[:, selected + [j]] @ fit.coef + fit.intercept, y_val)
+            fits += 1
+            if best_score is None or score < best_score:
+                best_j, best_score = j, score
+        if prev_score - best_score <= config.improvement_tolerance and fits >= config.min_models:
+            break
+        selected.append(best_j)
+        remaining.remove(best_j)
+        trace.append((labels[best_j], best_score, fits))
+        prev_score = best_score
+    return trace
+
+
+def assert_matches_reference(train, config, seed):
+    """fsr picks the reference's term sequence, with the same fit counts and
+    trace scores within 1e-9 (relative); returns fsr's result."""
+    res = sw.fsr(train, config, seed=seed)
+    ref = reference_trace(train, config, seed)
+    got = [(r.term_label, r.validation_score, r.fits_evaluated) for r in res.trace]
+    assert [(label, fits) for label, _, fits in got] == [(label, fits) for label, _, fits in ref]
+    np.testing.assert_allclose([s for _, s, _ in got], [s for _, s, _ in ref], rtol=1e-9, atol=0)
+    return res
+
+
+def full_pass(candidates):
+    """min_models of a full greedy pass: the search runs until it stops improving
+    with no candidate left to try."""
+    m = len(candidates)
+    return m * (m + 1) // 2
+
+
+class TestReferenceSearch:
+    @pytest.mark.parametrize("seed", range(7))
+    @pytest.mark.parametrize("tolerance", [0.0, 0.02])
+    def test_quadratic_dataset(self, seed, tolerance):
+        cfg = sw.FSRConfig(candidate_set(), improvement_tolerance=tolerance)
+        assert_matches_reference(quadratic_dataset(seed), cfg, seed)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_c09_cases(self, seed):
+        # acceptance criterion c09's data, candidates and tolerance
+        cfg = sw.FSRConfig(candidate_set(), improvement_tolerance=0.02)
+        assert_matches_reference(quadratic_dataset(100 + seed, n=400), cfg, seed)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_mixed_table_full_pass(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        n = 500
+        u, v = rng.normal(size=n), rng.uniform(-1, 1, size=n)
+        g = rng.integers(0, 3, size=n)
+        h = rng.integers(0, 2, size=n)
+        y = 1 + 2 * u - v**2 + np.array([0.0, 1.5, -1.0])[g] + 0.8 * h * u + rng.normal(0, 0.5, n)
+        rows = ["u,v,g,h,y"] + [
+            f"{a:.8f},{b:.8f},{'pqr'[c]},{'st'[d]},{t:.8f}"
+            for a, b, c, d, t in zip(u, v, g, h, y)
+        ]
+        path = tmp_path / "mixed.csv"
+        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        ds = load_csv(path)
+        design, groups = encode_design(ds)
+        terms = enumerate_terms(design.shape[1], groups, PolySpec(2))
+        cfg = sw.FSRConfig(terms, improvement_tolerance=0.0, min_models=full_pass(terms))
+        res = assert_matches_reference(ds, cfg, seed)
+        assert res.trace[-1].fits_evaluated <= full_pass(terms)
+
+    def test_aliased_candidates_score_the_parent(self):
+        seed, n = 5, 400
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(-2, 2, size=(n, 2))
+        y = 2 * X[:, 0] + X[:, 0] ** 2 + rng.normal(0, 0.5, n)
+        # the holdout fsr draws for this seed: column "c" is constant on the
+        # sub-training rows and varies only on the validation rows
+        val_idx = np.sort(np.random.default_rng(seed).choice(n, size=n // 5, replace=False))
+        c = np.ones(n)
+        c[val_idx] = rng.normal(size=len(val_idx))
+        design = np.column_stack([X, X[:, 0], c])  # "u2" duplicates "u"
+        names = ("u", "v", "u2", "c")
+        ds = dataset_from_arrays(design, y, feature_names=names)
+        monos = (
+            Monomial(((0, 1),)), Monomial(((1, 1),)), Monomial(((2, 1),)),
+            Monomial(((3, 1),)), Monomial(((0, 2),)), Monomial(((0, 1), (1, 1))),
+        )
+        ts = TermSet(monos, 4, DummyGroups.all_numeric(4, names), PolySpec(2))
+        # min_models above a full pass: every candidate enters the trace
+        cfg = sw.FSRConfig(ts, improvement_tolerance=0.0, min_models=full_pass(ts) + 1)
+        res = assert_matches_reference(ds, cfg, seed)
+        assert len(res.trace) == len(ts) + 1
+        for prev, row in zip(res.trace, res.trace[1:]):
+            if row.term_label in ("u2", "c"):
+                assert row.validation_score == prev.validation_score
+        assert "u2" not in res.model.terms.labels()
+        assert "c" not in res.model.terms.labels()
 
 
 class TestSupportRecovery:
