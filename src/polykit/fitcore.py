@@ -32,17 +32,13 @@ class LinearFit(NamedTuple):
     aliased: tuple[int, ...]
 
 
-class Standardization(NamedTuple):
-    means: np.ndarray
-    scales: np.ndarray
-
-
-def standardize_columns(X: np.ndarray) -> tuple[np.ndarray, Standardization]:
-    """Z-scale columns; zero-variance columns get scale 1 (and stay zero)."""
+def standardize_columns(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Z-scaled columns, their means and scales; zero-variance columns get
+    scale 1 (and stay zero)."""
     means = X.mean(axis=0)
     scales = X.std(axis=0)
     scales = np.where(scales > 0, scales, 1.0)
-    return (X - means) / scales, Standardization(means, scales)
+    return (X - means) / scales, means, scales
 
 
 def _check_finite(X: np.ndarray, y: np.ndarray | None = None) -> None:
@@ -52,11 +48,31 @@ def _check_finite(X: np.ndarray, y: np.ndarray | None = None) -> None:
         raise ValueError("non-finite values in response")
 
 
+def centre_columns(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Centred copy of X, its column means, and which columns are constant: a
+    centred norm at most max(n, k) * eps times the raw norm is the roundoff of
+    an inexact mean, and such a column is returned as exact zeros."""
+    means = X.mean(axis=0)
+    Xc = X - means
+    eps = np.finfo(np.float64).eps
+    constant = np.linalg.norm(Xc, axis=0) <= max(X.shape) * eps * np.linalg.norm(X, axis=0)
+    Xc[:, constant] = 0.0
+    return Xc, means, constant
+
+
+def pivoted_rank(r: np.ndarray, n: int) -> tuple[int, float]:
+    """Rank of a pivoted R factor of n rows: diagonal entries above tol = max(n, l)*eps*|r_11|."""
+    diag = np.abs(np.diag(r))
+    tol = diag[0] * max(n, r.shape[1]) * np.finfo(np.float64).eps
+    return int(np.sum(diag > tol)), tol
+
+
 def fit_ols(X: np.ndarray, y: np.ndarray) -> LinearFit:
     """Least squares via column-pivoted QR on the centered design.
 
-    Columns that the pivoted factorization finds numerically dependent are
-    aliased: they receive coefficient zero and are listed in the result.
+    Constant columns, and columns that the pivoted factorization finds
+    numerically dependent, are aliased: they receive coefficient zero and
+    are listed in the result.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -68,16 +84,10 @@ def fit_ols(X: np.ndarray, y: np.ndarray) -> LinearFit:
     if l == 0:
         return LinearFit(float(ym), np.zeros(0), ())
 
-    xm = X.mean(axis=0)
-    Xc = X - xm
+    Xc, xm, _ = centre_columns(X)
     yc = y - ym
     q, r, piv = scipy.linalg.qr(Xc, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    if diag.size == 0 or diag[0] == 0.0:
-        rank = 0
-    else:
-        tol = diag[0] * max(n, l) * np.finfo(np.float64).eps
-        rank = int(np.sum(diag > tol))
+    rank, _ = pivoted_rank(r, n)
 
     coef = np.zeros(l)
     if rank > 0:
@@ -101,12 +111,12 @@ def fit_ridge(X: np.ndarray, y: np.ndarray, lam: float) -> LinearFit:
     ym = y.mean()
     if l == 0:
         return LinearFit(float(ym), np.zeros(0), ())
-    Z, std = standardize_columns(X)
+    Z, means, scales = standardize_columns(X)
     gram = Z.T @ Z
     gram[np.diag_indices(l)] += lam
     beta = scipy.linalg.solve(gram, Z.T @ (y - ym), assume_a="pos")
-    coef = beta / std.scales
-    intercept = float(ym - std.means @ coef)
+    coef = beta / scales
+    intercept = float(ym - means @ coef)
     return LinearFit(intercept, coef, ())
 
 
@@ -182,7 +192,7 @@ def fit_logistic_ova(
     q = len(classes)
     if q < 2:
         raise ValueError("need at least two classes")
-    Z, std = standardize_columns(X)
+    Z, means, scales = standardize_columns(X)
 
     def one(c) -> tuple[float, np.ndarray, bool]:
         return _binary_logistic(Z, (labels == c).astype(np.float64), max_iter, tol, norm_cap, c)
@@ -198,8 +208,8 @@ def fit_logistic_ova(
     intercepts = np.zeros(q)
     conv = []
     for j, (b0, slopes, ok) in enumerate(fits):
-        coefs[:, j] = slopes / std.scales
-        intercepts[j] = b0 - std.means @ coefs[:, j]
+        coefs[:, j] = slopes / scales
+        intercepts[j] = b0 - means @ coefs[:, j]
         conv.append(ok)
     return LogisticFit(tuple(classes.tolist()), intercepts, coefs, tuple(conv))
 
@@ -271,9 +281,7 @@ class PolyModel:
     ``coef`` has shape (l,) for regression and (l, q) for classification;
     ``intercept`` is a float or a (q,) vector to match. ``pca``, when
     present, was fitted on the raw design before expansion, so the term
-    set lives over component scores. ``standardization`` records the
-    z-scaling the solver applied internally (coefficients are already on
-    the original scale).
+    set lives over component scores.
     """
 
     terms: TermSet
@@ -282,7 +290,6 @@ class PolyModel:
     method: str  # "ols" | "ridge" | "logistic"
     lam: float | None = None
     pca: PCABasis | None = None
-    standardization: Standardization | None = None
     classes: tuple | None = None
     aliased: tuple[int, ...] = ()
     schema: Schema | None = None
@@ -291,12 +298,19 @@ class PolyModel:
     def __post_init__(self):
         l = len(self.terms)
         if self.method == "logistic":
-            if self.classes is None or self.coef.shape != (l, len(self.classes)):
+            if (self.classes is None or np.ndim(self.classes) != 1
+                    or self.coef.shape != (l, len(self.classes))):
                 raise ValueError("coefficient matrix shape does not match terms/classes")
+        elif self.method not in ("ols", "ridge"):
+            raise ValueError(f"unknown fit method {self.method!r}")
         elif self.coef.shape != (l,):
             raise ValueError("coefficient length does not match the term set")
-        if self.standardization is not None and not np.all(self.standardization.scales > 0):
-            raise ValueError("standardization scales must be positive")
+        if np.shape(self.intercept) != self.coef.shape[1:]:
+            raise ValueError("intercept shape does not match the coefficients")
+        if self.pca is not None and (
+            self.pca.components.shape != self.pca.means.shape + (self.terms.width,)
+        ):
+            raise ValueError("PCA basis shape does not match the term set")
 
     @property
     def input_width(self) -> int:
@@ -324,7 +338,6 @@ def fit_poly_model(
     """Expand the (optionally PCA-reduced) design and fit by ``method``."""
     Z = pca_transform(pca, design) if pca is not None else np.asarray(design, dtype=np.float64)
     P = polyterms.expand(Z, terms, cell_budget=cell_budget)
-    std: Standardization | None = None
     if method == "ols":
         fit = fit_ols(P, response)
         return PolyModel(
@@ -335,10 +348,9 @@ def fit_poly_model(
         if lam is None:
             raise ValueError("ridge requires a penalty value")
         fit = fit_ridge(P, response, lam)
-        _, std = standardize_columns(P)
         return PolyModel(
             terms, fit.intercept, fit.coef, "ridge", lam=lam,
-            pca=pca, standardization=std, schema=schema, groups=groups,
+            pca=pca, schema=schema, groups=groups,
         )
     if method == "logistic":
         lf = fit_logistic_ova(P, response, max_iter, tol, n_jobs=n_jobs)
@@ -348,10 +360,9 @@ def fit_poly_model(
                 f"logistic IRLS did not converge within {max_iter} iterations"
                 f" for class(es) {', '.join(map(repr, stalled))}"
             )
-        _, std = standardize_columns(P)
         return PolyModel(
             terms, lf.intercepts, lf.coefs, "logistic",
-            pca=pca, standardization=std, classes=lf.classes,
+            pca=pca, classes=lf.classes,
             schema=schema, groups=groups,
         )
     raise ValueError(f"unknown fit method {method!r}")

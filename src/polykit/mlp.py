@@ -338,6 +338,14 @@ def load_weights(path) -> MLP:
         raise ModelFormatError(f"{path}: malformed weights container: {exc}") from exc
 
     dense = [l for l in layers if isinstance(l, DenseLayer)]
+    width = input_width
+    for layer in dense:
+        if layer.weights.shape[0] != width or layer.bias.shape != layer.weights.shape[1:]:
+            raise ModelFormatError(f"{path}: layer shapes do not chain from input width {width}")
+        width = layer.weights.shape[1]
+    outputs = ("softmax",) if output_kind == "softmax" else HIDDEN_ACTIVATIONS
+    if not dense or dense[-1].activation not in outputs:
+        raise ModelFormatError(f"{path}: no dense output layer fits output_kind {output_kind!r}")
     widths = tuple(l.weights.shape[1] for l in dense)
     acts = tuple(l.activation for l in dense[:-1])
     drops = []
@@ -345,5 +353,8 @@ def load_weights(path) -> MLP:
         if isinstance(layer, DenseLayer) and layer is not dense[-1]:
             nxt = layers[j + 1] if j + 1 < len(layers) else None
             drops.append(nxt.rate if isinstance(nxt, DropoutLayer) else 0.0)
-    config = MLPConfig(widths, acts, tuple(drops), output_kind=output_kind)
+    try:
+        config = MLPConfig(widths, acts, tuple(drops), output_kind=output_kind)
+    except ValueError as exc:  # unknown hidden activation or output kind, bad dropout rate
+        raise ModelFormatError(f"{path}: {exc}") from exc
     return MLP(tuple(layers), config, input_width)

@@ -1,8 +1,9 @@
 """Versioned JSON container for fitted models.
 
 The container carries everything prediction on raw CSV rows needs: the
-training schema, dummy-group layout, term set, optional PCA basis,
-standardization record and the coefficients themselves.
+training schema, dummy-group layout, term set, optional PCA basis and the
+coefficients themselves. Version 1 containers, which also held a never-read
+standardization record, still load.
 """
 
 from __future__ import annotations
@@ -13,11 +14,11 @@ import numpy as np
 
 from .dataset import ColumnSpec, DummyGroups, Schema
 from .errors import DataError, ModelFormatError
-from .fitcore import PCABasis, PolyModel, Standardization
+from .fitcore import PCABasis, PolyModel
 from .polyterms import TermSet
 
 FORMAT_NAME = "polykit-model"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 def _schema_to_obj(schema: Schema | None):
@@ -31,6 +32,8 @@ def _schema_to_obj(schema: Schema | None):
 def _schema_from_obj(obj) -> Schema | None:
     if obj is None:
         return None
+    if not all(isinstance(v, str) for c in obj for v in (c["name"], *c["levels"])):
+        raise ModelFormatError("schema column names and levels must be strings")
     return Schema(tuple(ColumnSpec(c["name"], c["kind"], tuple(c["levels"])) for c in obj))
 
 
@@ -71,7 +74,6 @@ def model_to_json(model: PolyModel) -> str:
         "terms": model.terms.to_text(),
         "term_groups": _groups_to_obj(model.terms.groups),
         "pca": None,
-        "standardization": None,
         "schema": _schema_to_obj(model.schema),
         "groups": _groups_to_obj(model.groups),
     }
@@ -81,11 +83,6 @@ def model_to_json(model: PolyModel) -> str:
             "means": model.pca.means.tolist(),
             "retained_fraction": model.pca.retained_fraction,
             "target_fraction": model.pca.target_fraction,
-        }
-    if model.standardization is not None:
-        obj["standardization"] = {
-            "means": model.standardization.means.tolist(),
-            "scales": model.standardization.scales.tolist(),
         }
     return json.dumps(obj, indent=1, sort_keys=True)
 
@@ -100,10 +97,10 @@ def model_from_json(text: str) -> PolyModel:
         raise ModelFormatError("model container is not a JSON object")
     if obj.get("format") != FORMAT_NAME:
         raise ModelFormatError("missing or wrong container format marker")
-    if obj.get("version") != FORMAT_VERSION:
+    if obj.get("version") not in (1, FORMAT_VERSION):
         raise ModelFormatError(
             f"model container version {obj.get('version')!r} unsupported"
-            f" (this build reads version {FORMAT_VERSION})"
+            f" (this build reads versions 1 to {FORMAT_VERSION})"
         )
     try:
         return _model_from_obj(obj)
@@ -113,34 +110,32 @@ def model_from_json(text: str) -> PolyModel:
         raise ModelFormatError(f"malformed model container: {exc}") from exc
 
 
+def _finite(value) -> np.ndarray:
+    out = np.array(value, dtype=np.float64)
+    if not np.all(np.isfinite(out)):
+        raise ValueError("non-finite number")
+    return out
+
+
 def _model_from_obj(obj: dict) -> PolyModel:
     groups = _groups_from_obj(obj["groups"])
     terms = TermSet.from_text(obj["terms"], groups=_groups_from_obj(obj["term_groups"]))
     pca = None
     if obj["pca"] is not None:
         pca = PCABasis(
-            components=np.array(obj["pca"]["components"]),
-            means=np.array(obj["pca"]["means"]),
+            components=_finite(obj["pca"]["components"]),
+            means=_finite(obj["pca"]["means"]),
             retained_fraction=obj["pca"]["retained_fraction"],
             target_fraction=obj["pca"]["target_fraction"],
         )
-    std = None
-    if obj["standardization"] is not None:
-        std = Standardization(
-            np.array(obj["standardization"]["means"]),
-            np.array(obj["standardization"]["scales"]),
-        )
-    intercept = obj["intercept"]
-    if isinstance(intercept, list):
-        intercept = np.array(intercept)
+    intercept = _finite(obj["intercept"])
     return PolyModel(
         terms=terms,
-        intercept=intercept,
-        coef=np.array(obj["coef"]),
+        intercept=intercept if intercept.ndim else float(intercept),
+        coef=_finite(obj["coef"]),
         method=obj["method"],
         lam=obj["lambda"],
         pca=pca,
-        standardization=std,
         classes=tuple(obj["classes"]) if obj["classes"] is not None else None,
         aliased=tuple(obj["aliased"]),
         schema=_schema_from_obj(obj["schema"]),

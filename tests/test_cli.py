@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polykit import mlp as m
 from polykit.cli import EXIT_DATA, EXIT_MODEL, EXIT_OK, EXIT_USAGE, main
@@ -17,6 +19,19 @@ def write_csv(path, X, y, names=("u", "v"), yname="y", fmt="{:.10g}"):
         lines.append(",".join(cells))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
+
+
+#: A valid 3-2-1 network: tanh hidden layer, linear output.
+WEIGHTS_TEXT = """polykit-mlp 1
+input_width 3
+output_kind linear
+dense 3 2 tanh
+0.1 0.2 0.3 0.4 0.5 0.6
+0 0
+dense 2 1 identity
+1 -1
+0
+"""
 
 
 @pytest.fixture()
@@ -255,6 +270,24 @@ class TestVifProbe:
         assert rc == EXIT_OK
         assert "dense_2" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("old, new", [
+        ("dense 3 2 tanh", "dense 3 2 swish"),
+        ("dense 2 1 identity", "dense 2 1 swish"),
+        ("output_kind linear", "output_kind ordinal"),
+        ("dense 3 2 tanh\n0.1 0.2 0.3 0.4 0.5 0.6\n0 0\ndense 2 1 identity\n1 -1\n0",
+         "dropout 0.5"),
+        ("dense 2 1 identity\n1 -1", "dense 3 1 identity\n1 -1 0.5"),
+    ], ids=["hidden-activation", "output-activation", "output-kind", "no-dense-layer",
+            "fan-in-mismatch"])
+    def test_bad_weights_container(self, tmp_path, capsys, old, new):
+        data = write_csv(tmp_path / "d.csv", np.eye(3), np.zeros(3), names=("a", "b", "c"))
+        assert old in WEIGHTS_TEXT
+        wpath = tmp_path / "w.txt"
+        wpath.write_text(WEIGHTS_TEXT.replace(old, new), encoding="utf-8")
+        rc = main(["vif-probe", "--data", str(data), "--weights", str(wpath)])
+        assert rc == EXIT_MODEL
+        assert "Traceback" not in capsys.readouterr().err
+
 
 class TestEquivDemo:
     def test_default_two_square_layers(self, capsys):
@@ -316,3 +349,125 @@ class TestLinearVsQuadratic:
         # sigma * sqrt(2/pi); the degree-1 fit should sit close to it
         floor = 0.5 * np.sqrt(2 / np.pi)
         assert abs(values[1] - floor) / floor < 0.15
+
+
+def json_paths(obj, prefix=()):
+    """Every path (tuple of keys and indices) to a value inside a JSON tree."""
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, list):
+        items = enumerate(obj)
+    else:
+        return
+    for key, value in items:
+        yield prefix + (key,)
+        yield from json_paths(value, prefix + (key,))
+
+
+def other_type_values(value):
+    return [v for v in (None, True, 1.5, "x", [], {}, [1.5]) if type(v) is not type(value)
+            or (isinstance(v, list) and v != value)]
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """Saved model containers (OLS over a categorical column; logistic over
+    PCA scores) and a weights file with dropout, with data each can read."""
+    root = tmp_path_factory.mktemp("fuzz")
+    rng = np.random.default_rng(0)
+    rows = ["u,c,y"] + [f"{u:.4f},{'abc'[i % 3]},{u * u + i % 3:.4f}"
+                        for i, u in enumerate(rng.normal(size=60))]
+    (root / "reg.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    X = rng.normal(size=(90, 4))
+    write_csv(root / "cls.csv", X, (X[:, 0] > 0).astype(int), names=("a", "b", "c", "d"))
+    models = {}
+    for name, extra in (("reg", ()), ("cls", ("--classify", "--pca", "0.99"))):
+        out = root / name
+        assert main(["fit", "--data", str(root / f"{name}.csv"), "--degree", "2",
+                     "--out-dir", str(out), *extra]) == EXIT_OK
+        models[name] = (out / "model.json").read_text(encoding="utf-8")
+    net = m.build_mlp(4, m.MLPConfig((5, 3, 2), ("relu", "tanh"), (0.3, 0.0),
+                                     output_kind="softmax", seed=0))
+    m.save_weights(net, root / "w.txt")
+    return root, models, (root / "w.txt").read_text(encoding="utf-8")
+
+
+class TestContainerFuzz:
+    """Deleting a key or a weights line and truncating a container exit 6;
+    swapping a value's type exits 6 or still predicts; nothing raises.
+
+    The weights file records no layer count, so a linear-output network cut
+    at a layer boundary is a valid, shorter network; the softmax network here
+    is caught because its last dense layer must be the softmax one.
+    """
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_model_container(self, fuzz_inputs, data):
+        root, models, _ = fuzz_inputs
+        name = data.draw(st.sampled_from(sorted(models)))
+        text = models[name]
+        op = data.draw(st.sampled_from(["delete", "swap", "truncate"]))
+        if op == "truncate":
+            damaged = text[:data.draw(st.integers(0, len(text.rstrip()) - 1))]
+        else:
+            obj = json.loads(text)
+            paths = [p for p in json_paths(obj) if op == "swap" or isinstance(p[-1], str)]
+            path = data.draw(st.sampled_from(paths))
+            parent = obj
+            for key in path[:-1]:
+                parent = parent[key]
+            if op == "delete":
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = data.draw(st.sampled_from(other_type_values(parent[path[-1]])))
+            damaged = json.dumps(obj)
+        (root / "damaged.json").write_text(damaged, encoding="utf-8")
+        rc = main(["predict", "--model", str(root / "damaged.json"),
+                   "--data", str(root / f"{name}.csv"), "--out", str(root / "preds.csv")])
+        assert rc in ((EXIT_OK, EXIT_MODEL) if op == "swap" else (EXIT_MODEL,))
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_weights_container(self, fuzz_inputs, data):
+        root, _, text = fuzz_inputs
+        lines = text.splitlines()
+        op = data.draw(st.sampled_from(["delete", "swap", "truncate"]))
+        allowed = (EXIT_MODEL,)
+        if op == "delete":
+            i = data.draw(st.integers(0, len(lines) - 1))
+            if lines[i].startswith("dropout"):
+                allowed = (EXIT_OK,)  # still a valid network, without dropout
+            damaged = "\n".join(lines[:i] + lines[i + 1:])
+        elif op == "swap":
+            i = data.draw(st.integers(0, len(lines) - 1))
+            tokens = lines[i].split()
+            j = data.draw(st.integers(0, len(tokens) - 1))
+            tokens[j] = data.draw(st.sampled_from(
+                [t for t in ("7", "0.25", "x") if _token_type(t) != _token_type(tokens[j])]))
+            damaged = "\n".join(lines[:i] + [" ".join(tokens)] + lines[i + 1:])
+            allowed = (EXIT_OK, EXIT_MODEL)
+        else:
+            last_token = text.rstrip().rindex(" ") + 1
+            damaged = text[:data.draw(st.integers(0, last_token - 1))]
+        (root / "damaged.txt").write_text(damaged, encoding="utf-8")
+        rc = main(["vif-probe", "--data", str(root / "cls.csv"),
+                   "--weights", str(root / "damaged.txt")])
+        assert rc in allowed
+
+
+def _token_type(token):
+    for kind in (int, float):
+        try:
+            kind(token)
+            return kind
+        except ValueError:
+            pass
+    return str
+
+
+@pytest.mark.parametrize("command", ["predict", "vif-probe", "equiv-demo"])
+def test_threads_is_an_option_of_fit_only(command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--threads", "2"])
+    assert exc.value.code == EXIT_USAGE

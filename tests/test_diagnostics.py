@@ -5,6 +5,30 @@ import pytest
 
 from polykit import diagnostics as dg
 from polykit import mlp as m
+from polykit import synthdata
+from polykit.fitcore import fit_ols
+
+
+def reference_vif(X):
+    """The per-column regression loop that ``vif`` replaced, kept as its
+    oracle: VIF_j = 1 / (1 - R^2_j) from an OLS fit of column j on all the
+    others, capped for constant columns (centred norm at most max(n, k) * eps
+    times the raw norm) and where 1 - R^2_j < COLLINEAR_TOL."""
+    X = np.asarray(X, dtype=np.float64)
+    n, k = X.shape
+    out = np.full(k, dg.VIF_CAP)
+    for j in range(k):
+        y = X[:, j]
+        yc = y - y.mean()
+        if np.linalg.norm(yc) <= max(n, k) * np.finfo(np.float64).eps * np.linalg.norm(y):
+            continue
+        others = np.delete(X, j, axis=1)
+        fit = fit_ols(others, y)
+        resid = y - (others @ fit.coef + fit.intercept)
+        one_minus_r2 = float(np.sum(resid**2)) / float(np.sum(yc**2))
+        if one_minus_r2 >= dg.COLLINEAR_TOL:
+            out[j] = min(1.0 / one_minus_r2, dg.VIF_CAP)
+    return out
 
 
 def correlated_pair(rho, n=200, seed=0):
@@ -66,10 +90,75 @@ class TestVif:
         with pytest.raises(ValueError):
             dg.vif(np.ones((5, 1)))
 
-    def test_threaded_matches_serial(self):
+    def test_inexact_constant_column_capped(self):
+        # 0.1 has no exact binary mean: centring leaves a roundoff residue
         rng = np.random.default_rng(6)
-        X = rng.normal(size=(60, 5))
-        np.testing.assert_array_equal(dg.vif(X), dg.vif(X, n_jobs=4))
+        X = np.column_stack([np.full(50, 0.1), rng.normal(size=(50, 2))])
+        values = dg.vif(X)
+        assert values[0] == dg.VIF_CAP
+        assert np.all(values[1:] < 2.0)
+
+
+def orthogonal_columns():
+    rng = np.random.default_rng(1)
+    q, _ = np.linalg.qr(rng.normal(size=(50, 4)))
+    q, _ = np.linalg.qr(q - q.mean(axis=0))
+    return q
+
+
+def duplicate_column():
+    rng = np.random.default_rng(2)
+    X = rng.normal(size=(40, 3))
+    return np.column_stack([X, X[:, 1]])
+
+
+def combination_and_zero_column():
+    rng = np.random.default_rng(3)
+    X = rng.normal(size=(100, 4))
+    return np.column_stack([X, X[:, 0] - 2.0 * X[:, 2], np.zeros(100)])
+
+
+def constant_columns():
+    rng = np.random.default_rng(4)
+    return np.column_stack([np.ones(60), rng.normal(size=(60, 2)), np.full(60, 0.1)])
+
+
+def trained_relu_net(seed=7):
+    """A small net_probe-style network: relu, dropout, softmax output, with
+    the first hidden layer's first four units dead."""
+    X, labels = synthdata.synthetic_digits(600, seed)
+    targets, _ = m.one_hot(labels)
+    cfg = m.MLPConfig((40, 20, targets.shape[1]), ("relu", "relu"), (0.2, 0.2),
+                      output_kind="softmax", epochs=2, learning_rate=0.05, seed=seed)
+    net = m.train_mlp(X, targets, cfg)
+    net.layers[0].bias[:4] = -1e3
+    return net, X[:300]
+
+
+def relu_layer(index):
+    def outputs():
+        net, X = trained_relu_net()
+        return m.layer_activations(net, X, index)
+    return outputs
+
+
+@pytest.mark.parametrize("make", [
+    orthogonal_columns,
+    lambda: correlated_pair(np.sqrt(0.9)),
+    duplicate_column,
+    combination_and_zero_column,
+    constant_columns,
+    relu_layer(0),
+    relu_layer(2),
+    relu_layer(4),
+], ids=["orthogonal", "rho2-0.9", "duplicate", "combination-and-zero", "constants",
+        "relu-dense_1", "relu-dense_2", "softmax-dense_3"])
+def test_matches_regression_loop(make):
+    X = make()
+    got, ref = dg.vif(X), reference_vif(X)
+    capped = ref >= dg.VIF_CAP
+    np.testing.assert_array_equal(got >= dg.VIF_CAP, capped)
+    np.testing.assert_allclose(got[~capped], ref[~capped], rtol=1e-9)
 
 
 class TestSummary:

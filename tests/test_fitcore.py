@@ -72,6 +72,18 @@ class TestOLS:
         assert len(fit.aliased) == 1
         assert fit.coef[fit.aliased[0]] == 0.0
 
+    def test_inexact_constant_column_aliased(self):
+        # centring 0.1 leaves a roundoff residue that must not be fitted
+        rng = np.random.default_rng(2)
+        X = np.column_stack([np.full(50, 0.1), rng.normal(size=50)])
+        y = rng.normal(size=50)
+        fit = fc.fit_ols(X, y)
+        assert fit.aliased == (0,)
+        assert fit.coef[0] == 0.0
+        alone = fc.fit_ols(X[:, :1], y)
+        assert alone.aliased == (0,)
+        assert alone.intercept == pytest.approx(y.mean(), rel=1e-12)
+
     def test_training_r2_nondecreasing_in_degree(self):
         rng = np.random.default_rng(7)
         X = rng.uniform(-1, 1, size=(80, 2))
@@ -250,7 +262,6 @@ class TestPredict:
             np.array([[0.2, 0.7]]),
             "logistic",
             classes=(1, 2),
-            standardization=fc.Standardization(np.zeros(1), np.ones(1)),
         )
         assert fc.predict(model, np.array([[1.0]]))[0] == 2
 
@@ -317,10 +328,13 @@ class TestPolyModelValidation:
         with pytest.raises(ValueError):
             fc.PolyModel(terms, 0.0, np.zeros(3), "ols")
 
-    def test_scales_must_be_positive(self):
-        terms = numeric_terms(1, 1)
+    @pytest.mark.parametrize("intercept, method, pca_shape", [
+        (np.zeros(2), "ols", None),
+        (0.0, "lasso", None),
+        (0.0, "ols", (3, 2)),
+        (0.0, "ols", (3,)),
+    ], ids=["vector-intercept", "unknown-method", "pca-width", "pca-not-a-matrix"])
+    def test_malformed_fields_rejected(self, intercept, method, pca_shape):
+        pca = None if pca_shape is None else fc.PCABasis(np.ones(pca_shape), np.zeros(3), 1.0, 1.0)
         with pytest.raises(ValueError):
-            fc.PolyModel(
-                terms, 0.0, np.zeros(1), "ols",
-                standardization=fc.Standardization(np.zeros(1), np.zeros(1)),
-            )
+            fc.PolyModel(numeric_terms(1, 1), intercept, np.zeros(1), method, pca=pca)

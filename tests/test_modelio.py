@@ -7,6 +7,7 @@ import pytest
 
 from polykit import fitcore as fc
 from polykit import modelio
+from polykit.cli import EXIT_OK, main
 from polykit.dataset import DummyGroups, dataset_from_arrays, encode_design
 from polykit.errors import ModelFormatError
 from polykit.polyterms import PolySpec, enumerate_terms
@@ -70,3 +71,130 @@ def test_garbage_rejected(tmp_path):
 def test_missing_file_rejected(tmp_path):
     with pytest.raises(ModelFormatError):
         modelio.load_model(tmp_path / "absent.json")
+
+
+#: A version 1 ridge container (schema x numeric, g categorical a/b/c, 6
+#: degree-2 terms) as the version 1 writer saved it, with its
+#: ``standardization`` record, and what ``polykit predict`` wrote for it.
+V1_RIDGE_CONTAINER = r"""{
+ "aliased": [],
+ "classes": null,
+ "coef": [
+  1.8558531495714896,
+  1.5798253676391694,
+  0.09485788164234056,
+  -1.0296869711717094,
+  0.0967401929210051,
+  0.18682287151055563
+ ],
+ "format": "polykit-model",
+ "groups": {
+  "column_names": [
+   "x",
+   "g=b",
+   "g=c"
+  ],
+  "groups": [
+   [
+    "g",
+    [
+     1,
+     2
+    ]
+   ]
+  ],
+  "numeric_indices": [
+   0
+  ]
+ },
+ "intercept": 0.9243951957001395,
+ "lambda": 0.5,
+ "method": "ridge",
+ "pca": null,
+ "schema": [
+  {
+   "kind": "numeric",
+   "levels": [],
+   "name": "x"
+  },
+  {
+   "kind": "categorical",
+   "levels": [
+    "a",
+    "b",
+    "c"
+   ],
+   "name": "g"
+  },
+  {
+   "kind": "response_numeric",
+   "levels": [],
+   "name": "y"
+  }
+ ],
+ "standardization": {
+  "means": [
+   -0.24734375000000003,
+   0.25,
+   0.4375,
+   0.7618335312499999,
+   -0.01309375000000001,
+   -0.08384375000000002
+  ],
+  "scales": [
+   0.8370511337940697,
+   0.4330127018922193,
+   0.49607837082461076,
+   0.844022960247046,
+   0.481937519250097,
+   0.55641082559197
+  ]
+ },
+ "term_groups": {
+  "column_names": [
+   "x",
+   "g=b",
+   "g=c"
+  ],
+  "groups": [
+   [
+    "g",
+    [
+     1,
+     2
+    ]
+   ]
+  ],
+  "numeric_indices": [
+   0
+  ]
+ },
+ "terms": "# termset v1 width=3 degree=2 max_interact=2\n0^1\n1^1\n2^1\n0^2\n0^1 1^1\n0^1 2^1\n",
+ "version": 1
+}
+"""
+V1_PREDICT_ROWS = """x,g
+0.5,a
+-1.25,b
+2,c
+0,b
+"""
+V1_PREDICTIONS = """prediction
+1.594900027692957
+-1.5454070072321053
+0.9858572348197332
+2.5042205633393086
+"""
+
+
+def test_version_one_container_predicts_bit_identically(tmp_path):
+    model_path = tmp_path / "model.json"
+    model_path.write_text(V1_RIDGE_CONTAINER, encoding="utf-8")
+    rows = tmp_path / "new.csv"
+    rows.write_text(V1_PREDICT_ROWS, encoding="utf-8")
+    out = tmp_path / "preds.csv"
+    rc = main(["predict", "--model", str(model_path), "--data", str(rows), "--out", str(out)])
+    assert rc == EXIT_OK
+    assert out.read_text(encoding="utf-8") == V1_PREDICTIONS
+    resaved = json.loads(modelio.model_to_json(modelio.load_model(model_path)))
+    assert resaved["version"] == 2 and "standardization" not in resaved
