@@ -355,6 +355,9 @@ def cmd_vif_probe(args) -> int:
 
     if args.weights:
         net = mlpmod.load_weights(args.weights)
+        if net.input_width != design.shape[1]:
+            raise DataError(f"network input width {net.input_width} does not match the"
+                            f" data's design width {design.shape[1]}")
     else:
         if ds.schema.is_classification:
             targets, _classes = mlpmod.one_hot(ds.response_values())
@@ -393,6 +396,10 @@ def cmd_vif_probe(args) -> int:
 
 
 def cmd_equiv_demo(args) -> int:
+    for name in ("inputs", "layers", "units", "points"):
+        if getattr(args, name) < 1:
+            print(f"error: --{name} must be at least 1", file=sys.stderr)
+            return EXIT_USAGE
     net = equivalence.random_polynomial_network(
         args.inputs, args.layers, args.units, args.seed, args.activation
     )

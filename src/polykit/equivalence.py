@@ -14,8 +14,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataset import DummyGroups
 from .errors import MemoryBudgetError
-from .mlp import MLP, DenseLayer, DropoutLayer, forward
+from .mlp import MLP, DenseLayer, DropoutLayer, MLPConfig, forward
+from .polyterms import (
+    PolySpec,
+    TermSet,
+    enumerate_terms,
+    exact_numeric_term_count,
+    expand,
+    exponent_matrix,
+    graded_position,
+)
 
 #: Coefficients with absolute value below this are pruned after every op.
 PRUNE_TOL = 1e-12
@@ -24,140 +34,110 @@ PRUNE_TOL = 1e-12
 DEFAULT_COEF_BUDGET = 1_000_000
 
 
-@dataclass(frozen=True)
-class SymbolicPoly:
-    """Sparse multivariate polynomial: exponent tuple -> coefficient.
+def _numeric_terms(nvars: int, degree: int) -> TermSet:
+    return enumerate_terms(nvars, DummyGroups.all_numeric(nvars), PolySpec(degree))
 
-    Keys are dense exponent tuples over ``nvars`` input features; the
-    all-zero tuple holds the constant term. Near-zero coefficients are
-    pruned, so the zero polynomial has an empty map and degree 0.
+
+@dataclass(frozen=True, eq=False)
+class SymbolicPoly:
+    """Polynomial laid out like a fitted model: ``constant`` plus ``coef[j]``
+    times term j of ``terms``, the all-numeric term set of some degree.
+
+    Graded order makes the degree-d term list a prefix of every higher
+    degree's, so polynomials of different degrees line up by zero-padding.
+    Near-zero coefficients are stored as zero.
     """
 
-    nvars: int
-    coeffs: dict[tuple[int, ...], float]
+    terms: TermSet
+    constant: float
+    coef: np.ndarray
 
     def __post_init__(self):
-        for exps in self.coeffs:
-            if len(exps) != self.nvars or any(e < 0 for e in exps):
-                raise ValueError(f"bad exponent tuple {exps} for {self.nvars} variables")
-
-    @classmethod
-    def constant(cls, value: float, nvars: int) -> "SymbolicPoly":
-        return cls(nvars, _pruned({(0,) * nvars: float(value)}))
-
-    @classmethod
-    def variable(cls, index: int, nvars: int) -> "SymbolicPoly":
-        exps = tuple(1 if i == index else 0 for i in range(nvars))
-        return cls(nvars, {exps: 1.0})
+        if len(self.terms) != exact_numeric_term_count(self.terms.width, self.terms.spec.degree):
+            raise ValueError("terms must be the all-numeric term set of their degree")
+        if np.shape(self.coef) != (len(self.terms),):
+            raise ValueError(f"coef shape {np.shape(self.coef)} does not match {len(self.terms)} terms")
 
     @property
     def degree(self) -> int:
-        if not self.coeffs:
-            return 0
-        return max(sum(exps) for exps in self.coeffs)
+        nonzero = np.flatnonzero(self.coef)
+        return self.terms[nonzero[-1]].degree if nonzero.size else 0
 
     def __len__(self) -> int:
-        return len(self.coeffs)
-
-    def coefficient(self, exps: tuple[int, ...]) -> float:
-        return self.coeffs.get(exps, 0.0)
+        """Number of nonzero coefficients, the constant included."""
+        return int(np.count_nonzero(self.coef)) + (self.constant != 0.0)
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         """Value at every row of an (n, nvars) matrix."""
-        points = np.asarray(points, dtype=np.float64)
-        out = np.zeros(points.shape[0])
-        for exps, c in self.coeffs.items():
-            term = np.full(points.shape[0], c)
-            for i, e in enumerate(exps):
-                if e:
-                    term = term * points[:, i] ** e
-            out += term
-        return out
+        return expand(points, self.terms) @ self.coef + self.constant
 
     def label(self, names: tuple[str, ...] | None = None) -> str:
-        if not self.coeffs:
-            return "0"
-        def one(exps, c):
-            factors = []
-            for i, e in enumerate(exps):
-                if e:
-                    name = names[i] if names else f"x{i}"
-                    factors.append(name if e == 1 else f"{name}^{e}")
-            head = "*".join(factors)
-            return f"{c:.12g}" if not head else f"{c:.12g}*{head}"
-        ordered = sorted(self.coeffs.items(), key=lambda kv: (sum(kv[0]), kv[0]))
-        return " + ".join(one(exps, c) for exps, c in ordered)
-
-    def to_text(self) -> str:
-        """One monomial per line: coefficient then ``var^exp`` factors."""
-        lines = [f"# poly v1 nvars={self.nvars}"]
-        ordered = sorted(self.coeffs.items(), key=lambda kv: (sum(kv[0]), kv[0]))
-        for exps, c in ordered:
-            factors = " ".join(f"{i}^{e}" for i, e in enumerate(exps) if e)
-            lines.append(f"{c!r} {factors}".rstrip())
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "SymbolicPoly":
-        lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-        if not lines or not lines[0].startswith("# poly v1"):
-            raise ValueError("not a poly container (missing '# poly v1' header)")
-        nvars = int(lines[0].split("nvars=")[1])
-        coeffs: dict[tuple[int, ...], float] = {}
-        for ln in lines[1:]:
-            parts = ln.split()
-            c = float(parts[0])
-            exps = [0] * nvars
-            for factor in parts[1:]:
-                i, _, e = factor.partition("^")
-                exps[int(i)] = int(e)
-            coeffs[tuple(exps)] = c
-        return cls(nvars, _pruned(coeffs))
+        parts = [f"{self.constant:.12g}"] if self.constant else []
+        for j in np.flatnonzero(self.coef):
+            parts.append(f"{self.coef[j]:.12g}*{self.terms[j].label(names)}")
+        return " + ".join(parts) or "0"
 
 
-def _pruned(coeffs: dict[tuple[int, ...], float]) -> dict[tuple[int, ...], float]:
-    return {e: c for e, c in coeffs.items() if abs(c) >= PRUNE_TOL}
+# Polynomials over one term set stack into a matrix with one row each: the
+# constant in column 0 and term j's coefficient in column j + 1.
+
+def _row(poly: SymbolicPoly) -> np.ndarray:
+    return np.concatenate([[poly.constant], poly.coef])[None, :]
+
+
+def _polys(terms: TermSet, rows: np.ndarray) -> list[SymbolicPoly]:
+    return [SymbolicPoly(terms, float(row[0]), row[1:]) for row in rows]
+
+
+def _prune(rows: np.ndarray) -> np.ndarray:
+    rows[np.abs(rows) < PRUNE_TOL] = 0.0
+    return rows
+
+
+def _product(
+    terms_a: TermSet, a: np.ndarray, terms_b: TermSet, b: np.ndarray
+) -> tuple[TermSet, np.ndarray]:
+    """Row r of the result is polynomial ``a[r]`` times ``b[r]``, over the
+    term set of the summed degrees. Each column of ``a`` times all of ``b``
+    is added in at the graded positions of the summed exponents, so no
+    temporary outgrows one row of ``b`` or of the result.
+    """
+    zero = np.zeros((1, terms_a.width), dtype=np.int64)
+    exps_a = np.vstack([zero, exponent_matrix(terms_a, terms_a.width)])
+    exps_b = np.vstack([zero, exponent_matrix(terms_b, terms_b.width)])
+    terms = _numeric_terms(terms_a.width, terms_a.spec.degree + terms_b.spec.degree)
+    out = np.zeros((a.shape[0], len(terms) + 1))
+    for column, exps in zip(a.T, exps_a):
+        index = graded_position(exps + exps_b)
+        for row, left, right in zip(out, column, b):
+            row += np.bincount(index, left * right, minlength=out.shape[1])
+    return terms, _prune(out)
 
 
 def poly_add(a: SymbolicPoly, b: SymbolicPoly) -> SymbolicPoly:
-    if a.nvars != b.nvars:
+    if a.terms.width != b.terms.width:
         raise ValueError("operands disagree on the number of variables")
-    out = dict(a.coeffs)
-    for exps, c in b.coeffs.items():
-        out[exps] = out.get(exps, 0.0) + c
-    return SymbolicPoly(a.nvars, _pruned(out))
+    terms = max(a.terms, b.terms, key=len)
+    total = np.zeros((1, len(terms) + 1))
+    for row in _row(a), _row(b):
+        total[:, : row.shape[1]] += row
+    return _polys(terms, _prune(total))[0]
 
 
 def poly_mul(a: SymbolicPoly, b: SymbolicPoly) -> SymbolicPoly:
-    if a.nvars != b.nvars:
+    if a.terms.width != b.terms.width:
         raise ValueError("operands disagree on the number of variables")
-    out: dict[tuple[int, ...], float] = {}
-    for ea, ca in a.coeffs.items():
-        for eb, cb in b.coeffs.items():
-            key = tuple(x + y for x, y in zip(ea, eb))
-            out[key] = out.get(key, 0.0) + ca * cb
-    return SymbolicPoly(a.nvars, _pruned(out))
+    terms, rows = _product(a.terms, _row(a), b.terms, _row(b))
+    return _polys(terms, rows)[0]
 
 
 def poly_pow(a: SymbolicPoly, k: int) -> SymbolicPoly:
     if k < 0:
         raise ValueError("exponent must be >= 0")
-    out = SymbolicPoly.constant(1.0, a.nvars)
-    for _ in range(k):
+    out = a if k else SymbolicPoly(a.terms, 1.0, np.zeros(len(a.terms)))
+    for _ in range(k - 1):
         out = poly_mul(out, a)
     return out
-
-
-def _affine_combination(
-    polys: list[SymbolicPoly], weights: np.ndarray, bias: float, nvars: int
-) -> SymbolicPoly:
-    out: dict[tuple[int, ...], float] = {(0,) * nvars: float(bias)}
-    for poly, w in zip(polys, weights):
-        if w == 0.0:
-            continue
-        for exps, c in poly.coeffs.items():
-            out[exps] = out.get(exps, 0.0) + w * c
-    return SymbolicPoly(nvars, _pruned(out))
 
 
 def extract_layer_polynomials(
@@ -167,11 +147,13 @@ def extract_layer_polynomials(
 
     Dropout layers pass through unchanged (they are the identity at
     inference). Raises for any non-polynomial activation, and raises
-    :class:`MemoryBudgetError` once a layer stores more than
+    :class:`MemoryBudgetError` before a layer would store more than
     ``coef_budget`` coefficients in total.
     """
     p = mlp.input_width
-    current = [SymbolicPoly.variable(i, p) for i in range(p)]
+    terms = _numeric_terms(p, 1)
+    rows = np.hstack([np.zeros((p, 1)), np.eye(p)])
+    current = _polys(terms, rows)
     per_layer: list[list[SymbolicPoly]] = []
     for layer in mlp.layers:
         if isinstance(layer, DropoutLayer):
@@ -182,16 +164,18 @@ def extract_layer_polynomials(
                 f"activation {layer.activation!r} is not polynomial; extraction"
                 " supports square and identity only"
             )
-        nxt = []
-        for j in range(layer.weights.shape[1]):
-            affine = _affine_combination(current, layer.weights[:, j], layer.bias[j], p)
-            nxt.append(poly_mul(affine, affine) if layer.activation == "square" else affine)
-        size = sum(len(q) for q in nxt)
+        degree = terms.spec.degree * (2 if layer.activation == "square" else 1)
+        size = layer.weights.shape[1] * (exact_numeric_term_count(p, degree) + 1)
         if size > coef_budget:
             raise MemoryBudgetError(
                 f"extraction stores {size} coefficients (> budget {coef_budget})"
             )
-        current = nxt
+        rows = layer.weights.T @ rows
+        rows[:, 0] += layer.bias
+        rows = _prune(rows)
+        if layer.activation == "square":
+            terms, rows = _product(terms, rows, terms, rows)
+        current = _polys(terms, rows)
         per_layer.append(list(current))
     return per_layer
 
@@ -213,8 +197,6 @@ def random_polynomial_network(
     +-1/sqrt(fan_in). Generic draws keep the extracted degree maximal."""
     if activation not in ("square", "identity"):
         raise ValueError("activation must be 'square' or 'identity'")
-    from .mlp import MLPConfig  # local import to keep module load cheap
-
     rng = np.random.default_rng(seed)
     layers = []
     fan_in = n_inputs
@@ -243,8 +225,7 @@ def equivalence_check(
     net = forward(mlp, pts)
     worst = 0.0
     for j, poly in enumerate(extracted):
-        dev = np.abs(net[:, j] - poly.evaluate(pts))
-        rel = dev / np.maximum(1.0, np.abs(net[:, j]))
+        rel = np.abs(net[:, j] - poly.evaluate(pts)) / np.maximum(1.0, np.abs(net[:, j]))
         worst = max(worst, float(rel.max()))
     return worst
 

@@ -97,9 +97,10 @@ def model_from_json(text: str) -> PolyModel:
         raise ModelFormatError("model container is not a JSON object")
     if obj.get("format") != FORMAT_NAME:
         raise ModelFormatError("missing or wrong container format marker")
-    if obj.get("version") not in (1, FORMAT_VERSION):
+    version = obj.get("version")
+    if type(version) is not int or version not in (1, FORMAT_VERSION):  # True == 1, 1.0 == 1
         raise ModelFormatError(
-            f"model container version {obj.get('version')!r} unsupported"
+            f"model container version {version!r} unsupported"
             f" (this build reads versions 1 to {FORMAT_VERSION})"
         )
     try:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -45,31 +45,9 @@ class Monomial:
         if any(e < 1 for _, e in self.powers):
             raise ValueError("monomial exponents must be >= 1")
 
-    @classmethod
-    def from_dict(cls, exponents: dict[int, int]) -> "Monomial":
-        return cls(tuple(sorted(exponents.items())))
-
     @property
     def degree(self) -> int:
         return sum(e for _, e in self.powers)
-
-    @property
-    def columns(self) -> tuple[int, ...]:
-        return tuple(c for c, _ in self.powers)
-
-    def sort_key(self, width: int) -> tuple:
-        """Graded-lexicographic key: degree first, then columns left-to-right
-        with higher exponents ordered earlier (so x0^2 precedes x0*x1)."""
-        dense = [0] * width
-        for c, e in self.powers:
-            dense[c] = e
-        return (self.degree, tuple(-e for e in dense))
-
-    def evaluate(self, design: np.ndarray) -> np.ndarray:
-        col = np.ones(design.shape[0])
-        for c, e in self.powers:
-            col = col * design[:, c] ** e
-        return col
 
     def label(self, names: tuple[str, ...] | None = None) -> str:
         parts = []
@@ -212,8 +190,8 @@ def enumerate_terms(width: int, groups: DummyGroups, spec: PolySpec) -> TermSet:
                 chosen.pop()
 
     walk(0, 0, frozenset())
-    found.sort(key=lambda m: m.sort_key(width))
-    return TermSet(tuple(found), width, groups, spec)
+    order = np.argsort(graded_position(exponent_matrix(found, width)))
+    return TermSet(tuple(found[i] for i in order), width, groups, spec)
 
 
 class TermCountBound(NamedTuple):
@@ -240,6 +218,38 @@ def count_terms_bound(p: int, d: int) -> TermCountBound:
 def exact_numeric_term_count(p: int, d: int) -> int:
     """All-numeric term count in closed form: C(p+d, d) - 1."""
     return math.comb(p + d, d) - 1
+
+
+def exponent_matrix(monomials: Sequence[Monomial], width: int) -> np.ndarray:
+    """Integer matrix with one row per monomial: its exponent on each of
+    ``width`` design columns."""
+    out = np.zeros((len(monomials), width), dtype=np.int64)
+    for j, mono in enumerate(monomials):
+        for c, e in mono.powers:
+            out[j, c] = e
+    return out
+
+
+def graded_position(exponents: np.ndarray) -> np.ndarray:
+    """Position of each exponent vector (the last axis) in graded order:
+    degree first, then higher exponents on earlier columns first (x0^2,
+    x0*x1, x1^2). The constant is at 0 and term j of every all-numeric
+    ``enumerate_terms`` set at j + 1.
+
+    With suffix sums s_t = e_t + ... + e_(p-1), C(s_t + p - t - 1, p - t)
+    counts the monomials ordered first by a lower degree (t = 0) or by a
+    larger exponent on column t - 1 after equal columns 0..t-2.
+    """
+    exponents = np.asarray(exponents, dtype=np.int64)
+    p = exponents.shape[-1]
+    top = int(exponents.sum(axis=-1).max(initial=0))
+    counts = np.array([[math.comb(s + p - t - 1, p - t) for s in range(top + 1)]
+                       for t in range(p)], dtype=np.int64)
+    position = suffix = 0  # one column at a time keeps temporaries at 1/p of the input
+    for t in reversed(range(p)):
+        suffix = suffix + exponents[..., t]
+        position = position + counts[t, suffix]
+    return position
 
 
 def expand(

@@ -270,6 +270,15 @@ class TestVifProbe:
         assert rc == EXIT_OK
         assert "dense_2" in capsys.readouterr().out
 
+    def test_weights_width_must_match_design(self, tmp_path, capsys):
+        data = write_csv(tmp_path / "d.csv", np.eye(4), np.zeros(4), names=("a", "b", "c", "d"))
+        wpath = tmp_path / "w.txt"
+        m.save_weights(m.build_mlp(3, m.MLPConfig((4, 2), ("tanh",), seed=0)), wpath)
+        rc = main(["vif-probe", "--data", str(data), "--weights", str(wpath)])
+        assert rc == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "input width 3" in err and "design width 4" in err
+
     @pytest.mark.parametrize("old, new", [
         ("dense 3 2 tanh", "dense 3 2 swish"),
         ("dense 2 1 identity", "dense 2 1 swish"),
@@ -307,6 +316,14 @@ class TestEquivDemo:
         rc = main(["equiv-demo", "--activation", "identity", "--layers", "3"])
         assert rc == EXIT_OK
         assert "layer degrees: 1 1 1" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("option", ["--inputs", "--layers", "--units", "--points"])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_non_positive_size_is_a_usage_error(self, capsys, option, value):
+        rc = main(["equiv-demo", option, value])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"{option} must be at least 1" in err and "Traceback" not in err
 
 
 class TestConfigFile:

@@ -1,5 +1,7 @@
 """Symbolic polynomial arithmetic and network extraction."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,55 +9,116 @@ from hypothesis import strategies as st
 
 from polykit import equivalence as eq
 from polykit import mlp as m
+from polykit.dataset import DummyGroups
 from polykit.errors import MemoryBudgetError
+from polykit.fitcore import fit_ols
+from polykit.polyterms import PolySpec, enumerate_terms, expand, exponent_matrix
+
+
+def numeric_terms(nvars, degree):
+    return enumerate_terms(nvars, DummyGroups.all_numeric(nvars), PolySpec(degree))
 
 
 def var(i, nvars=2):
-    return eq.SymbolicPoly.variable(i, nvars)
+    return eq.SymbolicPoly(numeric_terms(nvars, 1), 0.0, np.eye(nvars)[i])
+
+
+def const(value, nvars=2):
+    return eq.SymbolicPoly(numeric_terms(nvars, 1), value, np.zeros(nvars))
+
+
+def as_dict(poly):
+    """Nonzero coefficients keyed by dense exponent tuple; the constant's
+    key is all zeros."""
+    out = {(0,) * poly.terms.width: poly.constant} if poly.constant else {}
+    exps = exponent_matrix(poly.terms, poly.terms.width)
+    out.update({tuple(int(e) for e in exps[j]): float(poly.coef[j])
+                for j in np.flatnonzero(poly.coef)})
+    return out
 
 
 def close_polys(a, b, tol=1e-9):
-    keys = set(a.coeffs) | set(b.coeffs)
-    return all(abs(a.coefficient(k) - b.coefficient(k)) <= tol for k in keys)
+    da, db = as_dict(a), as_dict(b)
+    return all(abs(da.get(k, 0.0) - db.get(k, 0.0)) <= tol for k in set(da) | set(db))
 
 
 @st.composite
 def polys(draw, nvars=2, max_terms=4, max_degree=3):
-    n_terms = draw(st.integers(0, max_terms))
-    coeffs = {}
-    for _ in range(n_terms):
-        exps = tuple(draw(st.integers(0, max_degree)) for _ in range(nvars))
-        coeffs[exps] = draw(
+    terms = numeric_terms(nvars, draw(st.integers(1, max_degree)))
+    coef = np.zeros(len(terms) + 1)
+    for _ in range(draw(st.integers(0, max_terms))):
+        coef[draw(st.integers(0, len(terms)))] = draw(
             st.floats(min_value=-4.0, max_value=4.0, allow_nan=False).filter(
                 lambda c: abs(c) > 1e-6
             )
         )
-    return eq.SymbolicPoly(nvars, dict(coeffs))
+    return eq.SymbolicPoly(terms, coef[0], coef[1:])
+
+
+def reference_extract(mlp):
+    """Per-layer polynomials as {exponent tuple: coefficient} dicts, carried
+    through the network one monomial pair at a time (the oracle)."""
+
+    def pruned(coeffs):
+        return {e: c for e, c in coeffs.items() if abs(c) >= eq.PRUNE_TOL}
+
+    def mul(a, b):
+        out = {}
+        for ea, ca in a.items():
+            for eb, cb in b.items():
+                key = tuple(x + y for x, y in zip(ea, eb))
+                out[key] = out.get(key, 0.0) + ca * cb
+        return pruned(out)
+
+    p = mlp.input_width
+    current = [{tuple(int(i == j) for j in range(p)): 1.0} for i in range(p)]
+    per_layer = []
+    for layer in mlp.layers:
+        if isinstance(layer, m.DropoutLayer):
+            per_layer.append(list(current))
+            continue
+        nxt = []
+        for j in range(layer.weights.shape[1]):
+            out = {(0,) * p: float(layer.bias[j])}
+            for poly, w in zip(current, layer.weights[:, j]):
+                if w == 0.0:
+                    continue
+                for exps, c in poly.items():
+                    out[exps] = out.get(exps, 0.0) + w * c
+            affine = pruned(out)
+            nxt.append(mul(affine, affine) if layer.activation == "square" else affine)
+        current = nxt
+        per_layer.append(list(current))
+    return per_layer
 
 
 class TestRingOps:
     def test_binomial_square(self):
         s = eq.poly_pow(eq.poly_add(var(0), var(1)), 2)
-        assert s.coefficient((2, 0)) == 1.0
-        assert s.coefficient((1, 1)) == 2.0
-        assert s.coefficient((0, 2)) == 1.0
+        assert as_dict(s) == {(2, 0): 1.0, (1, 1): 2.0, (0, 2): 1.0}
         assert len(s) == 3
 
     def test_pow_zero_is_one(self):
-        p = eq.poly_add(var(0), eq.SymbolicPoly.constant(3.0, 2))
+        p = eq.poly_add(var(0), const(3.0))
         one = eq.poly_pow(p, 0)
-        assert one.coeffs == {(0, 0): 1.0}
+        assert as_dict(one) == {(0, 0): 1.0}
 
     def test_mul_by_zero(self):
-        zero = eq.SymbolicPoly(2, {})
-        prod = eq.poly_mul(eq.poly_add(var(0), var(1)), zero)
-        assert prod.coeffs == {}
+        prod = eq.poly_mul(eq.poly_add(var(0), var(1)), const(0.0))
+        assert as_dict(prod) == {}
         assert prod.degree == 0
 
     def test_near_zero_coefficients_pruned(self):
-        a = eq.SymbolicPoly(1, {(1,): 1.0})
-        b = eq.SymbolicPoly(1, {(1,): -1.0 + 1e-15})
-        assert eq.poly_add(a, b).coeffs == {}
+        a = eq.SymbolicPoly(numeric_terms(1, 1), 0.0, [1.0])
+        b = eq.SymbolicPoly(numeric_terms(1, 1), 0.0, [-1.0 + 1e-15])
+        assert as_dict(eq.poly_add(a, b)) == {}
+
+    def test_rejects_a_partial_term_set(self):
+        capped = enumerate_terms(2, DummyGroups.all_numeric(2), PolySpec(2, 1))
+        with pytest.raises(ValueError, match="all-numeric"):
+            eq.SymbolicPoly(capped, 0.0, np.zeros(len(capped)))
+        with pytest.raises(ValueError, match="coef shape"):
+            eq.SymbolicPoly(numeric_terms(2, 1), 0.0, np.zeros(3))
 
     @settings(max_examples=60, deadline=None)
     @given(polys(), polys())
@@ -81,10 +144,13 @@ class TestRingOps:
         right = eq.poly_add(eq.poly_mul(a, b), eq.poly_mul(a, c))
         assert close_polys(left, right, tol=1e-7)
 
-    def test_text_round_trip(self):
-        p = eq.SymbolicPoly(3, {(0, 0, 0): 2.5, (1, 2, 0): -0.75, (0, 0, 3): 1.25})
-        back = eq.SymbolicPoly.from_text(p.to_text())
-        assert back.coeffs == p.coeffs
+    @settings(max_examples=40, deadline=None)
+    @given(polys(max_terms=3), polys(max_terms=3))
+    def test_evaluate_is_a_ring_map(self, a, b):
+        pts = np.random.default_rng(0).uniform(-1, 1, size=(20, 2))
+        va, vb = a.evaluate(pts), b.evaluate(pts)
+        np.testing.assert_allclose(eq.poly_add(a, b).evaluate(pts), va + vb, atol=1e-9)
+        np.testing.assert_allclose(eq.poly_mul(a, b).evaluate(pts), va * vb, atol=1e-9)
 
 
 def square_unit_net():
@@ -93,11 +159,31 @@ def square_unit_net():
     return m.MLP((layer,), m.MLPConfig((1,)), 1)
 
 
+def zero_weight_net():
+    net = eq.random_polynomial_network(2, 3, 3, seed=3)
+    net.layers[1].weights[:] = 0.0
+    return net
+
+
+def dropout_net():
+    dense1 = m.DenseLayer(np.array([[1.0, 0.5]]), np.zeros(2), "square")
+    drop = m.DropoutLayer(0.4)
+    dense2 = m.DenseLayer(np.array([[1.0], [1.0]]), np.zeros(1), "identity")
+    cfg = m.MLPConfig((2, 1), ("square",), (0.4,))
+    return m.MLP((dense1, drop, dense2), cfg, 1)
+
+
+def c06_nets():
+    nets = [eq.random_polynomial_network(1 + s % 3, 1 + s % 3, 1 + s % 5, seed=s)
+            for s in range(10)]
+    return nets + [eq.random_polynomial_network(2, 3, 3, seed=11)]
+
+
 class TestExtraction:
     def test_single_square_unit(self):
         polys_out = eq.extract_polynomial(square_unit_net())
         assert len(polys_out) == 1
-        assert polys_out[0].coeffs == {(2,): 1.0}
+        assert as_dict(polys_out[0]) == {(2,): 1.0}
         assert polys_out[0].degree == 2
 
     def test_two_square_layers_degree_four(self):
@@ -119,20 +205,14 @@ class TestExtraction:
         assert eq.equivalence_check(net, per_layer[-1], 50, seed=2) < 1e-12
 
     def test_zero_weights_collapse_degree(self):
-        net = eq.random_polynomial_network(2, 3, 3, seed=3)
-        net.layers[1].weights[:] = 0.0
-        per_layer = eq.extract_layer_polynomials(net)
+        per_layer = eq.extract_layer_polynomials(zero_weight_net())
         degrees = eq.degree_growth_report(per_layer)
         assert degrees[0] == 2
         assert degrees[1] == 0
         assert degrees[2] == 0
 
     def test_dropout_layers_pass_through(self):
-        dense1 = m.DenseLayer(np.array([[1.0, 0.5]]), np.zeros(2), "square")
-        drop = m.DropoutLayer(0.4)
-        dense2 = m.DenseLayer(np.array([[1.0], [1.0]]), np.zeros(1), "identity")
-        cfg = m.MLPConfig((2, 1), ("square",), (0.4,))
-        net = m.MLP((dense1, drop, dense2), cfg, 1)
+        net = dropout_net()
         per_layer = eq.extract_layer_polynomials(net)
         assert len(per_layer) == 3
         assert eq.degree_growth_report(per_layer) == [2, 2, 2]
@@ -149,6 +229,38 @@ class TestExtraction:
         with pytest.raises(MemoryBudgetError):
             eq.extract_polynomial(net, coef_budget=10)
 
+    def test_five_square_layers_within_memory(self):
+        net = eq.random_polynomial_network(4, 5, 3, 0)
+        tracemalloc.start()
+        try:
+            per_layer = eq.extract_layer_polynomials(net)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert eq.degree_growth_report(per_layer) == [2, 4, 8, 16, 32]
+        assert peak < 64e6
+
+    @pytest.mark.parametrize("net", [
+        *c06_nets(),
+        eq.random_polynomial_network(4, 4, 4, 7),
+        eq.random_polynomial_network(3, 5, 3, 7),
+        zero_weight_net(),
+        dropout_net(),
+    ], ids=[*(f"c06-{i}" for i in range(11)), "4-4-4-seed7", "3-5-3-seed7",
+            "zero-weights", "dropout"])
+    def test_matches_reference_extraction(self, net):
+        per_layer = eq.extract_layer_polynomials(net)
+        reference = reference_extract(net)
+        degrees = [[max((sum(e) for e in ref), default=0) for ref in layer] for layer in reference]
+        assert eq.degree_growth_report(per_layer) == [max(layer) for layer in degrees]
+        for layer, ref_layer in zip(per_layer, reference, strict=True):
+            for poly, ref in zip(layer, ref_layer, strict=True):
+                got = as_dict(poly)
+                assert len(poly) == len(ref)
+                assert got.keys() == ref.keys()
+                for exps, c in ref.items():
+                    assert abs(got[exps] - c) <= 1e-12 * max(1.0, abs(c))
+
 
 class TestEquivalenceCheck:
     def test_random_square_nets_exact(self):
@@ -164,7 +276,7 @@ class TestEquivalenceCheck:
         extracted = eq.extract_polynomial(net)
         at_origin = m.forward(net, np.zeros((1, 2)))[0]
         for j, poly in enumerate(extracted):
-            assert abs(at_origin[j] - poly.coefficient((0, 0))) < 1e-12
+            assert abs(at_origin[j] - poly.constant) < 1e-12
 
     def test_degree_bound_and_generic_equality(self):
         achieves = 0
@@ -187,3 +299,19 @@ class TestEquivalenceCheck:
                 1.0, np.abs(net_vals[:, j])
             )
             assert rel.max() <= 1e-8
+
+    def test_least_squares_recovers_extracted_coefficients(self):
+        # the paper's identity: a square network is a polynomial regression model,
+        # so a noise-free OLS fit over the degree-4 terms returns its coefficients
+        net = eq.random_polynomial_network(2, 2, 3, seed=0)
+        extracted = eq.extract_polynomial(net)
+        pts = np.random.default_rng(1).uniform(-1, 1, size=(200, 2))
+        terms = numeric_terms(2, 4)
+        design = expand(pts, terms)
+        outputs = m.forward(net, pts)
+        for j, poly in enumerate(extracted):
+            assert poly.terms.terms == terms.terms
+            fit = fit_ols(design, outputs[:, j])
+            assert fit.aliased == ()
+            assert abs(fit.intercept - poly.constant) <= 1e-8
+            np.testing.assert_allclose(fit.coef, poly.coef, rtol=0, atol=1e-8)

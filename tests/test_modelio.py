@@ -54,11 +54,12 @@ def test_round_trip_preserves_predictions(tmp_path, method, pca):
 def test_version_mismatch_rejected(tmp_path):
     model, _ = fitted_model()
     obj = json.loads(modelio.model_to_json(model))
-    obj["version"] = 99
     path = tmp_path / "model.json"
-    path.write_text(json.dumps(obj), encoding="utf-8")
-    with pytest.raises(ModelFormatError, match="version"):
-        modelio.load_model(path)
+    for version in (99, True, 1.0):  # True and 1.0 compare equal to 1
+        obj["version"] = version
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        with pytest.raises(ModelFormatError, match="version"):
+            modelio.load_model(path)
 
 
 def test_garbage_rejected(tmp_path):

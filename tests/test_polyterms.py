@@ -21,6 +21,8 @@ from polykit.polyterms import (
     enumerate_terms,
     exact_numeric_term_count,
     expand,
+    exponent_matrix,
+    graded_position,
 )
 
 
@@ -206,6 +208,24 @@ class TestSerialization:
             TermSet.from_text("0^1\n")
 
 
+class TestExponents:
+    @pytest.mark.parametrize("p, d", [(1, 6), (2, 5), (3, 4), (5, 3), (7, 2)])
+    def test_graded_position_ranks_the_graded_order(self, p, d):
+        # reference order: degree, then higher exponents on earlier columns first
+        vectors = [e for e in itertools.product(range(d + 1), repeat=p) if sum(e) <= d]
+        vectors.sort(key=lambda e: (sum(e), tuple(-x for x in e)))
+        np.testing.assert_array_equal(graded_position(vectors), np.arange(len(vectors)))
+        exps = exponent_matrix(numeric_terms(p, d), p)
+        np.testing.assert_array_equal(exps, vectors[1:])
+
+    def test_graded_position_of_wide_sets(self):
+        # 3**40 > 2**63: a per-column base-3 key of these vectors would overflow int64
+        exps = exponent_matrix(numeric_terms(40, 2), 40)
+        np.testing.assert_array_equal(graded_position(exps), np.arange(1, len(exps) + 1))
+        sums = graded_position(exps[:40, None, :] + exps[None, :40, :])
+        assert sums.max() == len(exps)
+
+
 class TestMonomial:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -218,5 +238,6 @@ class TestMonomial:
     def test_degree_and_eval(self):
         m = Monomial(((0, 2), (2, 1)))
         assert m.degree == 3
-        val = m.evaluate(np.array([[2.0, 9.0, 3.0]]))
-        np.testing.assert_array_equal(val, [12.0])
+        terms = TermSet((m,), 3, DummyGroups.all_numeric(3), PolySpec(3))
+        val = expand(np.array([[2.0, 9.0, 3.0]]), terms)
+        np.testing.assert_array_equal(val, [[12.0]])
