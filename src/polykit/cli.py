@@ -19,7 +19,6 @@ weight container.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import warnings
 from pathlib import Path
@@ -157,8 +156,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
                      help="FSR stops once the best candidate improves by less than this")
     fit.add_argument("--max-iter", type=int, default=100, help="logistic IRLS iterations")
     fit.add_argument("--tol", type=float, default=1e-8, help="logistic gradient tolerance")
-    fit.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                     help="threads for the per-class logistic fits (default: machine parallelism)")
     fit.add_argument("--out-dir", default=".", help="directory for model and trace files")
     fit.add_argument("--results", help="CSV file to append the scored result row to")
     fit.set_defaults(func=cmd_fit)
@@ -292,7 +289,7 @@ def cmd_fit(args) -> int:
         model = fitcore.fit_poly_model(
             design, train.response_values(), terms, method,
             lam=args.ridge_lambda, pca=pca_basis, schema=train.schema, groups=groups,
-            max_iter=args.max_iter, tol=args.tol, n_jobs=args.threads,
+            max_iter=args.max_iter, tol=args.tol,
         )
 
     test_design, _ = encode_design(test, train.schema)

@@ -197,6 +197,9 @@ def random_polynomial_network(
     +-1/sqrt(fan_in). Generic draws keep the extracted degree maximal."""
     if activation not in ("square", "identity"):
         raise ValueError("activation must be 'square' or 'identity'")
+    for name, size in (("n_inputs", n_inputs), ("n_layers", n_layers), ("units", units)):
+        if size < 1:
+            raise ValueError(f"{name} must be at least 1, got {size}")
     rng = np.random.default_rng(seed)
     layers = []
     fan_in = n_inputs

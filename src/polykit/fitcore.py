@@ -10,12 +10,12 @@ coefficients back on the original scale, so prediction is always
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.blas import dsyrk
 from scipy.special import expit
 
 from . import polyterms
@@ -138,18 +138,18 @@ class LogisticFit:
 
 
 def _binary_logistic(
-    Z: np.ndarray, y01: np.ndarray, max_iter: int, tol: float, norm_cap: float, label
+    A: np.ndarray, y01: np.ndarray, max_iter: int, tol: float, norm_cap: float, label
 ) -> tuple[float, np.ndarray, bool]:
-    """IRLS for one binary problem on standardized columns.
+    """IRLS for one binary problem on the intercept-augmented standardized
+    design ``A = [1 | Z]``, which it only reads.
 
     Returns (intercept, slopes, converged). A slope norm exceeding
     ``norm_cap`` is taken as perfect separation: the whole coefficient
     vector is rescaled onto the cap (same decision boundary) and returned
     with a warning.
     """
-    n, l = Z.shape
-    A = np.column_stack([np.ones(n), Z])
-    b = np.zeros(l + 1)
+    k = A.shape[1]
+    b = np.zeros(k)
     converged = False
     for _ in range(max_iter):
         p = expit(A @ b)
@@ -158,9 +158,9 @@ def _binary_logistic(
             converged = True
             break
         w = np.maximum(p * (1.0 - p), 1e-10)
-        h = A.T @ (A * w[:, None])
-        h[np.diag_indices(l + 1)] += 1e-10
-        b = b + scipy.linalg.solve(h, g, assume_a="pos")
+        h = dsyrk(1.0, A * np.sqrt(w)[:, None], trans=1)  # upper triangle of A'WA
+        h[np.diag_indices(k)] += 1e-10
+        b = b + scipy.linalg.solve(h, g, assume_a="pos", lower=False)
         slope_norm = float(np.linalg.norm(b[1:]))
         if slope_norm > norm_cap:
             b *= norm_cap / slope_norm
@@ -178,12 +178,11 @@ def fit_logistic_ova(
     tol: float = 1e-8,
     *,
     norm_cap: float = 1e3,
-    n_jobs: int = 1,
 ) -> LogisticFit:
-    """One-vs-all logistic regression: q independent binary IRLS fits.
-
-    The per-class problems share nothing, so they may run on ``n_jobs``
-    threads; results are identical to the serial order either way.
+    """One-vs-all logistic regression: one binary IRLS fit per class, in class
+    order, on one shared read-only design [1 | z-scaled X]. Each fit stops once
+    its largest absolute gradient entry is at most ``tol``; ``converged`` says
+    which did. Coefficients are reported on the original column scale.
     """
     X = np.asarray(X, dtype=np.float64)
     labels = np.asarray(labels)
@@ -192,22 +191,17 @@ def fit_logistic_ova(
     q = len(classes)
     if q < 2:
         raise ValueError("need at least two classes")
-    Z, means, scales = standardize_columns(X)
-
-    def one(c) -> tuple[float, np.ndarray, bool]:
-        return _binary_logistic(Z, (labels == c).astype(np.float64), max_iter, tol, norm_cap, c)
-
-    if n_jobs > 1:
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            fits = list(pool.map(one, classes))
-    else:
-        fits = [one(c) for c in classes]
-
-    l = X.shape[1]
+    n, l = X.shape
+    A = np.empty((n, l + 1), order="F")  # Fortran order: dsyrk reads A * sqrt(w) uncopied
+    A[:, 0] = 1.0
+    A[:, 1:], means, scales = standardize_columns(X)
+    A.flags.writeable = False
     coefs = np.zeros((l, q))
     intercepts = np.zeros(q)
     conv = []
-    for j, (b0, slopes, ok) in enumerate(fits):
+    for j, c in enumerate(classes):
+        y01 = (labels == c).astype(np.float64)
+        b0, slopes, ok = _binary_logistic(A, y01, max_iter, tol, norm_cap, c)
         coefs[:, j] = slopes / scales
         intercepts[j] = b0 - means @ coefs[:, j]
         conv.append(ok)
@@ -332,7 +326,6 @@ def fit_poly_model(
     groups: DummyGroups | None = None,
     max_iter: int = 100,
     tol: float = 1e-8,
-    n_jobs: int = 1,
     cell_budget: int = polyterms.DEFAULT_CELL_BUDGET,
 ) -> PolyModel:
     """Expand the (optionally PCA-reduced) design and fit by ``method``."""
@@ -353,7 +346,7 @@ def fit_poly_model(
             pca=pca, schema=schema, groups=groups,
         )
     if method == "logistic":
-        lf = fit_logistic_ova(P, response, max_iter, tol, n_jobs=n_jobs)
+        lf = fit_logistic_ova(P, response, max_iter, tol)
         stalled = [c for c, ok in zip(lf.classes, lf.converged) if not ok]
         if stalled:
             warnings.warn(

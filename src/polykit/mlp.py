@@ -17,7 +17,8 @@ from .errors import ModelFormatError, TrainingDiverged
 
 HIDDEN_ACTIVATIONS = ("relu", "tanh", "square", "identity")
 
-WEIGHTS_HEADER = "polykit-mlp 1"
+WEIGHTS_HEADER = "polykit-mlp 2"
+WEIGHTS_V1_HEADER = "polykit-mlp 1"  # no layer count; still loads
 
 
 def apply_activation(kind: str, z: np.ndarray) -> np.ndarray:
@@ -293,7 +294,7 @@ def one_hot(labels: np.ndarray) -> tuple[np.ndarray, tuple]:
 def save_weights(mlp: MLP, path) -> None:
     """Write the network as a plain-text container (shapes + row-major values)."""
     lines = [WEIGHTS_HEADER, f"input_width {mlp.input_width}",
-             f"output_kind {mlp.config.output_kind}"]
+             f"output_kind {mlp.config.output_kind}", f"layers {len(mlp.layers)}"]
     for layer in mlp.layers:
         if isinstance(layer, DropoutLayer):
             lines.append(f"dropout {layer.rate!r}")
@@ -314,13 +315,15 @@ def load_weights(path) -> MLP:
             lines = [ln.strip() for ln in fh if ln.strip()]
     except OSError as exc:
         raise ModelFormatError(f"cannot read weights file {path}: {exc}") from exc
-    if not lines or lines[0] != WEIGHTS_HEADER:
+    if not lines or lines[0] not in (WEIGHTS_HEADER, WEIGHTS_V1_HEADER):
         raise ModelFormatError(f"{path}: not a {WEIGHTS_HEADER!r} container")
+    counted = lines[0] == WEIGHTS_HEADER
     try:
         input_width = int(lines[1].split()[1])
         output_kind = lines[2].split()[1]
+        n_layers = int(lines[3].removeprefix("layers ")) if counted else None
         layers: list = []
-        i = 3
+        i = 4 if counted else 3
         while i < len(lines):
             parts = lines[i].split()
             if parts[0] == "dropout":
@@ -336,6 +339,8 @@ def load_weights(path) -> MLP:
             i += 3
     except (IndexError, ValueError) as exc:
         raise ModelFormatError(f"{path}: malformed weights container: {exc}") from exc
+    if counted and len(layers) != n_layers:
+        raise ModelFormatError(f"{path}: {len(layers)} layers, header says {n_layers}")
 
     dense = [l for l in layers if isinstance(l, DenseLayer)]
     width = input_width

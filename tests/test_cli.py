@@ -279,6 +279,28 @@ class TestVifProbe:
         err = capsys.readouterr().err
         assert "input width 3" in err and "design width 4" in err
 
+    def test_version_one_weights_still_load(self, tmp_path, capsys):
+        data = write_csv(tmp_path / "d.csv", np.eye(3), np.zeros(3), names=("a", "b", "c"))
+        wpath = tmp_path / "w.txt"
+        wpath.write_text(WEIGHTS_TEXT, encoding="utf-8")
+        assert main(["vif-probe", "--data", str(data), "--weights", str(wpath)]) == EXIT_OK
+        assert "dense_2" in capsys.readouterr().out
+
+    def test_linear_network_cut_at_a_layer_boundary(self, tmp_path, capsys):
+        data = write_csv(tmp_path / "d.csv", np.eye(3), np.zeros(3), names=("a", "b", "c"))
+        net = m.build_mlp(3, m.MLPConfig((4, 2, 1), ("tanh", "relu"), (0.25, 0.0), seed=0))
+        wpath = tmp_path / "w.txt"
+        m.save_weights(net, wpath)
+        lines = wpath.read_text(encoding="utf-8").splitlines()
+        assert lines[3] == "layers 4"
+        starts = [i for i, line in enumerate(lines) if line.startswith(("dense", "dropout"))]
+        assert len(starts) == 4
+        for cut in starts:
+            wpath.write_text("\n".join(lines[:cut]) + "\n", encoding="utf-8")
+            rc = main(["vif-probe", "--data", str(data), "--weights", str(wpath)])
+            assert rc == EXIT_MODEL, f"cut before line {cut}"
+        assert capsys.readouterr().err.count("header says 4") == len(starts)
+
     @pytest.mark.parametrize("old, new", [
         ("dense 3 2 tanh", "dense 3 2 swish"),
         ("dense 2 1 identity", "dense 2 1 swish"),
@@ -345,6 +367,13 @@ class TestConfigFile:
         cfg.write_text("nonsense = 1\n", encoding="utf-8")
         rc = main(["fit", "--config", str(cfg), "--data", str(quad_csv)])
         assert rc == EXIT_USAGE
+
+    def test_threads_key_is_not_an_option(self, tmp_path, quad_csv, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("threads = 2\n", encoding="utf-8")
+        rc = main(["fit", "--config", str(cfg), "--data", str(quad_csv)])
+        assert rc == EXIT_USAGE
+        assert "'threads' is not an option" in capsys.readouterr().err
 
 
 class TestLinearVsQuadratic:
@@ -413,9 +442,8 @@ class TestContainerFuzz:
     """Deleting a key or a weights line and truncating a container exit 6;
     swapping a value's type exits 6 or still predicts; nothing raises.
 
-    The weights file records no layer count, so a linear-output network cut
-    at a layer boundary is a valid, shorter network; the softmax network here
-    is caught because its last dense layer must be the softmax one.
+    The weights file records its layer count, so deleting a dropout line or
+    cutting the file at a layer boundary exits 6 like any other damage.
     """
 
     @settings(max_examples=150, deadline=None)
@@ -453,8 +481,6 @@ class TestContainerFuzz:
         allowed = (EXIT_MODEL,)
         if op == "delete":
             i = data.draw(st.integers(0, len(lines) - 1))
-            if lines[i].startswith("dropout"):
-                allowed = (EXIT_OK,)  # still a valid network, without dropout
             damaged = "\n".join(lines[:i] + lines[i + 1:])
         elif op == "swap":
             i = data.draw(st.integers(0, len(lines) - 1))
@@ -483,8 +509,8 @@ def _token_type(token):
     return str
 
 
-@pytest.mark.parametrize("command", ["predict", "vif-probe", "equiv-demo"])
-def test_threads_is_an_option_of_fit_only(command):
+@pytest.mark.parametrize("command", ["fit", "predict", "vif-probe", "equiv-demo"])
+def test_threads_is_not_an_option(command):
     with pytest.raises(SystemExit) as exc:
         main([command, "--threads", "2"])
     assert exc.value.code == EXIT_USAGE

@@ -83,6 +83,12 @@ class TestLoadCsv:
         ds2 = load_csv(other, schema=ds.schema)
         assert ds2.schema is ds.schema
 
+    def test_non_numeric_cell_in_schema_numeric_column(self, tmp_path):
+        schema = Schema((ColumnSpec("u", "numeric"), ColumnSpec("y", "response_numeric")))
+        path = write(tmp_path, "t.csv", "u,y\n1.5,1\nabc,2\n")
+        with pytest.raises(DataError, match="non-numeric value 'abc' in numeric column 'u'"):
+            load_csv(path, schema)
+
 
 class TestSchemaValidation:
     def test_exactly_one_response(self):
@@ -240,6 +246,18 @@ class TestPredictLoader:
         schema = Schema((ColumnSpec("u", "numeric"), ColumnSpec("y", "response_numeric")))
         path = write(tmp_path, "t.csv", "u,y\n,1\n")
         with pytest.raises(DataError, match="missing value"):
+            load_design_for_predict(path, schema)
+
+    def test_non_numeric_cell_is_an_error(self, tmp_path):
+        schema = Schema((ColumnSpec("u", "numeric"), ColumnSpec("y", "response_numeric")))
+        path = write(tmp_path, "t.csv", "u\n1.5\nabc\n")
+        with pytest.raises(DataError, match="non-numeric value 'abc' in column 'u'"):
+            load_design_for_predict(path, schema)
+
+    def test_wrong_field_count_names_the_line(self, tmp_path):
+        schema = Schema((ColumnSpec("u", "numeric"), ColumnSpec("y", "response_numeric")))
+        path = write(tmp_path, "t.csv", "u,y\n1.5,1\n2.5\n")
+        with pytest.raises(DataError, match=r"t\.csv:3: wrong field count"):
             load_design_for_predict(path, schema)
 
 

@@ -224,6 +224,14 @@ class TestExtraction:
         with pytest.raises(ValueError, match="not polynomial"):
             eq.extract_polynomial(net)
 
+    @pytest.mark.parametrize("name, sizes", [
+        ("n_inputs", (0, 2, 3)), ("n_layers", (2, 0, 3)), ("units", (2, 2, 0)),
+        ("n_inputs", (-1, 2, 3)),
+    ])
+    def test_non_positive_size_names_the_argument(self, name, sizes):
+        with pytest.raises(ValueError, match=f"{name} must be at least 1"):
+            eq.random_polynomial_network(*sizes, seed=0)
+
     def test_budget_enforced(self):
         net = eq.random_polynomial_network(3, 3, 5, seed=0)
         with pytest.raises(MemoryBudgetError):

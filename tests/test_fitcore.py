@@ -4,15 +4,56 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
+from scipy.special import expit
 
 from polykit import fitcore as fc
 from polykit.dataset import DummyGroups
 from polykit.errors import DataError
 from polykit.polyterms import PolySpec, enumerate_terms, expand
+from polykit.synthdata import synthetic_digits
 
 
 def numeric_terms(p, d, cap=None):
     return enumerate_terms(p, DummyGroups.all_numeric(p), PolySpec(d, cap))
+
+
+def reference_logistic_ova(X, labels, max_iter=100, tol=1e-8, *, norm_cap=1e3):
+    """Oracle: per-class IRLS that stacks its own [1 | Z] for every class and
+    forms the full Hessian A'WA with a matrix product."""
+    X = np.asarray(X, dtype=np.float64)
+    classes = np.unique(labels)
+    Z, means, scales = fc.standardize_columns(X)
+    n, l = Z.shape
+    coefs = np.zeros((l, len(classes)))
+    intercepts = np.zeros(len(classes))
+    conv = []
+    for j, c in enumerate(classes):
+        y01 = (labels == c).astype(np.float64)
+        A = np.column_stack([np.ones(n), Z])
+        b = np.zeros(l + 1)
+        converged = False
+        for _ in range(max_iter):
+            p = expit(A @ b)
+            g = A.T @ (y01 - p)
+            if np.max(np.abs(g)) <= tol:
+                converged = True
+                break
+            w = np.maximum(p * (1.0 - p), 1e-10)
+            h = A.T @ (A * w[:, None])
+            h[np.diag_indices(l + 1)] += 1e-10
+            b = b + scipy.linalg.solve(h, g, assume_a="pos")
+            slope_norm = float(np.linalg.norm(b[1:]))
+            if slope_norm > norm_cap:
+                b *= norm_cap / slope_norm
+                warnings.warn(
+                    f"possible perfect separation for class {c!r}: coefficient norm capped"
+                )
+                break
+        coefs[:, j] = b[1:] / scales
+        intercepts[j] = b[0] - means @ coefs[:, j]
+        conv.append(converged)
+    return fc.LogisticFit(tuple(classes.tolist()), intercepts, coefs, tuple(conv))
 
 
 class TestOLS:
@@ -169,15 +210,6 @@ class TestLogistic:
         fit = fc.fit_logistic_ova(X, labels)
         assert fc.pcc(fit.predict(X), labels) >= 0.95
 
-    def test_serial_and_threaded_identical(self):
-        rng = np.random.default_rng(9)
-        X = rng.normal(size=(120, 3))
-        labels = rng.integers(0, 3, 120)
-        serial = fc.fit_logistic_ova(X, labels, n_jobs=1)
-        threaded = fc.fit_logistic_ova(X, labels, n_jobs=3)
-        np.testing.assert_array_equal(serial.coefs, threaded.coefs)
-        np.testing.assert_array_equal(serial.intercepts, threaded.intercepts)
-
     def test_perfect_separation_capped_with_warning(self):
         # razor-thin margin forces the slope norm through the cap
         x = np.concatenate([np.linspace(-1, -1e-9, 25), np.linspace(1e-9, 1, 25)])[:, None]
@@ -189,6 +221,81 @@ class TestLogistic:
     def test_needs_two_classes(self):
         with pytest.raises(ValueError):
             fc.fit_logistic_ova(np.ones((3, 1)), np.array([1, 1, 1]))
+
+
+def _blobs():
+    rng = np.random.default_rng(7)
+    centers = np.array([[0, 0], [6, 0], [0, 6]])
+    X = np.vstack([rng.normal(size=(100, 2)) * 0.5 + c for c in centers])
+    return X, np.repeat([0, 1, 2], 100), {}
+
+
+def _null():
+    rng = np.random.default_rng(0)
+    labels = np.repeat([0, 1], 200)
+    rng.shuffle(labels)
+    return rng.normal(size=(400, 3)), labels, {"max_iter": 50}
+
+
+def _separation():
+    x = np.concatenate([np.linspace(-1, -1e-9, 25), np.linspace(1e-9, 1, 25)])[:, None]
+    return x, np.repeat([0, 1], 25), {"max_iter": 200, "norm_cap": 50.0}
+
+
+def _with_column(extra):
+    rng = np.random.default_rng(4)
+    X = rng.normal(size=(200, 3))
+    labels = np.digitize(X[:, 0] + X[:, 1] * X[:, 2] + rng.normal(0, 0.5, 200), [-0.5, 0.5])
+    return np.column_stack([X, extra(X)]), labels, {}
+
+
+def _digits(**kw):
+    X, labels = synthetic_digits(1000, seed=0)
+    scores = fc.pca_transform(fc.pca_fit(X, n_components=10), X)
+    return expand(scores, numeric_terms(10, 2)), labels, kw
+
+
+LOGISTIC_CASES = {
+    "blobs": _blobs,
+    "null": _null,
+    "separation": _separation,
+    "constant-column": lambda: _with_column(lambda X: np.full(len(X), 5.0)),
+    "digits-tol0": lambda: _digits(max_iter=8, tol=0.0),
+    "digits": _digits,
+}
+
+
+def fit_recording_warnings(fitter, X, labels, kw):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fit = fitter(X, labels, **kw)
+    return fit, [str(w.message) for w in caught]
+
+
+class TestLogisticAgainstReference:
+    """The shared-design fit against the per-class oracle: same decisions,
+    coefficients equal up to the roundoff of a different Hessian product."""
+
+    def assert_same_decisions(self, X, labels, kw):
+        fit, warned = fit_recording_warnings(fc.fit_logistic_ova, X, labels, kw)
+        ref, ref_warned = fit_recording_warnings(reference_logistic_ova, X, labels, kw)
+        assert fit.classes == ref.classes
+        assert fit.converged == ref.converged
+        assert warned == ref_warned
+        np.testing.assert_array_equal(fit.predict(X), ref.predict(X))
+        return fit, ref
+
+    @pytest.mark.parametrize("case", sorted(LOGISTIC_CASES))
+    def test_full_rank_designs(self, case):
+        X, labels, kw = LOGISTIC_CASES[case]()
+        fit, ref = self.assert_same_decisions(X, labels, kw)
+        for got, want in ((fit.coefs, ref.coefs), (fit.intercepts, ref.intercepts)):
+            assert np.all(np.abs(got - want) <= 1e-9 * np.maximum(1.0, np.abs(want)))
+
+    def test_duplicated_column_scores(self):
+        X, labels, kw = _with_column(lambda X: X[:, 0])
+        fit, ref = self.assert_same_decisions(X, labels, kw)
+        np.testing.assert_allclose(fit.scores(X), ref.scores(X), rtol=0, atol=1e-9)
 
 
 class TestPCA:
