@@ -154,8 +154,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
                           " (each remaining candidate counts once per greedy step)")
     fit.add_argument("--improvement-tolerance", type=float, default=0.0,
                      help="FSR stops once the best candidate improves by less than this")
-    fit.add_argument("--max-iter", type=int, default=100, help="logistic IRLS iterations")
-    fit.add_argument("--tol", type=float, default=1e-8, help="logistic gradient tolerance")
+    fit.add_argument("--max-iter", type=int, default=100, help="logistic Newton iterations (>= 1)")
+    fit.add_argument("--tol", type=float, default=1e-8, help="logistic stop: max |gradient| entry")
     fit.add_argument("--out-dir", default=".", help="directory for model and trace files")
     fit.add_argument("--results", help="CSV file to append the scored result row to")
     fit.set_defaults(func=cmd_fit)
@@ -231,10 +231,12 @@ def _append_result(path, setting: str, dataset: str, seed: int, metric: str, val
 
 
 def cmd_fit(args) -> int:
+    if args.max_iter < 1:
+        print("error: --max-iter must be at least 1", file=sys.stderr)
+        return EXIT_USAGE
     hints = parse_schema_sidecar(args.schema) if args.schema else {}
     ds = load_csv(args.data, kind_hints=hints or None, response=args.response)
     if args.classify and not ds.schema.is_classification:
-        hints = dict(hints)
         hints[ds.schema.response.name] = "response_class"
         ds = load_csv(args.data, kind_hints=hints, response=args.response)
 
@@ -279,6 +281,7 @@ def cmd_fit(args) -> int:
             validation_fraction=args.validation_fraction,
             min_models=args.min_models,
             improvement_tolerance=args.improvement_tolerance,
+            max_iter=args.max_iter, tol=args.tol,
         )
         result = stepwise.fsr(train, cfg, args.seed)
         model = result.model
@@ -345,7 +348,6 @@ def cmd_vif_probe(args) -> int:
     hints = parse_schema_sidecar(args.schema) if args.schema else {}
     ds = load_csv(args.data, kind_hints=hints or None, response=args.response)
     if args.classify and not ds.schema.is_classification:
-        hints = dict(hints)
         hints[ds.schema.response.name] = "response_class"
         ds = load_csv(args.data, kind_hints=hints, response=args.response)
     design, _ = encode_design(ds)

@@ -45,6 +45,7 @@ class FSRConfig:
     min_models: int = 200
     improvement_tolerance: float = 0.0
     max_iter: int = 25  # logistic refits only
+    tol: float = 1e-8  # logistic refits only
 
     def __post_init__(self):
         if not 0 < self.validation_fraction < 1:
@@ -141,16 +142,16 @@ class _LogisticScorer:
     """Validation PCC of a one-vs-all logistic refit per candidate."""
 
     def __init__(self, P_sub: np.ndarray, y_sub: np.ndarray, P_val: np.ndarray,
-                 y_val: np.ndarray, max_iter: int):
+                 y_val: np.ndarray, max_iter: int, tol: float):
         self.P_sub, self.y_sub, self.P_val, self.y_val = P_sub, y_sub, P_val, y_val
-        self.max_iter = max_iter
+        self.max_iter, self.tol = max_iter, tol
         self.selected: list[int] = []
 
     def scores(self, idx: np.ndarray) -> np.ndarray:
         out = np.empty(len(idx))
         for i, j in enumerate(idx):
             cols = self.selected + [int(j)]
-            fit = fitcore.fit_logistic_ova(self.P_sub[:, cols], self.y_sub, max_iter=self.max_iter)
+            fit = fitcore.fit_logistic_ova(self.P_sub[:, cols], self.y_sub, self.max_iter, self.tol)
             out[i] = fitcore.pcc(fit.predict(self.P_val[:, cols]), self.y_val)
         return out
 
@@ -204,7 +205,7 @@ def fsr(train: Dataset, config: FSRConfig, seed: int) -> FSRResult:
         values, counts = np.unique(y_sub, return_counts=True)
         majority = values[np.argmax(counts)]
         base_score = fitcore.pcc(np.full(n_val, majority), y_val)
-        scorer = _LogisticScorer(P_sub, y_sub, P_val, y_val, config.max_iter)
+        scorer = _LogisticScorer(P_sub, y_sub, P_val, y_val, config.max_iter, config.tol)
     else:
         base_score = fitcore.mape(np.full(n_val, y_sub.mean()), y_val)
         scorer = _OrthogonalScorer(P_sub, y_sub, P_val, y_val, base_score)
@@ -252,7 +253,7 @@ def fsr(train: Dataset, config: FSRConfig, seed: int) -> FSRResult:
     method = "logistic" if classify else "ols"
     model = fitcore.fit_poly_model(
         sub_design, y_sub, final_terms, method,
-        schema=train.schema, groups=groups, max_iter=config.max_iter,
+        schema=train.schema, groups=groups, max_iter=config.max_iter, tol=config.tol,
     )
     marked = tuple(
         FSRTraceRow(r.step, r.term_label, r.validation_score, r.fits_evaluated,

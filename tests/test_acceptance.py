@@ -8,6 +8,7 @@ exists and the bundled synthetic surrogate otherwise.
 """
 
 import time
+import warnings
 from contextlib import contextmanager
 
 import numpy as np
@@ -254,10 +255,12 @@ def test_c10_image_classification_stretch():
         test_design, _ = encode_design(test, train.schema)
         basis = fc.pca_fit(design, n_components=50)
         terms = numeric_terms(basis.r, 2)
-        model = fc.fit_poly_model(
-            design, train.response_values(), terms, "logistic",
-            pca=basis, schema=train.schema, groups=groups, max_iter=12,
-        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # every class converges
+            model = fc.fit_poly_model(
+                design, train.response_values(), terms, "logistic",
+                pca=basis, schema=train.schema, groups=groups,
+            )
         preds = fc.predict(model, test_design)
         value = fc.pcc(preds, test.response_values())
         print(f"[acceptance] c10 test PCC = {value:.4f}")

@@ -162,6 +162,41 @@ class TestFit:
         assert pcc > 0.9
 
 
+    @staticmethod
+    def _blobs_csv(tmp_path):
+        """90 rows of three unit-variance blobs 4 apart, the CI script's CSV."""
+        X = np.random.default_rng(0).normal(size=(90, 2))
+        y = np.repeat([0, 1, 2], 30)
+        X[:, 0] += 4 * y
+        return write_csv(tmp_path / "blobs.csv", X, y)
+
+    def test_separated_blobs_classified_without_warnings(self, tmp_path, capsys):
+        rc = main(["fit", "--data", str(self._blobs_csv(tmp_path)), "--classify",
+                   "--degree", "2", "--out-dir", str(tmp_path / "out")])
+        assert rc == EXIT_OK
+        out, err = capsys.readouterr()
+        pcc = float(next(l for l in out.splitlines() if l.startswith("pcc=")).split("=")[1])
+        assert pcc >= 0.95
+        assert "warning" not in err
+
+    @pytest.mark.parametrize("tol, warned", [("1e-8", True), ("1e9", False)])
+    def test_fsr_uses_max_iter_and_tol(self, tmp_path, capsys, tol, warned):
+        rc = main(["fit", "--data", str(self._blobs_csv(tmp_path)), "--classify", "--fsr",
+                   "--max-iter", "1", "--tol", tol, "--out-dir", str(tmp_path / "out")])
+        assert rc == EXIT_OK
+        err = capsys.readouterr().err
+        assert ("did not converge within 1 Newton iterations" in err) == warned
+        assert "within 25" not in err
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_max_iter_below_one_is_a_usage_error(self, tmp_path, capsys, value):
+        rc = main(["fit", "--data", str(self._blobs_csv(tmp_path)), "--classify",
+                   "--max-iter", value, "--out-dir", str(tmp_path / "out")])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "--max-iter must be at least 1" in err and "Traceback" not in err
+
+
 class TestPredict:
     def _fit(self, tmp_path, csv_path, extra=()):
         out_dir = tmp_path / "fitout"
