@@ -231,9 +231,16 @@ def _append_result(path, setting: str, dataset: str, seed: int, metric: str, val
 
 
 def cmd_fit(args) -> int:
-    if args.max_iter < 1:
-        print("error: --max-iter must be at least 1", file=sys.stderr)
-        return EXIT_USAGE
+    # comparisons written so that NaN fails them
+    for ok, message in (
+        (args.max_iter >= 1, "--max-iter must be at least 1"),
+        (args.tol >= 0, "--tol must be at least 0"),
+        (args.improvement_tolerance >= 0, "--improvement-tolerance must be at least 0"),
+        (args.pca is None or 0 < args.pca <= 1, "--pca must be in (0, 1]"),
+    ):
+        if not ok:
+            print(f"error: {message}", file=sys.stderr)
+            return EXIT_USAGE
     hints = parse_schema_sidecar(args.schema) if args.schema else {}
     ds = load_csv(args.data, kind_hints=hints or None, response=args.response)
     if args.classify and not ds.schema.is_classification:

@@ -108,7 +108,7 @@ class Dataset:
             arr = self.columns[spec.name]
             lengths.add(len(arr))
             if spec.kind in ("numeric", "response_numeric") and not np.all(
-                np.isfinite(arr.astype(float))
+                np.isfinite(np.asarray(arr, dtype=np.float64))
             ):
                 raise DataError(f"non-finite values in numeric column {spec.name!r}")
         if len(lengths) != 1:

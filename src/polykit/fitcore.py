@@ -227,28 +227,47 @@ def pca_fit(
 ) -> PCABasis:
     """Center X and keep the fewest components whose cumulative variance
     reaches ``var_fraction`` of the total, or exactly ``n_components``
-    when a fixed count is requested."""
+    when a fixed count is requested.
+
+    The total is ``|Xc|_F^2`` of the centred design Xc. A tall design
+    (rows >= columns) takes its components from one symmetric
+    eigendecomposition of the m x m cross-product ``Xc' Xc``, whose
+    eigenvalues are the squared singular values (negative roundoff ones
+    read as 0). That never forms the n x m left factor a thin SVD builds,
+    so it is faster and needs about half the memory. A component comes out
+    accurate to about eps * lam_1 / gap, where gap is the distance from its
+    eigenvalue to its neighbours'. A wide design keeps the thin SVD of Xc,
+    whose cost grows with the short side where the eigendecomposition's
+    grows with m^3."""
     X = np.asarray(X, dtype=np.float64)
-    if X.shape[0] < 2:
+    n, m = X.shape
+    if n < 2:
         raise ValueError("PCA needs at least two rows")
     if not 0 < var_fraction <= 1:
         raise ValueError("var_fraction must be in (0, 1]")
     means = X.mean(axis=0)
-    _, s, vt = scipy.linalg.svd(X - means, full_matrices=False)
-    power = s**2
-    total = power.sum()
+    Xc = X - means
+    # einsum, not np.vdot: with OpenBLAS a threaded ddot just before the
+    # wide SVD made that SVD twice as slow (100 x 3,000 on two cores)
+    total = float(np.einsum("ij,ij->", Xc, Xc))
     if total == 0.0:
         raise DataError("zero-variance matrix: PCA undefined")
+    if n >= m:
+        power, v = scipy.linalg.eigh(Xc.T @ Xc, overwrite_a=True)
+        power, v = np.maximum(power[::-1], 0.0), v[:, ::-1]
+    else:
+        _, s, vt = scipy.linalg.svd(Xc, full_matrices=False)
+        power, v = s**2, vt.T
     cum = np.cumsum(power) / total
     if n_components is not None:
         if n_components < 1:
             raise ValueError("n_components must be >= 1")
-        r = min(n_components, len(s))
+        r = min(n_components, len(power))
         var_fraction = float(cum[r - 1])
     else:
         r = int(np.searchsorted(cum, var_fraction - 1e-12) + 1)
-        r = min(r, len(s))
-    components = vt[:r].T.copy()
+        r = min(r, len(power))
+    components = v[:, :r].copy()
     # fix the sign convention so repeated fits agree exactly
     for j in range(r):
         k = int(np.argmax(np.abs(components[:, j])))

@@ -52,6 +52,8 @@ class FSRConfig:
             raise ValueError("validation_fraction must be in (0, 1)")
         if self.min_models < 1:
             raise ValueError("min_models must be >= 1")
+        if not self.improvement_tolerance >= 0:  # also refuses NaN
+            raise ValueError("improvement_tolerance must be >= 0")
         if len(self.candidates) == 0:
             raise DataError("candidate term set is empty")
 

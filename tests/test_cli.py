@@ -196,6 +196,25 @@ class TestFit:
         err = capsys.readouterr().err
         assert "--max-iter must be at least 1" in err and "Traceback" not in err
 
+    USAGE_MESSAGES = {
+        "--tol": "--tol must be at least 0",
+        "--improvement-tolerance": "--improvement-tolerance must be at least 0",
+        "--pca": "--pca must be in (0, 1]",
+    }
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--tol", "-1"), ("--tol", "nan"),
+        ("--improvement-tolerance", "-1"), ("--improvement-tolerance", "nan"),
+        ("--pca", "1.5"), ("--pca", "0"), ("--pca", "-0.5"), ("--pca", "nan"),
+    ])
+    def test_out_of_range_option_is_a_usage_error(self, tmp_path, capsys, flag, value):
+        fsr = ["--fsr"] if flag == "--improvement-tolerance" else []
+        rc = main(["fit", "--data", str(self._blobs_csv(tmp_path)), "--classify", *fsr,
+                   flag, value, "--out-dir", str(tmp_path / "out")])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"error: {self.USAGE_MESSAGES[flag]}" in err and "Traceback" not in err
+
 
 class TestPredict:
     def _fit(self, tmp_path, csv_path, extra=()):

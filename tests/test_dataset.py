@@ -1,5 +1,7 @@
 """Ingestion, encoding and split behavior."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -105,6 +107,25 @@ class TestSchemaValidation:
     def test_categorical_needs_levels(self):
         with pytest.raises(DataError):
             ColumnSpec("c", "categorical")
+
+
+class TestDatasetChecks:
+    SCHEMA = Schema((ColumnSpec("u", "numeric"), ColumnSpec("y", "response_numeric")))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_numeric_rejected(self, bad):
+        with pytest.raises(DataError, match="non-finite"):
+            Dataset(self.SCHEMA, {"u": np.array([1.0, bad]), "y": np.zeros(2)})
+
+    def test_finiteness_check_copies_no_float_column(self):
+        u, y = np.arange(100000.0), np.zeros(100000)
+        tracemalloc.start()
+        try:
+            Dataset(self.SCHEMA, {"u": u, "y": y})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < u.nbytes / 2  # the boolean isfinite mask is an eighth
 
 
 class TestEncodeDesign:

@@ -1,5 +1,6 @@
 """Fitters, PCA, prediction and metrics."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -305,32 +306,137 @@ class TestLogisticAgainstReference:
         np.testing.assert_allclose(fit.scores(X), ref.scores(X), rtol=0, atol=1e-6)
 
 
+def reference_pca(X, var_fraction=0.90, *, n_components=None):
+    """Oracle: PCA from the thin SVD of the centred design, with pca_fit's
+    selection and sign rules. Returns the basis and the squared singular
+    values (the eigenvalues of Xc'Xc), largest first."""
+    X = np.asarray(X, dtype=np.float64)
+    means = X.mean(axis=0)
+    _, s, vt = scipy.linalg.svd(X - means, full_matrices=False)
+    power = s**2
+    cum = np.cumsum(power) / power.sum()
+    if n_components is not None:
+        r = min(n_components, len(s))
+        var_fraction = float(cum[r - 1])
+    else:
+        r = min(int(np.searchsorted(cum, var_fraction - 1e-12) + 1), len(s))
+    components = vt[:r].T.copy()
+    for j in range(r):
+        k = int(np.argmax(np.abs(components[:, j])))
+        if components[k, j] < 0:
+            components[:, j] = -components[:, j]
+    return fc.PCABasis(components, means, float(cum[r - 1]), float(var_fraction)), power
+
+
+def _rank_one_line():
+    t = np.random.default_rng(2).normal(size=(50, 1))
+    return t @ np.array([[1.0, 2.0, 3.0]]) + np.array([4.0, 5.0, 6.0])
+
+
+def _rank_two():
+    rng = np.random.default_rng(4)
+    return rng.normal(size=(60, 2)) @ rng.normal(size=(2, 5))
+
+
+def _duplicated_column():
+    X = np.random.default_rng(7).normal(size=(80, 4))
+    return np.column_stack([X, X[:, 1]])
+
+
+#: The designs of the TestPCA cases; the oracle checks each at var_fraction 0.9 and 0.999.
+PCA_DATA = {
+    "rank_one_line": _rank_one_line,
+    "isotropic": lambda: np.random.default_rng(3).normal(size=(500, 2)),
+    "rank_two": _rank_two,
+    "gaussian_6": lambda: np.random.default_rng(5).normal(size=(100, 6)),
+    "gaussian_8": lambda: np.random.default_rng(6).normal(size=(50, 8)),
+}
+
+PCA_ORACLE_CASES = {
+    **{f"{name}-{f}": (make, {"var_fraction": f})
+       for name, make in PCA_DATA.items() for f in (0.9, 0.999)},
+    "duplicated_column": (_duplicated_column, {"n_components": 5}),
+    "components_above_rank": (_rank_two, {"n_components": 4}),
+    "rank_one_above_rank": (_rank_one_line, {"n_components": 7}),
+    "wide_100x3000": (lambda: np.random.default_rng(8).normal(size=(100, 3000)),
+                      {"n_components": 20}),
+}
+
+
+@pytest.fixture(scope="module")
+def digits_2400():
+    return synthetic_digits(2400, seed=0)[0]
+
+
+def assert_pca_matches_oracle(X, **kw):
+    basis, (ref, power) = fc.pca_fit(X, **kw), reference_pca(X, **kw)
+    assert basis.r == ref.r
+    assert abs(basis.retained_fraction - ref.retained_fraction) <= 1e-12
+    assert abs(basis.target_fraction - ref.target_fraction) <= 1e-12
+    np.testing.assert_array_equal(basis.means, ref.means)
+    # A component is determined only as well as its eigenvalue is separated
+    # from its neighbours' (Davis-Kahan); check those with a gap > 1e-6 lam_1.
+    lam1 = power[0]
+    padded = np.r_[np.inf, power, -np.inf]
+    gaps = np.minimum(padded[:-2] - padded[1:-1], padded[1:-1] - padded[2:])[: ref.r]
+    separated = np.flatnonzero(gaps > 1e-6 * lam1)
+    assert len(separated) > 0
+    signs = np.ones(ref.r)
+    for j in separated:
+        bound = 1e-9 * lam1 / gaps[j]
+        c, c_ref = basis.components[:, j], ref.components[:, j]
+        top = np.sort(np.abs(c_ref))[-2:]
+        if top[1] - top[0] <= bound:  # the sign rule's largest entry is a tie
+            signs[j] = np.sign(c @ c_ref)
+        err = np.abs(c - signs[j] * c_ref).max()
+        assert err <= bound, (j, err)
+    scores, ref_scores = fc.pca_transform(basis, X), fc.pca_transform(ref, X) * signs
+    scale = np.abs(ref_scores).max()
+    np.testing.assert_allclose(scores[:, separated], ref_scores[:, separated],
+                               rtol=0, atol=1e-9 * scale)
+    return basis, ref
+
+
+class TestPCAOracle:
+    @pytest.mark.parametrize("case", sorted(PCA_ORACLE_CASES))
+    def test_matches_svd(self, case):
+        make, kw = PCA_ORACLE_CASES[case]
+        assert_pca_matches_oracle(make(), **kw)
+
+    def test_digits_twenty_components(self, digits_2400):
+        basis, _ = assert_pca_matches_oracle(digits_2400, n_components=20)
+        assert basis.r == 20
+
+    def test_peak_memory_is_bounded(self, digits_2400):
+        # the thin SVD holds the n x m left factor and a copy of the centred
+        # design next to it (4.6x the input); the cross-product route does not
+        tracemalloc.start()
+        try:
+            fc.pca_fit(digits_2400, n_components=20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * digits_2400.nbytes, peak / digits_2400.nbytes
+
+
 class TestPCA:
     def test_rank_one_line(self):
-        rng = np.random.default_rng(2)
-        t = rng.normal(size=(50, 1))
-        X = t @ np.array([[1.0, 2.0, 3.0]]) + np.array([4.0, 5.0, 6.0])
-        basis = fc.pca_fit(X, 0.9)
+        basis = fc.pca_fit(_rank_one_line(), 0.9)
         assert basis.r == 1
         assert basis.retained_fraction > 1 - 1e-12
 
     def test_isotropic_needs_both(self):
-        rng = np.random.default_rng(3)
-        X = rng.normal(size=(500, 2))
-        assert fc.pca_fit(X, 0.90).r == 2
+        assert fc.pca_fit(PCA_DATA["isotropic"](), 0.90).r == 2
 
     def test_reconstruction_of_retained_subspace(self):
-        rng = np.random.default_rng(4)
-        X = rng.normal(size=(60, 2)) @ rng.normal(size=(2, 5))
+        X = _rank_two()
         basis = fc.pca_fit(X, 0.999)
         Z = fc.pca_transform(basis, X)
         back = fc.pca_inverse(basis, Z)
         assert np.abs(back - X).max() < 1e-8
 
     def test_components_orthonormal(self):
-        rng = np.random.default_rng(5)
-        X = rng.normal(size=(100, 6))
-        basis = fc.pca_fit(X, 0.95)
+        basis = fc.pca_fit(PCA_DATA["gaussian_6"](), 0.95)
         gram = basis.components.T @ basis.components
         np.testing.assert_allclose(gram, np.eye(basis.r), atol=1e-8)
 
@@ -339,9 +445,7 @@ class TestPCA:
             fc.pca_fit(np.ones((5, 3)), 0.9)
 
     def test_fixed_component_count(self):
-        rng = np.random.default_rng(6)
-        X = rng.normal(size=(50, 8))
-        basis = fc.pca_fit(X, n_components=3)
+        basis = fc.pca_fit(PCA_DATA["gaussian_8"](), n_components=3)
         assert basis.r == 3
 
 

@@ -290,6 +290,11 @@ class TestErrors:
         with pytest.raises(DataError, match="width"):
             sw.fsr(ds, sw.FSRConfig(ts), seed=0)
 
+    @pytest.mark.parametrize("tolerance", [-1.0, float("nan")])
+    def test_bad_improvement_tolerance(self, tolerance):
+        with pytest.raises(ValueError, match="improvement_tolerance"):
+            sw.FSRConfig(candidate_set(), improvement_tolerance=tolerance)
+
     def test_trace_csv_layout(self):
         ds = quadratic_dataset(1)
         res = sw.fsr(ds, sw.FSRConfig(candidate_set()), seed=1)
