@@ -6,10 +6,13 @@ Subcommands:
   vif-probe   per-layer collinearity report for a trained or imported network
   equiv-demo  degree growth and forward-vs-polynomial deviation report
 
-Every subcommand accepts ``--config FILE`` holding ``key = value`` lines
-(keys are the long option names with dashes replaced by underscores);
-command-line flags override config values. Warnings are summarized on
-stderr; data goes to stdout or files.
+Every subcommand accepts ``--config FILE`` holding ``key = value`` lines.
+Each key is a full long option name (dashes or underscores) and each line
+becomes the argument ``--key=value`` placed before the command-line flags,
+which therefore override it; a boolean option takes true/false, yes/no or
+1/0. One parse checks config values and flags alike: every option's type,
+choices and range is its argument type. Warnings are summarized on stderr;
+data goes to stdout or files.
 
 Exit codes: 0 success; 2 usage or config error; 3 unusable input data;
 4 numeric or training failure; 5 size budget exceeded; 6 bad model or
@@ -51,72 +54,78 @@ EXIT_MODEL = 6
 
 RESULTS_HEADER = "setting,dataset,seed,metric,value"
 
-#: Options that must be present after merging the config file.
-REQUIRED_OPTIONS = {
-    "fit": ("data",),
-    "predict": ("model", "data"),
-    "vif-probe": ("data",),
-    "equiv-demo": (),
-}
 
-
-def _parse_config_file(path) -> dict[str, str]:
+def _config_arguments(sub: argparse.ArgumentParser, path) -> list[str]:
+    """A config file's ``key = value`` lines as arguments for ``sub``:
+    ``--key=value``, or for a boolean option the bare flag when the value
+    is true and nothing when it is false."""
+    out = []
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            out = {}
             for lineno, raw in enumerate(fh, 1):
                 line = raw.split("#", 1)[0].strip()
                 if not line:
                     continue
                 if "=" not in line:
-                    raise DataError(f"{path}:{lineno}: expected 'key = value'")
+                    sub.error(f"{path}:{lineno}: expected 'key = value'")
                 key, value = (part.strip() for part in line.split("=", 1))
-                out[key.replace("-", "_")] = value
-            return out
-    except OSError as exc:
-        raise DataError(f"cannot read config file {path}: {exc}") from exc
-
-
-def _coerce_config(sub: argparse.ArgumentParser, cfg: dict[str, str]) -> dict:
-    """Convert config strings with each option's own type converter."""
-    actions = {a.dest: a for a in sub._actions}
-    out = {}
-    for key, value in cfg.items():
-        if key == "config":
-            continue
-        if key not in actions:
-            raise DataError(f"config key {key!r} is not an option of this subcommand")
-        action = actions[key]
-        if isinstance(action, (argparse._StoreTrueAction, argparse._StoreFalseAction)):
-            lowered = value.lower()
-            if lowered not in ("true", "false", "1", "0", "yes", "no"):
-                raise DataError(f"config key {key!r} expects a boolean, got {value!r}")
-            out[key] = lowered in ("true", "1", "yes")
-        elif action.type is not None:
-            try:
-                out[key] = action.type(value)
-            except (TypeError, ValueError) as exc:
-                raise DataError(f"config key {key!r}: bad value {value!r}") from exc
-        else:
-            out[key] = value
+                flag = "--" + key.replace("_", "-")
+                if sub.get_default(key.replace("-", "_")) is not False:
+                    out.append(f"{flag}={value}")
+                elif value.lower() in ("true", "1", "yes"):
+                    out.append(flag)
+                elif value.lower() not in ("false", "0", "no"):
+                    sub.error(f"config key {key!r} expects a boolean, got {value!r}")
+    except (OSError, UnicodeDecodeError) as exc:
+        sub.error(f"cannot read config file {path}: {exc}")
     return out
 
 
-def _int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(v) for v in text.split(",") if v.strip())
+def _ranged(kind, interval: str):
+    """Argument type: ``kind(text)`` inside ``interval``, written like
+    "(0, 1]" or "[1, inf)". The comparisons fail for NaN."""
+    low, high = (float(end) for end in interval[1:-1].split(","))
+
+    def convert(text: str):
+        value = kind(text)
+        above = value > low if interval[0] == "(" else value >= low
+        below = value < high if interval[-1] == ")" else value <= high
+        if not (above and below):
+            raise argparse.ArgumentTypeError(f"{text!r} is not in {interval}")
+        return value
+
+    convert.__name__ = kind.__name__  # argparse names it in "invalid int value"
+    return convert
 
 
-def _float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in text.split(",") if v.strip())
+def _one_of(names: tuple[str, ...]):
+    def convert(text: str) -> str:
+        if text not in names:
+            raise argparse.ArgumentTypeError(f"{text!r} is not one of {', '.join(names)}")
+        return text
+
+    return convert
 
 
-def _str_list(text: str) -> tuple[str, ...]:
-    return tuple(v.strip() for v in text.split(",") if v.strip())
+def _listed(convert):
+    """Argument type: a comma-separated list of at least one ``convert`` entry."""
+    def parse(text: str) -> tuple:
+        entries = tuple(convert(v.strip()) for v in text.split(",") if v.strip())
+        if not entries:
+            raise argparse.ArgumentTypeError("expected at least one comma-separated value")
+        return entries
+
+    parse.__name__ = f"{convert.__name__} list"
+    return parse
+
+
+AT_LEAST_ONE = _ranged(int, "[1, inf)")
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="key = value config file; flags override it")
-    sub.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
+    sub.add_argument("--seed", type=_ranged(int, "[0, inf)"), default=0,
+                     help="random seed (default 0)")
 
 
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
@@ -127,78 +136,83 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     subs = parser.add_subparsers(dest="command", required=True)
     table: dict[str, argparse.ArgumentParser] = {}
 
-    fit = subs.add_parser("fit", help="fit a polynomial model and score it")
-    table["fit"] = fit
+    fit = table["fit"] = subs.add_parser("fit", help="fit a polynomial model and score it",
+                                         allow_abbrev=False)
     _add_common(fit)
-    fit.add_argument("--data", help="training CSV with header row")
+    fit.add_argument("--data", required=True, help="training CSV with header row")
     fit.add_argument("--schema", help="schema sidecar file (column = kind lines)")
     fit.add_argument("--response", help="response column name (default: last column)")
     fit.add_argument("--classify", action="store_true",
                      help="force the response to be treated as class labels")
-    fit.add_argument("--degree", type=int, default=2, help="polynomial degree (default 2)")
-    fit.add_argument("--interact", type=int, default=None,
+    fit.add_argument("--degree", type=AT_LEAST_ONE, default=2,
+                     help="polynomial degree (default 2)")
+    fit.add_argument("--interact", type=AT_LEAST_ONE, default=None,
                      help="total-degree cap for interaction terms (default: degree)")
     fit.add_argument("--method", choices=("auto", "ols", "ridge", "logistic"),
                      default="auto", help="fit method (auto: ols or logistic by response)")
-    fit.add_argument("--ridge-lambda", type=float, default=None,
+    fit.add_argument("--ridge-lambda", type=_ranged(float, "(0, inf)"), default=None,
                      help="ridge penalty (requires --method ridge)")
-    fit.add_argument("--pca", type=float, default=None, metavar="FRACTION",
+    fit.add_argument("--pca", type=_ranged(float, "(0, 1]"), default=None, metavar="FRACTION",
                      help="PCA-reduce the design to this variance fraction first")
-    fit.add_argument("--keep-fraction", type=float, default=1.0,
+    fit.add_argument("--keep-fraction", type=_ranged(float, "(0, 1]"), default=1.0,
                      help="randomly keep this fraction of non-linear terms")
     fit.add_argument("--fsr", action="store_true", help="forward stepwise selection")
-    fit.add_argument("--validation-fraction", type=float, default=0.2,
+    fit.add_argument("--validation-fraction", type=_ranged(float, "(0, 1)"), default=0.2,
                      help="FSR holdout fraction of the training rows (default 0.2)")
-    fit.add_argument("--min-models", type=int, default=200,
+    fit.add_argument("--min-models", type=AT_LEAST_ONE, default=200,
                      help="FSR keeps exploring until this many candidates were scored"
                           " (each remaining candidate counts once per greedy step)")
-    fit.add_argument("--improvement-tolerance", type=float, default=0.0,
+    fit.add_argument("--improvement-tolerance", type=_ranged(float, "[0, inf]"), default=0.0,
                      help="FSR stops once the best candidate improves by less than this")
-    fit.add_argument("--max-iter", type=int, default=100, help="logistic Newton iterations (>= 1)")
-    fit.add_argument("--tol", type=float, default=1e-8, help="logistic stop: max |gradient| entry")
+    fit.add_argument("--max-iter", type=AT_LEAST_ONE, default=100,
+                     help="logistic Newton iterations (default 100)")
+    fit.add_argument("--tol", type=_ranged(float, "[0, inf]"), default=1e-8,
+                     help="logistic stop: max |gradient| entry")
     fit.add_argument("--out-dir", default=".", help="directory for model and trace files")
     fit.add_argument("--results", help="CSV file to append the scored result row to")
     fit.set_defaults(func=cmd_fit)
 
-    pred = subs.add_parser("predict", help="predict with a saved model container")
-    table["predict"] = pred
+    pred = table["predict"] = subs.add_parser(
+        "predict", help="predict with a saved model container", allow_abbrev=False)
     _add_common(pred)
-    pred.add_argument("--model", help="model container from 'fit'")
-    pred.add_argument("--data", help="CSV of feature rows")
+    pred.add_argument("--model", required=True, help="model container from 'fit'")
+    pred.add_argument("--data", required=True, help="CSV of feature rows")
     pred.add_argument("--out", help="predictions CSV (default: stdout)")
     pred.set_defaults(func=cmd_predict)
 
-    probe = subs.add_parser("vif-probe", help="layer-by-layer collinearity report")
-    table["vif-probe"] = probe
+    probe = table["vif-probe"] = subs.add_parser(
+        "vif-probe", help="layer-by-layer collinearity report", allow_abbrev=False)
     _add_common(probe)
-    probe.add_argument("--data", help="CSV used to train and/or probe")
+    probe.add_argument("--data", required=True, help="CSV used to train and/or probe")
     probe.add_argument("--schema", help="schema sidecar file")
     probe.add_argument("--response", help="response column name (default: last column)")
     probe.add_argument("--classify", action="store_true",
                        help="force the response to be treated as class labels")
     probe.add_argument("--weights", help="probe an imported weights container instead of training")
-    probe.add_argument("--widths", type=_int_list, default=(10, 10, 10),
+    probe.add_argument("--widths", type=_listed(AT_LEAST_ONE), default=(10, 10, 10),
                        help="dense layer widths, output last (default 10,10,10)")
-    probe.add_argument("--activations", type=_str_list, default=(),
+    probe.add_argument("--activations", type=_listed(_one_of(mlpmod.HIDDEN_ACTIVATIONS)),
+                       default=(),
                        help="hidden activations (default: relu for each)")
-    probe.add_argument("--dropout", type=_float_list, default=(),
+    probe.add_argument("--dropout", type=_listed(_ranged(float, "[0, 1)")), default=(),
                        help="dropout rate after each hidden layer (default 0)")
-    probe.add_argument("--epochs", type=int, default=10)
-    probe.add_argument("--batch-size", type=int, default=32)
-    probe.add_argument("--learning-rate", type=float, default=0.05)
-    probe.add_argument("--probe-rows", type=int, default=2000,
+    probe.add_argument("--epochs", type=_ranged(int, "[0, inf)"), default=10,
+                       help="training epochs; 0 probes the untrained network (default 10)")
+    probe.add_argument("--batch-size", type=AT_LEAST_ONE, default=32)
+    probe.add_argument("--learning-rate", type=_ranged(float, "(0, inf)"), default=0.05)
+    probe.add_argument("--probe-rows", type=AT_LEAST_ONE, default=2000,
                        help="rows subsampled for the probe input (default 2000)")
     probe.add_argument("--csv", help="also write the summary table as CSV here")
     probe.set_defaults(func=cmd_vif_probe)
 
-    demo = subs.add_parser("equiv-demo", help="degree growth and deviation report")
-    table["equiv-demo"] = demo
+    demo = table["equiv-demo"] = subs.add_parser(
+        "equiv-demo", help="degree growth and deviation report", allow_abbrev=False)
     _add_common(demo)
-    demo.add_argument("--inputs", type=int, default=2, help="input features (default 2)")
-    demo.add_argument("--layers", type=int, default=2, help="layers (default 2)")
-    demo.add_argument("--units", type=int, default=3, help="units per layer (default 3)")
+    demo.add_argument("--inputs", type=AT_LEAST_ONE, default=2, help="input features (default 2)")
+    demo.add_argument("--layers", type=AT_LEAST_ONE, default=2, help="layers (default 2)")
+    demo.add_argument("--units", type=AT_LEAST_ONE, default=3, help="units per layer (default 3)")
     demo.add_argument("--activation", choices=("square", "identity"), default="square")
-    demo.add_argument("--points", type=int, default=100,
+    demo.add_argument("--points", type=AT_LEAST_ONE, default=100,
                       help="random evaluation points (default 100)")
     demo.set_defaults(func=cmd_equiv_demo)
 
@@ -231,16 +245,6 @@ def _append_result(path, setting: str, dataset: str, seed: int, metric: str, val
 
 
 def cmd_fit(args) -> int:
-    # comparisons written so that NaN fails them
-    for ok, message in (
-        (args.max_iter >= 1, "--max-iter must be at least 1"),
-        (args.tol >= 0, "--tol must be at least 0"),
-        (args.improvement_tolerance >= 0, "--improvement-tolerance must be at least 0"),
-        (args.pca is None or 0 < args.pca <= 1, "--pca must be in (0, 1]"),
-    ):
-        if not ok:
-            print(f"error: {message}", file=sys.stderr)
-            return EXIT_USAGE
     hints = parse_schema_sidecar(args.schema) if args.schema else {}
     ds = load_csv(args.data, kind_hints=hints or None, response=args.response)
     if args.classify and not ds.schema.is_classification:
@@ -402,10 +406,6 @@ def cmd_vif_probe(args) -> int:
 
 
 def cmd_equiv_demo(args) -> int:
-    for name in ("inputs", "layers", "units", "points"):
-        if getattr(args, name) < 1:
-            print(f"error: --{name} must be at least 1", file=sys.stderr)
-            return EXIT_USAGE
     net = equivalence.random_polynomial_network(
         args.inputs, args.layers, args.units, args.seed, args.activation
     )
@@ -427,20 +427,19 @@ def cmd_equiv_demo(args) -> int:
 
 def main(argv=None) -> int:
     parser, table = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "config", None):
-        try:
-            cfg = _coerce_config(table[args.command], _parse_config_file(args.config))
-        except DataError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        table[args.command].set_defaults(**cfg)
+    argv = list(sys.argv[1:] if argv is None else argv)
+    try:
+        if argv and argv[0] in table:
+            pre = argparse.ArgumentParser(prog=f"polykit {argv[0]}", add_help=False,
+                                          allow_abbrev=False)
+            pre.add_argument("--config")
+            path = pre.parse_known_args(argv[1:])[0].config
+            if path:
+                # right after the subcommand, so later command-line flags win
+                argv[1:1] = _config_arguments(table[argv[0]], path)
         args = parser.parse_args(argv)
-
-    for name in REQUIRED_OPTIONS[args.command]:
-        if getattr(args, name) is None:
-            print(f"error: --{name} is required (flag or config file)", file=sys.stderr)
-            return EXIT_USAGE
+    except SystemExit as exc:  # argparse's usage errors (2) and --help (0)
+        return exc.code
 
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

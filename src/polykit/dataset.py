@@ -37,6 +37,33 @@ def _is_number(token: str) -> bool:
     return True
 
 
+def _floats(values: list[str]) -> np.ndarray | None:
+    """The cells as float64 in one conversion, or None when one is not a
+    number. NumPy accepts exactly the spellings ``float`` accepts."""
+    try:
+        return np.array(values, dtype=np.float64)
+    except ValueError:
+        return None
+
+
+def _typed_columns(path, specs, values: dict[str, list[str]],
+                   parsed: dict[str, np.ndarray | None]) -> dict[str, np.ndarray]:
+    """One array per column spec: float64 for the numeric kinds (taken from
+    ``parsed`` when the column was converted already), strings otherwise."""
+    columns: dict[str, np.ndarray] = {}
+    for spec in specs:
+        cells = values[spec.name]
+        if spec.kind not in ("numeric", "response_numeric"):
+            columns[spec.name] = np.array(cells, dtype=str)
+            continue
+        arr = parsed[spec.name] if spec.name in parsed else _floats(cells)
+        if arr is None:
+            bad = next(v for v in cells if not _is_number(v))
+            raise DataError(f"{path}: non-numeric value {bad!r} in numeric column {spec.name!r}")
+        columns[spec.name] = arr
+    return columns
+
+
 @dataclass(frozen=True)
 class ColumnSpec:
     """Name, kind and (for categoricals) the observed level set of a column."""
@@ -275,11 +302,13 @@ def load_csv(
 
     col_values = {name: [r[i] for r in kept] for i, name in enumerate(wanted)}
 
+    parsed: dict[str, np.ndarray | None] = {}
     if schema is None:
         specs = []
         for name in wanted:
             values = col_values[name]
-            numeric = all(_is_number(v) for v in values)
+            parsed[name] = _floats(values)
+            numeric = parsed[name] is not None
             if name == resp_name:
                 kind = "response_numeric" if numeric else "response_class"
                 specs.append(ColumnSpec(name, kind))
@@ -297,19 +326,7 @@ def load_csv(
             specs[i] = ColumnSpec(spec.name, hint, levels)
         schema = Schema(tuple(specs))
 
-    columns: dict[str, np.ndarray] = {}
-    for spec in schema.columns:
-        values = col_values[spec.name]
-        if spec.kind in ("numeric", "response_numeric"):
-            bad = next((v for v in values if not _is_number(v)), None)
-            if bad is not None:
-                raise DataError(
-                    f"{path}: non-numeric value {bad!r} in numeric column {spec.name!r}"
-                )
-            columns[spec.name] = np.array([float(v) for v in values])
-        else:
-            columns[spec.name] = np.array(values, dtype=str)
-
+    columns = _typed_columns(path, schema.columns, col_values, parsed)
     return Dataset(schema, columns, dropped_rows=dropped)
 
 
@@ -420,15 +437,7 @@ def load_design_for_predict(path, schema: Schema) -> np.ndarray:
     if n == 0:
         return np.empty((0, width))
 
-    columns: dict[str, np.ndarray] = {}
-    for c in feats:
-        if c.kind == "numeric":
-            bad = next((v for v in values[c.name] if not _is_number(v)), None)
-            if bad is not None:
-                raise DataError(f"{path}: non-numeric value {bad!r} in column {c.name!r}")
-            columns[c.name] = np.array([float(v) for v in values[c.name]])
-        else:
-            columns[c.name] = np.array(values[c.name], dtype=str)
+    columns = _typed_columns(path, feats, values, {})
     resp = schema.response
     columns[resp.name] = (
         np.zeros(n) if resp.kind == "response_numeric" else np.array(["?"] * n, dtype=str)

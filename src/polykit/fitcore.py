@@ -268,9 +268,12 @@ def pca_fit(
         r = int(np.searchsorted(cum, var_fraction - 1e-12) + 1)
         r = min(r, len(power))
     components = v[:, :r].copy()
-    # fix the sign convention so repeated fits agree exactly
+    # fix the sign convention so repeated fits agree exactly: the first entry
+    # within 1e-8 (relative) of the largest magnitude is positive, so entries
+    # that tie in magnitude do not leave the sign to roundoff
     for j in range(r):
-        k = int(np.argmax(np.abs(components[:, j])))
+        size = np.abs(components[:, j])
+        k = int(np.argmax(size >= (1 - 1e-8) * size.max()))
         if components[k, j] < 0:
             components[:, j] = -components[:, j]
     return PCABasis(components, means, float(cum[r - 1]), float(var_fraction))

@@ -140,13 +140,7 @@ def apply_layer(layer, X: np.ndarray) -> np.ndarray:
 
 def forward(mlp: MLP, X: np.ndarray) -> np.ndarray:
     """Inference-mode outputs for every row of X."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != mlp.input_width:
-        raise ValueError(f"input width must be {mlp.input_width}")
-    out = X
-    for layer in mlp.layers:
-        out = apply_layer(layer, out)
-    return out
+    return layer_activations(mlp, X, len(mlp.layers) - 1)
 
 
 def layer_activations(mlp: MLP, X: np.ndarray, layer_index: int) -> np.ndarray:
@@ -154,6 +148,8 @@ def layer_activations(mlp: MLP, X: np.ndarray, layer_index: int) -> np.ndarray:
     if not 0 <= layer_index < len(mlp.layers):
         raise IndexError(f"layer index {layer_index} out of range")
     X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != mlp.input_width:
+        raise ValueError(f"input width must be {mlp.input_width}")
     out = X
     for layer in mlp.layers[: layer_index + 1]:
         out = apply_layer(layer, out)
@@ -171,17 +167,19 @@ def layer_labels(mlp: MLP) -> list[str]:
     return labels
 
 
-def _loss_and_grads(mlp: MLP, X: np.ndarray, Y: np.ndarray, masks: list | None):
-    """One forward/backward pass. ``masks`` holds an inverted-dropout mask
-    per layer position (None entries = identity); grads align with the
-    dense layers in order."""
+def _loss_and_grads(mlp: MLP, X: np.ndarray, Y: np.ndarray, rng=None):
+    """One forward/backward pass. With a training ``rng`` each dropout layer
+    draws its inverted-dropout mask from it where the mask is applied;
+    without one, dropout is the identity (inference mode). Grads align
+    with the dense layers in order."""
     n = X.shape[0]
     caches = []  # (layer, layer_input, pre_activation) for dense; (layer, mask) for dropout
     out = X
-    for i, layer in enumerate(mlp.layers):
+    for layer in mlp.layers:
         if isinstance(layer, DropoutLayer):
-            mask = masks[i] if masks is not None else None
-            if mask is not None:
+            mask = None
+            if rng is not None:
+                mask = (rng.random(size=out.shape) >= layer.rate) / (1.0 - layer.rate)
                 out = out * mask
             caches.append((layer, mask, None))
             continue
@@ -221,7 +219,7 @@ def loss_and_gradients(mlp: MLP, X: np.ndarray, Y: np.ndarray):
     """
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
-    return _loss_and_grads(mlp, X, Y, masks=None)
+    return _loss_and_grads(mlp, X, Y)
 
 
 def train_mlp(design: np.ndarray, targets: np.ndarray, config: MLPConfig) -> MLP:
@@ -245,18 +243,10 @@ def train_mlp(design: np.ndarray, targets: np.ndarray, config: MLPConfig) -> MLP
         perm = rng.permutation(n)
         for start in range(0, n, config.batch_size):
             idx = perm[start : start + config.batch_size]
-            xb, yb = X[idx], Y[idx]
-            masks: list = []
-            for layer in mlp.layers:
-                if isinstance(layer, DropoutLayer):
-                    keep = rng.random(size=(xb.shape[0], _layer_width_before(mlp, layer)))
-                    masks.append((keep >= layer.rate) / (1.0 - layer.rate))
-                else:
-                    masks.append(None)
             # transient overflow shows up as a non-finite loss and is
             # reported through TrainingDiverged rather than as warnings
             with np.errstate(over="ignore", invalid="ignore"):
-                loss, grads = _loss_and_grads(mlp, xb, yb, masks)
+                loss, grads = _loss_and_grads(mlp, X[idx], Y[idx], rng)
             if not np.isfinite(loss):
                 raise TrainingDiverged(
                     f"non-finite loss at epoch {epoch}, batch offset {start};"
@@ -270,17 +260,6 @@ def train_mlp(design: np.ndarray, targets: np.ndarray, config: MLPConfig) -> MLP
                 layer.weights -= config.learning_rate * dw
                 layer.bias -= config.learning_rate * db
     return mlp
-
-
-def _layer_width_before(mlp: MLP, dropout_layer: DropoutLayer) -> int:
-    """Width of the dense layer a dropout layer sits on top of."""
-    prev_width = mlp.input_width
-    for layer in mlp.layers:
-        if layer is dropout_layer:
-            return prev_width
-        if isinstance(layer, DenseLayer):
-            prev_width = layer.weights.shape[1]
-    raise ValueError("dropout layer not found in network")
 
 
 def one_hot(labels: np.ndarray) -> tuple[np.ndarray, tuple]:

@@ -157,12 +157,17 @@ class TermSet:
 
 
 def enumerate_terms(width: int, groups: DummyGroups, spec: PolySpec) -> TermSet:
-    """Every admissible monomial of total degree 1..spec.degree.
+    """Every admissible monomial of total degree 1..spec.degree, in graded
+    order.
 
     Admissible means: indicator exponents are at most 1, no two indicators
     from the same group co-occur, and any monomial with >= 2 distinct
     columns has total degree <= spec.max_interact_degree. The intercept is
     not a term; fitters add it themselves.
+
+    One walk per degree takes later columns in order and tries exponents
+    from high to low, which yields that degree's terms in graded order
+    without sorting them.
     """
     if width < 1:
         raise ValueError("design width must be >= 1")
@@ -170,28 +175,25 @@ def enumerate_terms(width: int, groups: DummyGroups, spec: PolySpec) -> TermSet:
     found: list[Monomial] = []
     chosen: list[tuple[int, int]] = []
 
-    def walk(col: int, total: int, groups_used: frozenset[int]) -> None:
-        if total >= 1:
+    def walk(col: int, remaining: int, groups_used: frozenset[int]) -> None:
+        if remaining == 0:
             found.append(Monomial(tuple(chosen)))
-        if col == width or total == spec.degree:
             return
         for nxt in range(col, width):
             g = dummy_group.get(nxt)
             if g is not None and g in groups_used:
                 continue
-            max_e = 1 if g is not None else spec.degree - total
-            for e in range(1, max_e + 1):
-                new_total = total + e
-                limit = spec.degree if not chosen else spec.max_interact_degree
-                if new_total > limit:
-                    break
+            for e in range(1 if g is not None else remaining, 0, -1):
                 chosen.append((nxt, e))
-                walk(nxt + 1, new_total, groups_used if g is None else groups_used | {g})
+                walk(nxt + 1, remaining - e, groups_used if g is None else groups_used | {g})
                 chosen.pop()
 
-    walk(0, 0, frozenset())
-    order = np.argsort(graded_position(exponent_matrix(found, width)))
-    return TermSet(tuple(found[i] for i in order), width, groups, spec)
+    for degree in range(1, spec.degree + 1):
+        if degree <= spec.max_interact_degree:
+            walk(0, degree, frozenset())
+        else:  # above the interaction cap only powers of one numeric column remain
+            found.extend(Monomial(((c, degree),)) for c in range(width) if c not in dummy_group)
+    return TermSet(tuple(found), width, groups, spec)
 
 
 class TermCountBound(NamedTuple):

@@ -194,12 +194,12 @@ class TestFit:
                    "--max-iter", value, "--out-dir", str(tmp_path / "out")])
         assert rc == EXIT_USAGE
         err = capsys.readouterr().err
-        assert "--max-iter must be at least 1" in err and "Traceback" not in err
+        assert "argument --max-iter:" in err and "Traceback" not in err
 
     USAGE_MESSAGES = {
-        "--tol": "--tol must be at least 0",
-        "--improvement-tolerance": "--improvement-tolerance must be at least 0",
-        "--pca": "--pca must be in (0, 1]",
+        "--tol": "argument --tol:",
+        "--improvement-tolerance": "argument --improvement-tolerance:",
+        "--pca": "argument --pca:",
     }
 
     @pytest.mark.parametrize("flag, value", [
@@ -399,7 +399,7 @@ class TestEquivDemo:
         rc = main(["equiv-demo", option, value])
         assert rc == EXIT_USAGE
         err = capsys.readouterr().err
-        assert f"{option} must be at least 1" in err and "Traceback" not in err
+        assert f"argument {option}:" in err and "Traceback" not in err
 
 
 class TestConfigFile:
@@ -422,12 +422,134 @@ class TestConfigFile:
         rc = main(["fit", "--config", str(cfg), "--data", str(quad_csv)])
         assert rc == EXIT_USAGE
 
+    @pytest.mark.parametrize("content", [b"degree\n", b"degree = \xff\n", None],
+                             ids=["no-equals", "not-utf8", "absent"])
+    def test_unreadable_config_is_a_usage_error(self, tmp_path, quad_csv, capsys, content):
+        cfg = tmp_path / "run.cfg"
+        if content is not None:
+            cfg.write_bytes(content)
+        assert main(["fit", "--config", str(cfg), "--data", str(quad_csv)]) == EXIT_USAGE
+        assert "run.cfg" in capsys.readouterr().err
+
     def test_threads_key_is_not_an_option(self, tmp_path, quad_csv, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("threads = 2\n", encoding="utf-8")
         rc = main(["fit", "--config", str(cfg), "--data", str(quad_csv)])
         assert rc == EXIT_USAGE
-        assert "'threads' is not an option" in capsys.readouterr().err
+        assert "unrecognized arguments: --threads=2" in capsys.readouterr().err
+
+
+#: Each ranged option with the arguments it needs to take effect, and values
+#: outside its range: below it, above it where it is bounded, NaN for a float.
+OUT_OF_RANGE = {
+    ("fit", "--degree", ()): ["0", "-1"],
+    ("fit", "--interact", ()): ["0", "-1"],
+    ("fit", "--min-models", ("--fsr",)): ["0"],
+    ("fit", "--max-iter", ("--classify",)): ["0"],
+    ("fit", "--seed", ()): ["-1"],
+    ("fit", "--tol", ("--classify",)): ["-1", "nan"],
+    ("fit", "--improvement-tolerance", ("--fsr",)): ["-1", "nan"],
+    ("fit", "--pca", ()): ["0", "1.5", "nan"],
+    ("fit", "--keep-fraction", ()): ["0", "2", "nan"],
+    ("fit", "--validation-fraction", ("--fsr",)): ["0", "1", "1.5", "nan"],
+    ("fit", "--ridge-lambda", ("--method", "ridge")): ["0", "-1", "inf", "nan"],
+    ("vif-probe", "--widths", ()): ["0,1", "-1", ","],
+    ("vif-probe", "--activations", ("--widths", "4,1")): ["cube", ","],
+    ("vif-probe", "--dropout", ("--widths", "4,1")): ["-0.1", "1", "1.5", "nan", ","],
+    ("vif-probe", "--epochs", ()): ["-1"],
+    ("vif-probe", "--batch-size", ()): ["0"],
+    ("vif-probe", "--probe-rows", ()): ["0"],
+    ("vif-probe", "--learning-rate", ()): ["0", "-1", "inf", "nan"],
+    ("vif-probe", "--seed", ()): ["-1"],
+    ("equiv-demo", "--inputs", ()): ["0"],
+    ("equiv-demo", "--layers", ()): ["0"],
+    ("equiv-demo", "--units", ()): ["0"],
+    ("equiv-demo", "--points", ()): ["0"],
+    ("equiv-demo", "--seed", ()): ["-1"],
+}
+
+
+class TestOptionRanges:
+    """Every option value is checked by the one parse, whether it comes as a
+    flag or as a config line, and a bad one is a usage error (exit 2)."""
+
+    @staticmethod
+    def _run(tmp_path, command, extra, *, config=None):
+        args = [command]
+        if command != "equiv-demo":
+            args += ["--data", str(TestFit._blobs_csv(tmp_path))]
+        if config is not None:
+            path = tmp_path / "run.cfg"
+            path.write_text(config + "\n", encoding="utf-8")
+            args += ["--config", str(path)]
+        if command == "fit":
+            args += ["--out-dir", str(tmp_path / "out")]
+        return main(args + extra)
+
+    @pytest.mark.parametrize("form", ["flag", "config"])
+    @pytest.mark.parametrize("command, option, context, value", [
+        (command, option, context, value)
+        for (command, option, context), values in OUT_OF_RANGE.items() for value in values
+    ])
+    def test_out_of_range_value_is_a_usage_error(self, tmp_path, capsys, form,
+                                                 command, option, context, value):
+        if form == "flag":
+            rc = self._run(tmp_path, command, [*context, f"{option}={value}"])
+        else:
+            rc = self._run(tmp_path, command, list(context), config=f"{option[2:]} = {value}")
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"argument {option}:" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command, line, option", [
+        ("fit", "method = bogus", "--method"),
+        ("equiv-demo", "activation = cube", "--activation"),
+    ])
+    def test_config_value_outside_choices_is_a_usage_error(self, tmp_path, capsys,
+                                                           command, line, option):
+        assert self._run(tmp_path, command, [], config=line) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"argument {option}: invalid choice" in err and "Traceback" not in err
+
+    def test_abbreviated_option_is_not_an_option(self, tmp_path, capsys):
+        assert self._run(tmp_path, "fit", [], config="deg = 3") == EXIT_USAGE
+        assert "unrecognized arguments: --deg=3" in capsys.readouterr().err
+        assert self._run(tmp_path, "fit", ["--deg", "3"]) == EXIT_USAGE
+        assert "unrecognized arguments: --deg 3" in capsys.readouterr().err
+
+    def test_data_from_config_only(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"data = {TestFit._blobs_csv(tmp_path)}\n"
+                       f"out_dir = {tmp_path / 'out'}\n", encoding="utf-8")
+        assert main(["fit", "--config", str(cfg)]) == EXIT_OK
+        assert (tmp_path / "out" / "model.json").exists()
+        assert main(["fit", "--out-dir", str(tmp_path / "out")]) == EXIT_USAGE
+        assert "required: --data" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value, rc", [
+        ("yes", EXIT_OK), ("TRUE", EXIT_OK), ("0", EXIT_OK), ("maybe", EXIT_USAGE),
+    ])
+    def test_boolean_config_value(self, tmp_path, capsys, value, rc):
+        assert self._run(tmp_path, "fit", [], config=f"classify = {value}") == rc
+        out, err = capsys.readouterr()
+        if rc == EXIT_OK:
+            assert ("pcc=" in out) == (value != "0")
+        else:
+            assert "'classify' expects a boolean, got 'maybe'" in err
+
+    @pytest.mark.parametrize("command, extra", [
+        ("fit", ["--classify", "--pca", "1"]),
+        ("fit", ["--keep-fraction", "1"]),
+        ("fit", ["--classify", "--tol", "0", "--max-iter", "1"]),
+        ("fit", ["--seed", "0"]),
+        ("vif-probe", ["--widths", "4,1", "--epochs", "0"]),
+    ])
+    def test_boundary_value_runs(self, tmp_path, capsys, command, extra):
+        assert self._run(tmp_path, command, extra) == EXIT_OK
+
+    def test_help_returns_zero(self, capsys):
+        assert main(["fit", "--help"]) == EXIT_OK
+        assert "--keep-fraction" in capsys.readouterr().out
 
 
 class TestLinearVsQuadratic:
@@ -565,6 +687,4 @@ def _token_type(token):
 
 @pytest.mark.parametrize("command", ["fit", "predict", "vif-probe", "equiv-demo"])
 def test_threads_is_not_an_option(command):
-    with pytest.raises(SystemExit) as exc:
-        main([command, "--threads", "2"])
-    assert exc.value.code == EXIT_USAGE
+    assert main([command, "--threads", "2"]) == EXIT_USAGE

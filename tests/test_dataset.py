@@ -91,6 +91,28 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="non-numeric value 'abc' in numeric column 'u'"):
             load_csv(path, schema)
 
+    def test_number_spellings_are_those_float_accepts(self, tmp_path):
+        # a column is converted in one NumPy call, which must accept exactly
+        # the spellings float() accepts: underscores, other-script digits and
+        # signs pass; hex, Fortran exponents and words do not
+        path = write(tmp_path, "t.csv", "u,h,d,w,y\n"
+                     "1_000,0x10,1d5,True,1\n\u0661\u0662,1,1,1,2\n 2,2,2,2,3\n"
+                     "+3,3,3,3,4\n-.5,4,4,4,5\n")
+        ds = load_csv(path, categorical_threshold=0)
+        assert [c.kind for c in ds.schema.columns] == [
+            "numeric", "categorical", "categorical", "categorical", "response_numeric"]
+        np.testing.assert_array_equal(ds.columns["u"], [1000.0, 12.0, 2.0, 3.0, -0.5])
+        assert ds.schema.column("h").levels == ("0x10", "1", "2", "3", "4")
+        assert ds.columns["y"].dtype == np.float64
+        inf = write(tmp_path, "inf.csv", "u,y\ninfinity,1\n1,2\n")
+        with pytest.raises(DataError, match="non-finite values in numeric column 'u'"):
+            load_csv(inf, categorical_threshold=0)
+        schema = Schema((ColumnSpec("u", "numeric"), ColumnSpec("y", "response_numeric")))
+        for spelling in ("0x10", "1d5", "True"):
+            bad = write(tmp_path, "bad.csv", f"u\n1\n{spelling}\n")
+            with pytest.raises(DataError, match=f"non-numeric value '{spelling}'"):
+                load_design_for_predict(bad, schema)
+
 
 class TestSchemaValidation:
     def test_exactly_one_response(self):
@@ -272,7 +294,7 @@ class TestPredictLoader:
     def test_non_numeric_cell_is_an_error(self, tmp_path):
         schema = Schema((ColumnSpec("u", "numeric"), ColumnSpec("y", "response_numeric")))
         path = write(tmp_path, "t.csv", "u\n1.5\nabc\n")
-        with pytest.raises(DataError, match="non-numeric value 'abc' in column 'u'"):
+        with pytest.raises(DataError, match="non-numeric value 'abc' in numeric column 'u'"):
             load_design_for_predict(path, schema)
 
     def test_wrong_field_count_names_the_line(self, tmp_path):

@@ -14,6 +14,48 @@ def identity_net(width):
     return m.MLP((layer(), layer()), cfg, width)
 
 
+def train_with_masks_list(X, Y, config):
+    """Oracle: minibatch SGD that draws every dropout mask of a batch up
+    front, one per layer position sized from the dense layer below it, and
+    runs a forward/backward pass over that list."""
+    net = m.build_mlp(X.shape[1], config)
+    rng = np.random.default_rng([config.seed, 1])
+    for _ in range(config.epochs):
+        perm = rng.permutation(X.shape[0])
+        for start in range(0, X.shape[0], config.batch_size):
+            idx = perm[start:start + config.batch_size]
+            masks, width = [], net.input_width
+            for layer in net.layers:
+                if isinstance(layer, m.DropoutLayer):
+                    keep = rng.random(size=(len(idx), width))
+                    masks.append((keep >= layer.rate) / (1.0 - layer.rate))
+                else:
+                    masks.append(None)
+                    width = layer.weights.shape[1]
+            caches, out = [], X[idx]
+            for layer, mask in zip(net.layers, masks):
+                if mask is not None:
+                    out = out * mask
+                    caches.append((layer, mask, None))
+                else:
+                    z = out @ layer.weights + layer.bias
+                    caches.append((layer, out, z))
+                    out = m.apply_activation(layer.activation, z)
+            delta, grads = (out - Y[idx]) / len(idx), []
+            for layer, cached, z in reversed(caches):
+                if isinstance(layer, m.DropoutLayer):
+                    delta = delta * cached
+                    continue
+                if layer is not net.layers[-1]:
+                    delta = delta * m.activation_grad(layer.activation, z)
+                grads.append((layer, cached.T @ delta, delta.sum(axis=0)))
+                delta = delta @ layer.weights.T
+            for layer, dw, db in grads:
+                layer.weights -= config.learning_rate * dw
+                layer.bias -= config.learning_rate * db
+    return net
+
+
 class TestConfig:
     def test_defaults_normalized(self):
         cfg = m.MLPConfig((8, 4, 2))
@@ -175,6 +217,18 @@ class TestTraining:
             if isinstance(la, m.DropoutLayer):
                 continue
             np.testing.assert_array_equal(la.weights, lb.weights)
+
+    def test_dropout_masks_match_the_masks_list_oracle(self):
+        rng = np.random.default_rng(7)
+        X = rng.normal(size=(250, 20))
+        Y, _ = m.one_hot(rng.integers(0, 10, 250))
+        cfg = m.MLPConfig((100, 50, 10), ("relu", "relu"), (0.2, 0.2),
+                          output_kind="softmax", epochs=3, learning_rate=0.1, seed=7)
+        net, oracle = m.train_mlp(X, Y, cfg), train_with_masks_list(X, Y, cfg)
+        for got, want in zip(net.layers, oracle.layers):
+            if isinstance(got, m.DenseLayer):
+                np.testing.assert_array_equal(got.weights, want.weights)
+                np.testing.assert_array_equal(got.bias, want.bias)
 
     def test_divergence_detected(self):
         rng = np.random.default_rng(0)

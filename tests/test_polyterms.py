@@ -6,6 +6,7 @@ applies the admissibility rules directly.
 """
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -88,6 +89,41 @@ class TestEnumerate:
         )
         got = {m.powers for m in enumerate_terms(width, groups, PolySpec(degree, cap))}
         assert got == brute_force_terms(width, groups, degree, cap)
+
+    @pytest.mark.parametrize("groups, degree, cap", [
+        ((("c", (2, 3)),), 3, 2),
+        ((("a", (1, 2, 3)), ("b", (4, 5))), 3, 3),
+        ((("a", (0, 1)), ("b", (3, 4))), 4, 2),
+        ((("a", (4,)),), 4, 3),
+    ])
+    def test_graded_order_with_dummies(self, groups, degree, cap):
+        # degree first, then higher exponents on earlier columns first
+        width = 6 if len(groups) > 1 else 5
+        in_groups = {i for _, idxs in groups for i in idxs}
+        layout = DummyGroups(groups=groups,
+                             numeric_indices=tuple(i for i in range(width) if i not in in_groups),
+                             column_names=tuple(f"x{i}" for i in range(width)))
+
+        def key(powers):
+            dense = [0] * width
+            for c, e in powers:
+                dense[c] = e
+            return sum(dense), tuple(-e for e in dense)
+
+        ts = enumerate_terms(width, layout, PolySpec(degree, cap))
+        assert [m.powers for m in ts] == sorted(
+            brute_force_terms(width, layout, degree, cap), key=key)
+
+    def test_peak_memory_is_bounded(self):
+        # sorting by a terms x width exponent matrix needed 114 MB here
+        tracemalloc.start()
+        try:
+            ts = numeric_terms(300, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(ts) == exact_numeric_term_count(300, 2)
+        assert peak <= 40e6, peak / 1e6
 
     def test_degree_prefix_closure(self):
         for p in (1, 2, 3):
