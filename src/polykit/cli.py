@@ -11,7 +11,8 @@ Each key is a full long option name (dashes or underscores) and each line
 becomes the argument ``--key=value`` placed before the command-line flags,
 which therefore override it; a boolean option takes true/false, yes/no or
 1/0. One parse checks config values and flags alike: every option's type,
-choices and range is its argument type. Warnings are summarized on stderr;
+choices and range is its argument type, and the rules that tie options
+together are checked right after it. Warnings are summarized on stderr;
 data goes to stdout or files.
 
 Exit codes: 0 success; 2 usage or config error; 3 unusable input data;
@@ -170,7 +171,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
                      help="logistic stop: max |gradient| entry")
     fit.add_argument("--out-dir", default=".", help="directory for model and trace files")
     fit.add_argument("--results", help="CSV file to append the scored result row to")
-    fit.set_defaults(func=cmd_fit)
+    fit.set_defaults(func=cmd_fit, usage=_fit_usage)
 
     pred = table["predict"] = subs.add_parser(
         "predict", help="predict with a saved model container", allow_abbrev=False)
@@ -203,7 +204,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     probe.add_argument("--probe-rows", type=AT_LEAST_ONE, default=2000,
                        help="rows subsampled for the probe input (default 2000)")
     probe.add_argument("--csv", help="also write the summary table as CSV here")
-    probe.set_defaults(func=cmd_vif_probe)
+    probe.set_defaults(func=cmd_vif_probe, usage=_vif_probe_usage)
 
     demo = table["equiv-demo"] = subs.add_parser(
         "equiv-demo", help="degree growth and deviation report", allow_abbrev=False)
@@ -217,6 +218,28 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     demo.set_defaults(func=cmd_equiv_demo)
 
     return parser, table
+
+
+def _fit_usage(args) -> str | None:
+    """The first cross-option rule the ``fit`` arguments break, if any."""
+    if args.interact is not None and args.interact > args.degree:
+        return f"--interact {args.interact} exceeds --degree {args.degree}"
+    if (args.ridge_lambda is not None) != (args.method == "ridge"):
+        return "--ridge-lambda must be given exactly when --method ridge is"
+    if args.fsr and args.method == "ridge":
+        return "--fsr and --method ridge cannot be combined"
+    if args.fsr and args.pca is not None:
+        return "--fsr and --pca cannot be combined"
+    return None
+
+
+def _vif_probe_usage(args) -> str | None:
+    """The first cross-option rule the ``vif-probe`` arguments break, if any."""
+    hidden = len(args.widths) - 1
+    for name, given in (("--activations", args.activations), ("--dropout", args.dropout)):
+        if args.weights is None and given and len(given) != hidden:
+            return f"{name} needs one entry per hidden layer of --widths ({hidden})"
+    return None
 
 
 def _setting_string(args) -> str:
@@ -259,12 +282,6 @@ def cmd_fit(args) -> int:
         raise DataError("--method logistic needs a class response (use --classify)")
     if method in ("ols", "ridge") and classify:
         raise DataError(f"--method {method} needs a numeric response")
-    if (args.ridge_lambda is not None) != (method == "ridge"):
-        raise DataError("--ridge-lambda must be given exactly when --method ridge is")
-    if args.fsr and method == "ridge":
-        raise DataError("--fsr and --method ridge cannot be combined")
-    if args.fsr and args.pca is not None:
-        raise DataError("--fsr and --pca cannot be combined")
 
     train, test = split(ds, args.seed)
     design, groups = encode_design(train)
@@ -438,6 +455,9 @@ def main(argv=None) -> int:
                 # right after the subcommand, so later command-line flags win
                 argv[1:1] = _config_arguments(table[argv[0]], path)
         args = parser.parse_args(argv)
+        problem = args.usage(args) if hasattr(args, "usage") else None
+        if problem:
+            table[args.command].error(problem)
     except SystemExit as exc:  # argparse's usage errors (2) and --help (0)
         return exc.code
 

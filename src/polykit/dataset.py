@@ -223,7 +223,7 @@ def parse_schema_sidecar(path) -> dict[str, str]:
                 if kind not in COLUMN_KINDS:
                     raise DataError(f"{path}:{lineno}: unknown kind {kind!r}")
                 hints[name] = kind
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read schema file {path}: {exc}") from exc
     return hints
 
@@ -237,14 +237,13 @@ def _read_rows(path) -> tuple[list[str], list[list[str]]]:
             except StopIteration:
                 raise DataError(f"{path}: empty file") from None
             rows = list(reader)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     return [h.strip() for h in header], rows
 
 
 def load_csv(
     path,
-    schema: Schema | None = None,
     *,
     kind_hints: dict[str, str] | None = None,
     response: str | None = None,
@@ -252,37 +251,29 @@ def load_csv(
 ) -> Dataset:
     """Load a comma-delimited UTF-8 file with a header row into a Dataset.
 
-    Column typing, in order of precedence: an explicit ``schema``; per-column
-    ``kind_hints`` (e.g. from :func:`parse_schema_sidecar`); inference. An
-    inferred feature column is categorical iff a non-numeric value occurs or
-    its distinct-value count is <= ``categorical_threshold``. The response
+    Column typing: per-column ``kind_hints`` (e.g. from
+    :func:`parse_schema_sidecar`) override inference. An inferred feature
+    column is categorical iff a non-numeric value occurs or its
+    distinct-value count is <= ``categorical_threshold``. The response
     column is named by ``response`` (default: last header column) and is
     inferred as a class response iff it holds non-numeric values.
 
     Rows with any missing cell (or the wrong field count) are dropped; the
-    count is reported as a warning and on ``Dataset.dropped_rows``.
+    count is reported as a warning and on ``Dataset.dropped_rows``. New rows
+    are read against a saved schema by :func:`load_design_for_predict`.
     """
     header, raw_rows = _read_rows(path)
-    if schema is not None:
-        missing = [c.name for c in schema.columns if c.name not in header]
-        if missing:
-            raise DataError(f"{path}: columns {missing} required by schema are absent")
-        wanted = [c.name for c in schema.columns]
-    else:
-        hints = dict(kind_hints or {})
-        unknown = [name for name in hints if name not in header]
-        if unknown:
-            raise DataError(f"{path}: schema names columns {unknown} absent from header")
-        resp_name = response
-        if resp_name is None:
-            resp_name = next((n for n, k in hints.items() if k in RESPONSE_KINDS), None)
-        if resp_name is None:
-            resp_name = header[-1]
-        if resp_name not in header:
-            raise DataError(f"{path}: response column {resp_name!r} absent")
-        wanted = header
-
-    positions = {name: header.index(name) for name in wanted}
+    hints = kind_hints or {}
+    unknown = [name for name in hints if name not in header]
+    if unknown:
+        raise DataError(f"{path}: schema names columns {unknown} absent from header")
+    resp_name = response
+    if resp_name is None:
+        resp_name = next((n for n, k in hints.items() if k in RESPONSE_KINDS), None)
+    if resp_name is None:
+        resp_name = header[-1]
+    if resp_name not in header:
+        raise DataError(f"{path}: response column {resp_name!r} absent")
 
     kept: list[list[str]] = []
     dropped = 0
@@ -290,7 +281,7 @@ def load_csv(
         if len(row) != len(header):
             dropped += 1
             continue
-        cells = [row[positions[name]].strip() for name in wanted]
+        cells = [c.strip() for c in row]
         if any(c.lower() in MISSING_TOKENS for c in cells):
             dropped += 1
             continue
@@ -300,31 +291,30 @@ def load_csv(
     if dropped:
         warnings.warn(f"{path}: {dropped} row(s) dropped (missing or malformed cells)")
 
-    col_values = {name: [r[i] for r in kept] for i, name in enumerate(wanted)}
+    col_values = {name: [r[i] for r in kept] for i, name in enumerate(header)}
 
     parsed: dict[str, np.ndarray | None] = {}
-    if schema is None:
-        specs = []
-        for name in wanted:
-            values = col_values[name]
-            parsed[name] = _floats(values)
-            numeric = parsed[name] is not None
-            if name == resp_name:
-                kind = "response_numeric" if numeric else "response_class"
-                specs.append(ColumnSpec(name, kind))
-            elif not numeric or len(set(values)) <= categorical_threshold:
-                levels = tuple(sorted(set(values)))
-                specs.append(ColumnSpec(name, "categorical", levels))
-            else:
-                specs.append(ColumnSpec(name, "numeric"))
-        # apply explicit kind hints on top of inference
-        for i, spec in enumerate(specs):
-            hint = (kind_hints or {}).get(spec.name)
-            if hint is None or hint == spec.kind:
-                continue
-            levels = tuple(sorted(set(col_values[spec.name]))) if hint == "categorical" else ()
-            specs[i] = ColumnSpec(spec.name, hint, levels)
-        schema = Schema(tuple(specs))
+    specs = []
+    for name in header:
+        values = col_values[name]
+        parsed[name] = _floats(values)
+        numeric = parsed[name] is not None
+        if name == resp_name:
+            kind = "response_numeric" if numeric else "response_class"
+            specs.append(ColumnSpec(name, kind))
+        elif not numeric or len(set(values)) <= categorical_threshold:
+            levels = tuple(sorted(set(values)))
+            specs.append(ColumnSpec(name, "categorical", levels))
+        else:
+            specs.append(ColumnSpec(name, "numeric"))
+    # apply explicit kind hints on top of inference
+    for i, spec in enumerate(specs):
+        hint = hints.get(spec.name)
+        if hint is None or hint == spec.kind:
+            continue
+        levels = tuple(sorted(set(col_values[spec.name]))) if hint == "categorical" else ()
+        specs[i] = ColumnSpec(spec.name, hint, levels)
+    schema = Schema(tuple(specs))
 
     columns = _typed_columns(path, schema.columns, col_values, parsed)
     return Dataset(schema, columns, dropped_rows=dropped)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .dataset import DummyGroups
 from .errors import MemoryBudgetError
-from .mlp import MLP, DenseLayer, DropoutLayer, MLPConfig, forward
+from .mlp import MLP, DenseLayer, DropoutLayer, forward
 from .polyterms import (
     PolySpec,
     TermSet,
@@ -209,12 +209,7 @@ def random_polynomial_network(
         bias = rng.uniform(-bound, bound, size=units)
         layers.append(DenseLayer(weights, bias, activation))
         fan_in = units
-    config = MLPConfig(
-        layer_widths=(units,) * n_layers,
-        activations=(activation,) * (n_layers - 1),
-        output_kind="linear",
-    )
-    return MLP(tuple(layers), config, n_inputs)
+    return MLP(tuple(layers))
 
 
 def equivalence_check(

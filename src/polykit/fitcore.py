@@ -31,15 +31,6 @@ class LinearFit(NamedTuple):
     aliased: tuple[int, ...]
 
 
-def standardize_columns(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Z-scaled columns, their means and scales; zero-variance columns get
-    scale 1 (and stay zero)."""
-    means = X.mean(axis=0)
-    scales = X.std(axis=0)
-    scales = np.where(scales > 0, scales, 1.0)
-    return (X - means) / scales, means, scales
-
-
 def _check_finite(X: np.ndarray, y: np.ndarray | None = None) -> None:
     if not np.all(np.isfinite(X)):
         raise ValueError("non-finite values in design matrix")
@@ -57,6 +48,16 @@ def centre_columns(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     constant = np.linalg.norm(Xc, axis=0) <= max(X.shape) * eps * np.linalg.norm(X, axis=0)
     Xc[:, constant] = 0.0
     return Xc, means, constant
+
+
+def standardize_columns(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Z-scaled columns, their means and scales; the constant columns of
+    :func:`centre_columns` stay exact zeros with scale 1."""
+    Z, means, constant = centre_columns(X)
+    scales = X.std(axis=0)
+    scales[constant] = 1.0
+    Z /= scales
+    return Z, means, scales
 
 
 def pivoted_rank(r: np.ndarray, n: int) -> tuple[int, float]:

@@ -104,9 +104,13 @@ class DropoutLayer:
 
 @dataclass
 class MLP:
+    """Dense and dropout layers in order; the last dense layer is the output."""
+
     layers: tuple
-    config: MLPConfig
-    input_width: int
+
+    @property
+    def input_width(self) -> int:
+        return next(l for l in self.layers if isinstance(l, DenseLayer)).weights.shape[0]
 
 
 def build_mlp(input_width: int, config: MLPConfig) -> MLP:
@@ -128,7 +132,7 @@ def build_mlp(input_width: int, config: MLPConfig) -> MLP:
         if not is_output and config.dropout_rates[i] > 0.0:
             layers.append(DropoutLayer(config.dropout_rates[i]))
         fan_in = width
-    return MLP(tuple(layers), config, input_width)
+    return MLP(tuple(layers))
 
 
 def apply_layer(layer, X: np.ndarray) -> np.ndarray:
@@ -272,8 +276,10 @@ def one_hot(labels: np.ndarray) -> tuple[np.ndarray, tuple]:
 
 def save_weights(mlp: MLP, path) -> None:
     """Write the network as a plain-text container (shapes + row-major values)."""
+    output = [l for l in mlp.layers if isinstance(l, DenseLayer)][-1]
+    output_kind = "softmax" if output.activation == "softmax" else "linear"
     lines = [WEIGHTS_HEADER, f"input_width {mlp.input_width}",
-             f"output_kind {mlp.config.output_kind}", f"layers {len(mlp.layers)}"]
+             f"output_kind {output_kind}", f"layers {len(mlp.layers)}"]
     for layer in mlp.layers:
         if isinstance(layer, DropoutLayer):
             lines.append(f"dropout {layer.rate!r}")
@@ -287,12 +293,11 @@ def save_weights(mlp: MLP, path) -> None:
 
 
 def load_weights(path) -> MLP:
-    """Rebuild a network from :func:`save_weights` output. Training
-    hyperparameters are not stored; the config carries defaults."""
+    """Rebuild a network from :func:`save_weights` output."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = [ln.strip() for ln in fh if ln.strip()]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ModelFormatError(f"cannot read weights file {path}: {exc}") from exc
     if not lines or lines[0] not in (WEIGHTS_HEADER, WEIGHTS_V1_HEADER):
         raise ModelFormatError(f"{path}: not a {WEIGHTS_HEADER!r} container")
@@ -327,18 +332,11 @@ def load_weights(path) -> MLP:
         if layer.weights.shape[0] != width or layer.bias.shape != layer.weights.shape[1:]:
             raise ModelFormatError(f"{path}: layer shapes do not chain from input width {width}")
         width = layer.weights.shape[1]
-    outputs = ("softmax",) if output_kind == "softmax" else HIDDEN_ACTIVATIONS
+    outputs = {"linear": HIDDEN_ACTIVATIONS, "softmax": ("softmax",)}.get(output_kind, ())
     if not dense or dense[-1].activation not in outputs:
         raise ModelFormatError(f"{path}: no dense output layer fits output_kind {output_kind!r}")
-    widths = tuple(l.weights.shape[1] for l in dense)
-    acts = tuple(l.activation for l in dense[:-1])
-    drops = []
-    for j, layer in enumerate(layers):
-        if isinstance(layer, DenseLayer) and layer is not dense[-1]:
-            nxt = layers[j + 1] if j + 1 < len(layers) else None
-            drops.append(nxt.rate if isinstance(nxt, DropoutLayer) else 0.0)
-    try:
-        config = MLPConfig(widths, acts, tuple(drops), output_kind=output_kind)
-    except ValueError as exc:  # unknown hidden activation or output kind, bad dropout rate
-        raise ModelFormatError(f"{path}: {exc}") from exc
-    return MLP(tuple(layers), config, input_width)
+    if any(l.activation not in HIDDEN_ACTIVATIONS for l in dense[:-1]):
+        raise ModelFormatError(f"{path}: hidden activations must be one of {HIDDEN_ACTIVATIONS}")
+    if any(not 0.0 <= l.rate < 1.0 for l in layers if isinstance(l, DropoutLayer)):
+        raise ModelFormatError(f"{path}: dropout rates must lie in [0, 1)")
+    return MLP(tuple(layers))

@@ -2,8 +2,9 @@
 
 The container carries everything prediction on raw CSV rows needs: the
 training schema, dummy-group layout, term set, optional PCA basis and the
-coefficients themselves. Version 1 containers, which also held a never-read
-standardization record, still load.
+coefficients themselves. The term set is a ``# termset v1`` text field
+that only this module writes and reads. Version 1 containers, which also
+held a never-read standardization record, still load.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 from .dataset import ColumnSpec, DummyGroups, Schema
 from .errors import DataError, ModelFormatError
 from .fitcore import PCABasis, PolyModel
-from .polyterms import TermSet
+from .polyterms import Monomial, PolySpec, TermSet
 
 FORMAT_NAME = "polykit-model"
 FORMAT_VERSION = 2
@@ -57,6 +58,32 @@ def _groups_from_obj(obj) -> DummyGroups | None:
     )
 
 
+def _terms_to_text(terms: TermSet) -> str:
+    """A provenance header, then one monomial per line of space-separated
+    ``col^exp`` factors."""
+    spec = terms.spec
+    lines = [f"# termset v1 width={terms.width} degree={spec.degree}"
+             f" max_interact={spec.max_interact_degree}"]
+    lines.extend(" ".join(f"{c}^{e}" for c, e in m.powers) for m in terms)
+    return "\n".join(lines) + "\n"
+
+
+def _terms_from_text(text: str, groups: DummyGroups | None) -> TermSet:
+    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    if not lines or not lines[0].startswith("# termset v1"):
+        raise ValueError("not a termset (missing '# termset v1' header)")
+    meta = dict(kv.split("=") for kv in lines[0].split()[3:])
+    width = int(meta["width"])
+    spec = PolySpec(int(meta["degree"]), int(meta["max_interact"]))
+    terms = []
+    for ln in lines[1:]:
+        factors = (f.partition("^") for f in ln.split())
+        terms.append(Monomial(tuple(sorted((int(c), int(e)) for c, _, e in factors))))
+    if groups is None:
+        groups = DummyGroups.all_numeric(width)
+    return TermSet(tuple(terms), width, groups, spec)
+
+
 def model_to_json(model: PolyModel) -> str:
     obj = {
         "format": FORMAT_NAME,
@@ -71,7 +98,7 @@ def model_to_json(model: PolyModel) -> str:
         "coef": model.coef.tolist(),
         "classes": list(model.classes) if model.classes is not None else None,
         "aliased": list(model.aliased),
-        "terms": model.terms.to_text(),
+        "terms": _terms_to_text(model.terms),
         "term_groups": _groups_to_obj(model.terms.groups),
         "pca": None,
         "schema": _schema_to_obj(model.schema),
@@ -120,7 +147,7 @@ def _finite(value) -> np.ndarray:
 
 def _model_from_obj(obj: dict) -> PolyModel:
     groups = _groups_from_obj(obj["groups"])
-    terms = TermSet.from_text(obj["terms"], groups=_groups_from_obj(obj["term_groups"]))
+    terms = _terms_from_text(obj["terms"], _groups_from_obj(obj["term_groups"]))
     pca = None
     if obj["pca"] is not None:
         pca = PCABasis(
@@ -153,5 +180,5 @@ def load_model(path) -> PolyModel:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return model_from_json(fh.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ModelFormatError(f"cannot read model file {path}: {exc}") from exc

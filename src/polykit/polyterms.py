@@ -56,17 +56,6 @@ class Monomial:
             parts.append(name if e == 1 else f"{name}^{e}")
         return "*".join(parts)
 
-    def to_text(self) -> str:
-        return " ".join(f"{c}^{e}" for c, e in self.powers)
-
-    @classmethod
-    def from_text(cls, line: str) -> "Monomial":
-        powers = []
-        for factor in line.split():
-            col, _, exp = factor.partition("^")
-            powers.append((int(col), int(exp)))
-        return cls(tuple(sorted(powers)))
-
 
 @dataclass(frozen=True)
 class PolySpec:
@@ -131,29 +120,6 @@ class TermSet:
 
     def linear_indices(self) -> tuple[int, ...]:
         return tuple(i for i, m in enumerate(self.terms) if m.degree == 1)
-
-    def to_text(self) -> str:
-        """One monomial per line of space-separated ``col^exp`` factors,
-        preceded by a provenance header."""
-        lines = [
-            f"# termset v1 width={self.width} degree={self.spec.degree}"
-            f" max_interact={self.spec.max_interact_degree}"
-        ]
-        lines.extend(m.to_text() for m in self.terms)
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str, groups: DummyGroups | None = None) -> "TermSet":
-        lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-        if not lines or not lines[0].startswith("# termset v1"):
-            raise ValueError("not a termset container (missing '# termset v1' header)")
-        meta = dict(kv.split("=") for kv in lines[0].split()[3:])
-        width = int(meta["width"])
-        spec = PolySpec(int(meta["degree"]), int(meta["max_interact"]))
-        terms = tuple(Monomial.from_text(ln) for ln in lines[1:])
-        if groups is None:
-            groups = DummyGroups.all_numeric(width)
-        return cls(terms, width, groups, spec)
 
 
 def enumerate_terms(width: int, groups: DummyGroups, spec: PolySpec) -> TermSet:

@@ -96,12 +96,40 @@ class TestFit:
             "fit", "--data", str(quad_csv), "--method", "ridge",
             "--out-dir", str(tmp_path),
         ])
-        assert rc == EXIT_DATA
+        assert rc == EXIT_USAGE
         rc = main([
             "fit", "--data", str(quad_csv), "--ridge-lambda", "1.0",
             "--out-dir", str(tmp_path),
         ])
+        assert rc == EXIT_USAGE
+
+    @pytest.mark.parametrize("extra, message", [
+        (["--interact", "3"], "--interact 3 exceeds --degree 2"),
+        (["--ridge-lambda", "1"], "--ridge-lambda must be given exactly"),
+        (["--fsr", "--pca", "0.9"], "--fsr and --pca cannot be combined"),
+        (["--fsr", "--method", "ridge", "--ridge-lambda", "1"], "--fsr and --method ridge"),
+    ], ids=["interact-above-degree", "lambda-without-ridge", "fsr-pca", "fsr-ridge"])
+    def test_cross_option_rule_is_a_usage_error(self, tmp_path, quad_csv, capsys,
+                                                extra, message):
+        rc = main(["fit", "--data", str(quad_csv), "--out-dir", str(tmp_path), *extra])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"polykit fit: error: {message}" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("extra", [["--classify", "--method", "ols"],
+                                       ["--method", "logistic"]])
+    def test_response_kind_rule_is_a_data_error(self, tmp_path, quad_csv, extra):
+        rc = main(["fit", "--data", str(quad_csv), "--out-dir", str(tmp_path), *extra])
         assert rc == EXIT_DATA
+
+    @pytest.mark.parametrize("option", ["--data", "--schema"])
+    def test_non_utf8_input_is_a_data_error(self, tmp_path, quad_csv, capsys, option):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"u = numeric\xff\n")  # the last --data wins
+        rc = main(["fit", "--data", str(quad_csv), option, str(bad), "--out-dir", str(tmp_path)])
+        assert rc == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "bad.txt" in err and "Traceback" not in err
 
     def test_missing_data_file(self, tmp_path):
         rc = main(["fit", "--data", str(tmp_path / "none.csv")])
@@ -268,6 +296,14 @@ class TestPredict:
         rc = main(["predict", "--model", str(bad), "--data", str(quad_csv)])
         assert rc == EXIT_MODEL
 
+    def test_non_utf8_model_container(self, tmp_path, quad_csv, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"format": "\xff"}')
+        rc = main(["predict", "--model", str(bad), "--data", str(quad_csv)])
+        assert rc == EXIT_MODEL
+        err = capsys.readouterr().err
+        assert "cannot read model file" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("mutate", [
         lambda obj: [obj],
         lambda obj: {k: v for k, v in obj.items() if k != "coef"},
@@ -323,6 +359,30 @@ class TestVifProbe:
         rc = main(["vif-probe", "--data", str(data), "--weights", str(wpath)])
         assert rc == EXIT_OK
         assert "dense_2" in capsys.readouterr().out
+
+    def test_non_utf8_weights_container(self, tmp_path, capsys):
+        data = write_csv(tmp_path / "d.csv", np.eye(3), np.zeros(3), names=("a", "b", "c"))
+        wpath = tmp_path / "w.txt"
+        wpath.write_bytes(WEIGHTS_TEXT.encode("utf-8").replace(b"0.6", b"\xff"))
+        rc = main(["vif-probe", "--data", str(data), "--weights", str(wpath)])
+        assert rc == EXIT_MODEL
+        err = capsys.readouterr().err
+        assert "cannot read weights file" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("extra", [
+        ["--widths", "3,3", "--activations", "relu,relu"],
+        ["--widths", "4,1", "--dropout", "0.1,0.2"],
+    ], ids=["activations", "dropout"])
+    def test_list_not_covering_hidden_layers_is_a_usage_error(self, tmp_path, capsys, extra):
+        data = write_csv(tmp_path / "d.csv", np.eye(3), np.zeros(3), names=("a", "b", "c"))
+        assert main(["vif-probe", "--data", str(data), *extra]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "polykit vif-probe: error:" in err and "one entry per hidden layer" in err
+
+    def test_output_width_must_match_response(self, tmp_path, capsys):
+        data = write_csv(tmp_path / "d.csv", np.eye(3), np.zeros(3), names=("a", "b", "c"))
+        assert main(["vif-probe", "--data", str(data), "--widths", "4,2"]) == EXIT_DATA
+        assert "output width 2" in capsys.readouterr().err
 
     def test_weights_width_must_match_design(self, tmp_path, capsys):
         data = write_csv(tmp_path / "d.csv", np.eye(4), np.zeros(4), names=("a", "b", "c", "d"))

@@ -78,18 +78,11 @@ class TestLoadCsv:
         assert ds.schema.column("u").kind == "categorical"
         assert ds.schema.column("v").kind == "numeric"
 
-    def test_explicit_schema_reused(self, tmp_path):
-        train = write(tmp_path, "a.csv", "c,y\na,1\nb,2\nc,3\n")
-        ds = load_csv(train)
-        other = write(tmp_path, "b.csv", "c,y\nb,5\nb,6\n")
-        ds2 = load_csv(other, schema=ds.schema)
-        assert ds2.schema is ds.schema
-
     def test_non_numeric_cell_in_schema_numeric_column(self, tmp_path):
         schema = Schema((ColumnSpec("u", "numeric"), ColumnSpec("y", "response_numeric")))
         path = write(tmp_path, "t.csv", "u,y\n1.5,1\nabc,2\n")
         with pytest.raises(DataError, match="non-numeric value 'abc' in numeric column 'u'"):
-            load_csv(path, schema)
+            load_design_for_predict(path, schema)
 
     def test_number_spellings_are_those_float_accepts(self, tmp_path):
         # a column is converted in one NumPy call, which must accept exactly

@@ -184,9 +184,7 @@ def identity_net(width, with_dropout=False):
     if with_dropout:
         layers.append(m.DropoutLayer(0.4))
     layers.append(m.DenseLayer(np.eye(width), np.zeros(width), "identity"))
-    cfg = m.MLPConfig((width, width), ("identity",),
-                      (0.4,) if with_dropout else (0.0,))
-    return m.MLP(tuple(layers), cfg, width)
+    return m.MLP(tuple(layers))
 
 
 class TestProbe:

@@ -156,7 +156,7 @@ class TestRingOps:
 def square_unit_net():
     """One input, one unit, weight 1, bias 0, square activation."""
     layer = m.DenseLayer(np.array([[1.0]]), np.zeros(1), "square")
-    return m.MLP((layer,), m.MLPConfig((1,)), 1)
+    return m.MLP((layer,))
 
 
 def zero_weight_net():
@@ -169,8 +169,7 @@ def dropout_net():
     dense1 = m.DenseLayer(np.array([[1.0, 0.5]]), np.zeros(2), "square")
     drop = m.DropoutLayer(0.4)
     dense2 = m.DenseLayer(np.array([[1.0], [1.0]]), np.zeros(1), "identity")
-    cfg = m.MLPConfig((2, 1), ("square",), (0.4,))
-    return m.MLP((dense1, drop, dense2), cfg, 1)
+    return m.MLP((dense1, drop, dense2))
 
 
 def c06_nets():

@@ -175,6 +175,16 @@ class TestRidge:
         with pytest.raises(ValueError):
             fc.fit_ridge(np.ones((3, 1)), np.ones(3), 0.0)
 
+    def test_inexact_constant_column_gets_zero(self):
+        # the constant columns are those fit_ols aliases: 0.1 centres to a
+        # roundoff residue whose std is ~1e-17, which must not be z-scaled
+        rng = np.random.default_rng(0)
+        X = np.column_stack([np.full(50, 0.1), rng.normal(size=50)])
+        y = rng.normal(size=50)
+        fit = fc.fit_ridge(X, y, 1.0)
+        assert fit.coef[0] == 0.0
+        assert fit.intercept == pytest.approx(y.mean() - X[:, 1].mean() * fit.coef[1])
+
 
 class TestLogistic:
     def test_separable_classes(self):
@@ -222,6 +232,14 @@ class TestLogistic:
         fit = fc.fit_logistic_ova(X, np.array([0, 0, 1, 1]), max_iter=max_iter)
         assert fit.converged == (False, False)
         assert not fit.coefs.any() and not fit.intercepts.any()
+
+    def test_inexact_constant_column_gets_zero(self):
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=50)
+        X = np.column_stack([np.full(50, 0.1), x])
+        fit = fc.fit_logistic_ova(X, (x + rng.normal(size=50) > 0).astype(int))
+        assert all(fit.converged)
+        np.testing.assert_array_equal(fit.coefs[0], 0.0)
 
     def test_needs_two_classes(self):
         with pytest.raises(ValueError):

@@ -10,8 +10,7 @@ from polykit.errors import ModelFormatError, TrainingDiverged
 def identity_net(width):
     """Stack of two identity layers that pass the input straight through."""
     layer = lambda: m.DenseLayer(np.eye(width), np.zeros(width), "identity")
-    cfg = m.MLPConfig((width, width), ("identity",), output_kind="linear")
-    return m.MLP((layer(), layer()), cfg, width)
+    return m.MLP((layer(), layer()))
 
 
 def train_with_masks_list(X, Y, config):
@@ -88,11 +87,7 @@ class TestForward:
         np.testing.assert_array_equal(m.layer_activations(net, X, 1), X)
 
     def test_relu_kills_negative_preactivations(self):
-        net = m.MLP(
-            (m.DenseLayer(np.eye(2), np.array([-10.0, -10.0]), "relu"),),
-            m.MLPConfig((2,)),
-            2,
-        )
+        net = m.MLP((m.DenseLayer(np.eye(2), np.array([-10.0, -10.0]), "relu"),))
         X = np.random.default_rng(1).uniform(0, 1, size=(5, 2))
         np.testing.assert_array_equal(m.forward(net, X), np.zeros((5, 2)))
 
@@ -244,7 +239,59 @@ class TestTraining:
             m.train_mlp(np.zeros((4, 2)), np.zeros(4), cfg)
 
 
+#: A ``polykit-mlp 2`` file as ``save_weights`` wrote it for a trained
+#: 3-4-3-2 network: tanh and relu hidden layers, dropout 0.25 and 0.5 after
+#: them, softmax output.
+WEIGHTS_DROPOUT_SOFTMAX = """polykit-mlp 2
+input_width 3
+output_kind softmax
+layers 5
+dense 3 4 tanh
+0.3525159944419264 0.35374435177939517 0.018724044477065424 -0.2604632648371082 -0.4860109686293856 -0.1354820611029421 -0.0687448345100545 -0.5662631618027807 -0.5423507957167546 0.5798649394395188 0.20146023878400907 -0.26406571763200704
+-0.008010110833438434 -0.003666391213804825 -0.010715162499577564 -0.047587532029455225
+dropout 0.25
+dense 4 3 relu
+-0.0655793223984014 0.4960143896890127 0.35607142544555775 0.34580465563846535 -0.12809754521782318 -0.017104079773105633 0.17852272178954987 -0.44187390359121914 0.03755215491274301 -0.21844891186419965 0.39891740880543824 -0.47333671448045916
+-0.005900302072140124 -0.010379177244530496 0.011438543898599694
+dropout 0.5
+dense 3 2 softmax
+0.2132769307223803 0.42096547481054863 -0.34086626856476043 0.48262511771463124 0.42609046044500487 -0.5522845811115353
+-0.009574031115188284 0.009574031115188288
+"""
+
+
 class TestWeightsContainer:
+    def test_load_then_save_is_byte_identical(self, tmp_path):
+        path = tmp_path / "w.txt"
+        path.write_text(WEIGHTS_DROPOUT_SOFTMAX, encoding="utf-8")
+        net = m.load_weights(path)
+        assert net.input_width == 3
+        again = tmp_path / "again.txt"
+        m.save_weights(net, again)
+        assert again.read_text(encoding="utf-8") == WEIGHTS_DROPOUT_SOFTMAX
+
+    def test_output_kind_is_read_off_the_last_dense_layer(self, tmp_path):
+        net = m.build_mlp(2, m.MLPConfig((3, 2), ("square",), seed=0))
+        net.layers[-1].activation = "square"
+        path = tmp_path / "w.txt"
+        m.save_weights(net, path)
+        assert path.read_text(encoding="utf-8").splitlines()[2] == "output_kind linear"
+        assert m.layer_labels(m.load_weights(path)) == ["dense_1", "dense_2"]
+
+    @pytest.mark.parametrize("old, new", [
+        ("dropout 0.25", "dropout 1.0"),
+        ("dropout 0.5", "dropout -0.1"),
+        ("dense 3 4 tanh", "dense 3 4 softmax"),
+        ("output_kind softmax", "output_kind linear"),
+        ("output_kind softmax", "output_kind ordinal"),
+    ], ids=["dropout-one", "dropout-negative", "softmax-hidden", "kind-mismatch",
+            "unknown-kind"])
+    def test_header_checked_against_layers(self, tmp_path, old, new):
+        path = tmp_path / "w.txt"
+        path.write_text(WEIGHTS_DROPOUT_SOFTMAX.replace(old, new), encoding="utf-8")
+        with pytest.raises(ModelFormatError):
+            m.load_weights(path)
+
     def test_round_trip(self, tmp_path):
         cfg = m.MLPConfig((6, 4, 3), ("relu", "tanh"), (0.2, 0.0),
                           output_kind="softmax", seed=5)

@@ -199,3 +199,231 @@ def test_version_one_container_predicts_bit_identically(tmp_path):
     assert out.read_text(encoding="utf-8") == V1_PREDICTIONS
     resaved = json.loads(modelio.model_to_json(modelio.load_model(model_path)))
     assert resaved["version"] == 2 and "standardization" not in resaved
+
+
+#: Version 2 containers as ``polykit fit`` wrote them: degree 2 on a CSV
+#: with a numeric and a three-level categorical column, and a three-class
+#: logistic fit after ``--pca 0.9``.
+V2_CATEGORICAL_CONTAINER = r"""{
+ "aliased": [],
+ "classes": null,
+ "coef": [
+  2.021492765770885,
+  0.5144981717020888,
+  1.006113287710083,
+  -1.001525582461595,
+  -0.028928550558666714,
+  -0.022941481529718952
+ ],
+ "format": "polykit-model",
+ "groups": {
+  "column_names": [
+   "u",
+   "c=b",
+   "c=c"
+  ],
+  "groups": [
+   [
+    "c",
+    [
+     1,
+     2
+    ]
+   ]
+  ],
+  "numeric_indices": [
+   0
+  ]
+ },
+ "intercept": 0.9923958199633124,
+ "lambda": null,
+ "method": "ols",
+ "pca": null,
+ "schema": [
+  {
+   "kind": "numeric",
+   "levels": [],
+   "name": "u"
+  },
+  {
+   "kind": "categorical",
+   "levels": [
+    "a",
+    "b",
+    "c"
+   ],
+   "name": "c"
+  },
+  {
+   "kind": "response_numeric",
+   "levels": [],
+   "name": "y"
+  }
+ ],
+ "term_groups": {
+  "column_names": [
+   "u",
+   "c=b",
+   "c=c"
+  ],
+  "groups": [
+   [
+    "c",
+    [
+     1,
+     2
+    ]
+   ]
+  ],
+  "numeric_indices": [
+   0
+  ]
+ },
+ "terms": "# termset v1 width=3 degree=2 max_interact=2\n0^1\n1^1\n2^1\n0^2\n0^1 1^1\n0^1 2^1\n",
+ "version": 2
+}
+"""
+V2_LOGISTIC_PCA_CONTAINER = r"""{
+ "aliased": [],
+ "classes": [
+  "0",
+  "1",
+  "2"
+ ],
+ "coef": [
+  [
+   -0.5525772548983435,
+   -0.09466539165524511,
+   0.6310774202138674
+  ],
+  [
+   0.006110633796381031,
+   0.074724980476922,
+   -0.120152493590991
+  ],
+  [
+   0.08434648425995508,
+   -0.19430035746950544,
+   0.06886579936600123
+  ],
+  [
+   -0.01339618672003474,
+   0.049178449102970284,
+   -0.015248915808575306
+  ],
+  [
+   -0.053032674213544795,
+   0.027336206350048197,
+   0.01433708122577409
+  ]
+ ],
+ "format": "polykit-model",
+ "groups": {
+  "column_names": [
+   "u",
+   "v",
+   "w"
+  ],
+  "groups": [],
+  "numeric_indices": [
+   0,
+   1,
+   2
+  ]
+ },
+ "intercept": [
+  -2.013392400151182,
+  0.7325417222579789,
+  -1.4869397156726611
+ ],
+ "lambda": null,
+ "method": "logistic",
+ "pca": {
+  "components": [
+   [
+    0.8933091236435469,
+    -0.25437547997338045
+   ],
+   [
+    0.4492792580051735,
+    0.5276475594009842
+   ],
+   [
+    -0.012122621066374108,
+    0.8104820591762025
+   ]
+  ],
+  "means": [
+   3.238970833333333,
+   1.9455875000000002,
+   -0.011658333333333326
+  ],
+  "retained_fraction": 0.9354162147436774,
+  "target_fraction": 0.9
+ },
+ "schema": [
+  {
+   "kind": "numeric",
+   "levels": [],
+   "name": "u"
+  },
+  {
+   "kind": "numeric",
+   "levels": [],
+   "name": "v"
+  },
+  {
+   "kind": "numeric",
+   "levels": [],
+   "name": "w"
+  },
+  {
+   "kind": "response_class",
+   "levels": [],
+   "name": "y"
+  }
+ ],
+ "term_groups": {
+  "column_names": [
+   "x0",
+   "x1"
+  ],
+  "groups": [],
+  "numeric_indices": [
+   0,
+   1
+  ]
+ },
+ "terms": "# termset v1 width=2 degree=2 max_interact=2\n0^1\n1^1\n0^2\n0^1 1^1\n1^2\n",
+ "version": 2
+}
+"""
+
+
+@pytest.mark.parametrize("text", [V2_CATEGORICAL_CONTAINER, V2_LOGISTIC_PCA_CONTAINER],
+                         ids=["categorical", "logistic-pca"])
+def test_load_then_save_is_byte_identical(tmp_path, text):
+    path = tmp_path / "model.json"
+    path.write_text(text, encoding="utf-8")
+    again = tmp_path / "again.json"
+    modelio.save_model(modelio.load_model(path), again)
+    assert again.read_text(encoding="utf-8") == text
+
+
+class TestSerialization:
+    def test_round_trip(self):
+        groups = DummyGroups(
+            groups=(("c", (2,)),), numeric_indices=(0, 1), column_names=("u", "v", "c=x")
+        )
+        ts = enumerate_terms(3, groups, PolySpec(3, 2))
+        back = modelio._terms_from_text(modelio._terms_to_text(ts), groups)
+        assert back.terms == ts.terms
+        assert back.spec == ts.spec
+        assert back.width == ts.width
+
+    def test_bad_header(self):
+        model, _ = fitted_model()
+        obj = json.loads(modelio.model_to_json(model))
+        obj["terms"] = "0^1\n"
+        with pytest.raises(ModelFormatError, match="termset"):
+            modelio.model_from_json(json.dumps(obj))

@@ -228,22 +228,6 @@ class TestDropRandomColumns:
             drop_random_columns(ts, 0.0, seed=0)
 
 
-class TestSerialization:
-    def test_round_trip(self):
-        groups = DummyGroups(
-            groups=(("c", (2,)),), numeric_indices=(0, 1), column_names=("u", "v", "c=x")
-        )
-        ts = enumerate_terms(3, groups, PolySpec(3, 2))
-        back = TermSet.from_text(ts.to_text(), groups=groups)
-        assert back.terms == ts.terms
-        assert back.spec == ts.spec
-        assert back.width == ts.width
-
-    def test_bad_header(self):
-        with pytest.raises(ValueError):
-            TermSet.from_text("0^1\n")
-
-
 class TestExponents:
     @pytest.mark.parametrize("p, d", [(1, 6), (2, 5), (3, 4), (5, 3), (7, 2)])
     def test_graded_position_ranks_the_graded_order(self, p, d):
