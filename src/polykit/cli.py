@@ -269,10 +269,8 @@ def _append_result(path, setting: str, dataset: str, seed: int, metric: str, val
 
 def cmd_fit(args) -> int:
     hints = parse_schema_sidecar(args.schema) if args.schema else {}
-    ds = load_csv(args.data, kind_hints=hints or None, response=args.response)
-    if args.classify and not ds.schema.is_classification:
-        hints[ds.schema.response.name] = "response_class"
-        ds = load_csv(args.data, kind_hints=hints, response=args.response)
+    ds = load_csv(args.data, kind_hints=hints or None, response=args.response,
+                  classify=args.classify)
 
     classify = ds.schema.is_classification
     method = args.method
@@ -374,10 +372,8 @@ def cmd_predict(args) -> int:
 
 def cmd_vif_probe(args) -> int:
     hints = parse_schema_sidecar(args.schema) if args.schema else {}
-    ds = load_csv(args.data, kind_hints=hints or None, response=args.response)
-    if args.classify and not ds.schema.is_classification:
-        hints[ds.schema.response.name] = "response_class"
-        ds = load_csv(args.data, kind_hints=hints, response=args.response)
+    ds = load_csv(args.data, kind_hints=hints or None, response=args.response,
+                  classify=args.classify)
     design, _ = encode_design(ds)
 
     if args.weights:

@@ -248,6 +248,7 @@ def load_csv(
     kind_hints: dict[str, str] | None = None,
     response: str | None = None,
     categorical_threshold: int = DEFAULT_CATEGORICAL_THRESHOLD,
+    classify: bool = False,
 ) -> Dataset:
     """Load a comma-delimited UTF-8 file with a header row into a Dataset.
 
@@ -256,7 +257,9 @@ def load_csv(
     column is categorical iff a non-numeric value occurs or its
     distinct-value count is <= ``categorical_threshold``. The response
     column is named by ``response`` (default: last header column) and is
-    inferred as a class response iff it holds non-numeric values.
+    inferred as a class response iff it holds non-numeric values; with
+    ``classify`` it is a class response whatever its values, as if hinted
+    ``response_class``.
 
     Rows with any missing cell (or the wrong field count) are dropped; the
     count is reported as a warning and on ``Dataset.dropped_rows``. New rows
@@ -274,6 +277,8 @@ def load_csv(
         resp_name = header[-1]
     if resp_name not in header:
         raise DataError(f"{path}: response column {resp_name!r} absent")
+    if classify:
+        hints = {**hints, resp_name: "response_class"}
 
     kept: list[list[str]] = []
     dropped = 0

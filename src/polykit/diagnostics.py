@@ -3,11 +3,11 @@
 VIF_j = 1 / (1 - R^2_j), where R^2_j comes from regressing column j on all
 the other columns (with intercept). It is the j-th diagonal of the inverse
 correlation matrix: the squared norm of row j of R^-1 after one pivoted QR
-of the centred, unit-norm columns (Belsley, Kuh & Welsch, 1980). Exactly
-collinear or constant columns would be infinite, so they are capped at
-``VIF_CAP`` and still enter the summary mean; the probe's last-layer
-averages are dominated by such capped values whenever the layer outputs
-are linearly dependent (e.g. softmax outputs summing to one).
+(``fitcore.pivoted_qr``) of the centred, unit-norm columns (Belsley, Kuh &
+Welsch, 1980). Exactly collinear or constant columns would be infinite, so
+they are capped at ``VIF_CAP`` and still enter the summary mean; the
+probe's last-layer averages are dominated by such capped values whenever
+the layer outputs are linearly dependent (e.g. softmax outputs summing to one).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 import scipy.linalg
 
 from . import mlp as mlpmod
-from .fitcore import centre_columns, pivoted_rank
+from .fitcore import centre_columns, pivoted_qr, pivoted_rank
 # not called here; perfbench's tracer test expects fit_ols bound in two modules
 from .fitcore import fit_ols  # noqa: F401
 
@@ -56,8 +56,9 @@ def vif(X: np.ndarray) -> np.ndarray:
     live = np.flatnonzero(~constant)
     if live.size == 0:
         return values
-    Z = Xc[:, live] / np.linalg.norm(Xc[:, live], axis=0)
-    r, piv = scipy.linalg.qr(Z, mode="r", pivoting=True)
+    Z = np.asfortranarray(Xc[:, live])
+    Z /= np.linalg.norm(Z, axis=0)
+    r, piv, _ = pivoted_qr(Z, live.size)
     rank, tol = pivoted_rank(r, X.shape[0])
     r_inv = scipy.linalg.solve_triangular(r[:rank, :rank], np.eye(rank))
     inflation = np.sum(r_inv**2, axis=1)

@@ -2,9 +2,12 @@
 logistic, PCA preprocessing, prediction, and the evaluation metrics.
 
 All fitters add their own intercept; design matrices never carry a column
-of ones. Ridge and logistic z-scale the columns internally and report
-coefficients back on the original scale, so prediction is always
-``expand -> dot``.
+of ones. Least squares and the VIFs of ``diagnostics`` share one
+factorization, :func:`pivoted_qr`: an in-place Householder QR of the tall
+design, then column pivoting on its small triangle only, with no Q formed.
+Ridge and logistic z-scale the columns internally and report coefficients
+back on the original scale, so prediction is always ``expand -> dot``, in
+row blocks of ``PREDICT_BLOCK_CELLS`` cells.
 """
 
 from __future__ import annotations
@@ -67,12 +70,35 @@ def pivoted_rank(r: np.ndarray, n: int) -> tuple[int, float]:
     return int(np.sum(diag > tol)), tol
 
 
-def fit_ols(X: np.ndarray, y: np.ndarray) -> LinearFit:
-    """Least squares via column-pivoted QR on the centered design.
+def pivoted_qr(A: np.ndarray, l: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Column-pivoted QR ``A[:, :l] = Q R P'`` in two stages, overwriting A.
 
-    Constant columns, and columns that the pivoted factorization finds
-    numerically dependent, are aliased: they receive coefficient zero and
-    are listed in the result.
+    An unpivoted blocked Householder QR (``geqrf``) factors A in place
+    (a copy when A is not Fortran-ordered), ``A[:, :l] = Q1 R1``; only the
+    small min(n, l) x l triangle R1 is then factored with column pivoting,
+    ``R1 = Q2 R P'`` (Chan 1987; Golub & Van Loan, Matrix Computations,
+    section 5.4), so ``Q = Q1 Q2``. Q1 preserves column norms, so the
+    pivots, and with them :func:`pivoted_rank`, are those of a pivoted QR of
+    ``A[:, :l]`` itself up to roundoff. No Q is formed: the columns of A
+    after the l-th come back as ``C = Q' A[:, l:]``, min(n, l) rows, from
+    the reflectors of both stages.
+
+    Returns (R, piv, C), where R is min(n, l) x l.
+    """
+    _, R = scipy.linalg.qr(A, mode="raw", overwrite_a=True, check_finite=False)
+    m = min(A.shape[0], l)
+    ct, r, piv = scipy.linalg.qr_multiply(R[:m, :l], R[:m, l:].T, mode="right", pivoting=True)
+    return r, piv, ct.T
+
+
+def fit_ols(X: np.ndarray, y: np.ndarray) -> LinearFit:
+    """Least squares via column-pivoted QR on the centred design.
+
+    ``[Xc | yc]`` is written into one n x (l+1) buffer and factored in place
+    by :func:`pivoted_qr`, so the response rides along as ``Q'yc`` and no
+    thin Q is formed. Constant columns, and columns that the pivoted
+    factorization finds numerically dependent, are aliased: they receive
+    coefficient zero and are listed in the result.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -85,14 +111,15 @@ def fit_ols(X: np.ndarray, y: np.ndarray) -> LinearFit:
         return LinearFit(float(ym), np.zeros(0), ())
 
     Xc, xm, _ = centre_columns(X)
-    yc = y - ym
-    q, r, piv = scipy.linalg.qr(Xc, mode="economic", pivoting=True)
+    A = np.empty((n, l + 1), order="F")
+    A[:, :l], A[:, l] = Xc, y - ym
+    del Xc  # A holds it: at most two copies of the design are live at once
+    r, piv, qty = pivoted_qr(A, l)
     rank, _ = pivoted_rank(r, n)
 
     coef = np.zeros(l)
     if rank > 0:
-        rhs = q.T[:rank] @ yc
-        sol = scipy.linalg.solve_triangular(r[:rank, :rank], rhs)
+        sol = scipy.linalg.solve_triangular(r[:rank, :rank], qty[:rank, 0])
         coef[piv[:rank]] = sol
     aliased = tuple(sorted(int(j) for j in piv[rank:]))
     intercept = float(ym - xm @ coef)
@@ -381,12 +408,22 @@ def fit_poly_model(
     raise ValueError(f"unknown fit method {method!r}")
 
 
+#: New rows are expanded and scored this many cells (16 MiB of float64) at a
+#: time, so prediction memory does not grow with the row count.
+PREDICT_BLOCK_CELLS = 1 << 21
+
+
 def predict(model: PolyModel, new_design: np.ndarray) -> np.ndarray:
     """Apply stored PCA, expansion and coefficients to a new design matrix.
 
-    Regression models return fitted values; classification models return
-    the argmax class id. Unseen categorical levels are handled upstream by
-    ``encode_design`` against the training schema.
+    Rows are expanded and scored in blocks of ``PREDICT_BLOCK_CELLS`` term
+    cells, so the row count is not bounded by the expansion's cell budget.
+    A table of at most one block is scored by one product, exactly as a
+    single expansion; beyond that a row's score may differ from the
+    single-product one in the last bit, as BLAS rounds a row by its position
+    in the product. Regression models return fitted values; classification
+    models return the argmax class id. Unseen categorical levels are handled
+    upstream by ``encode_design`` against the training schema.
     """
     X = np.asarray(new_design, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.input_width:
@@ -395,8 +432,11 @@ def predict(model: PolyModel, new_design: np.ndarray) -> np.ndarray:
             f" the model's expected width {model.input_width}"
         )
     Z = pca_transform(model.pca, X) if model.pca is not None else X
-    P = polyterms.expand(Z, model.terms)
-    scores = P @ model.coef + model.intercept
+    step = max(1, PREDICT_BLOCK_CELLS // max(1, len(model.terms)))
+    scores = np.empty((len(Z),) + model.coef.shape[1:])
+    for lo in range(0, len(Z), step):
+        scores[lo : lo + step] = polyterms.expand(Z[lo : lo + step], model.terms) @ model.coef
+    scores += model.intercept
     if model.method == "logistic":
         idx = np.argmax(scores, axis=1)
         return np.asarray(model.classes)[idx]

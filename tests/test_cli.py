@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polykit import dataset, fitcore, polyterms
 from polykit import mlp as m
 from polykit.cli import EXIT_DATA, EXIT_MODEL, EXIT_OK, EXIT_USAGE, main
 from polykit.synthdata import linear_response, quadratic_response
@@ -207,6 +208,42 @@ class TestFit:
         assert pcc >= 0.95
         assert "warning" not in err
 
+    @pytest.mark.parametrize("command, extra, out_flag, written", [
+        ("fit", [], "--out-dir", "model.json"),
+        ("vif-probe", ["--widths", "4,3", "--epochs", "1"], "--csv", "probe.csv"),
+    ])
+    def test_classify_reads_the_csv_once(self, tmp_path, monkeypatch, command, extra,
+                                         out_flag, written):
+        data = self._blobs_csv(tmp_path)
+        sidecar = tmp_path / "schema.txt"
+        sidecar.write_text("y = response_class\n", encoding="utf-8")
+        read_rows, reads = dataset._read_rows, []
+        monkeypatch.setattr(dataset, "_read_rows", lambda path: reads.append(path) or read_rows(path))
+        outputs = []
+        for how in (["--classify"], ["--schema", str(sidecar)]):
+            out = tmp_path / how[0].lstrip("-")
+            out.mkdir()
+            target = out if command == "fit" else out / written
+            assert main([command, "--data", str(data), *how, *extra,
+                         out_flag, str(target)]) == EXIT_OK
+            outputs.append((out / written).read_bytes())
+        assert reads == [str(data)] * 2  # one read per run
+        # --classify types the numeric response as the class hint does
+        assert outputs[0] == outputs[1]
+
+    def test_classify_overrides_a_numeric_response_hint(self, tmp_path):
+        data = tmp_path / "labels.csv"
+        data.write_text("u,y\n" + "".join(f"{i},{'ab'[i % 2]}\n" for i in range(20)),
+                        encoding="utf-8")
+        sidecar = tmp_path / "schema.txt"
+        sidecar.write_text("y = response_numeric\n", encoding="utf-8")
+        args = ["fit", "--data", str(data), "--schema", str(sidecar), "--degree", "1",
+                "--out-dir", str(tmp_path / "out")]
+        assert main(args) == EXIT_DATA
+        assert main(args + ["--classify"]) == EXIT_OK
+        model = json.loads((tmp_path / "out" / "model.json").read_text())
+        assert model["classes"] == ["a", "b"]
+
     @pytest.mark.parametrize("tol, warned", [("1e-8", True), ("1e9", False)])
     def test_fsr_uses_max_iter_and_tol(self, tmp_path, capsys, tol, warned):
         rc = main(["fit", "--data", str(self._blobs_csv(tmp_path)), "--classify", "--fsr",
@@ -263,6 +300,22 @@ class TestPredict:
         lines = out.read_text().splitlines()
         assert lines[0] == "prediction"
         assert len(lines) == 601
+
+    def test_table_over_the_cell_budget_is_scored(self, tmp_path, quad_csv, monkeypatch):
+        model = self._fit(tmp_path, quad_csv)  # 5 terms
+        args = ["predict", "--model", str(model), "--data", str(quad_csv), "--out"]
+        assert main(args + [str(tmp_path / "whole.csv")]) == EXIT_OK
+        # 600 rows x 5 terms is 3,000 cells: over a budget lowered to 1,000,
+        # which each 100-row block of 500 cells stays within
+        monkeypatch.setitem(polyterms.expand.__kwdefaults__, "cell_budget", 1_000)
+        monkeypatch.setattr(fitcore, "PREDICT_BLOCK_CELLS", 500)
+        assert main(args + [str(tmp_path / "blocked.csv")]) == EXIT_OK
+        whole, blocked = ((tmp_path / name).read_text().splitlines()
+                          for name in ("whole.csv", "blocked.csv"))
+        assert blocked[0] == "prediction" and len(blocked) == len(whole) == 601
+        want = np.array(whole[1:], dtype=float)
+        np.testing.assert_allclose(np.array(blocked[1:], dtype=float), want,
+                                   rtol=0, atol=1e-13 * np.abs(want).max())
 
     def test_empty_input_gives_empty_output(self, tmp_path, quad_csv, capsys):
         model = self._fit(tmp_path, quad_csv)

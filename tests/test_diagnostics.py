@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from polykit import diagnostics as dg
 from polykit import mlp as m
 from polykit import synthdata
-from polykit.fitcore import fit_ols
+from polykit.fitcore import centre_columns, fit_ols, pivoted_rank
 
 
 def reference_vif(X):
@@ -29,6 +30,27 @@ def reference_vif(X):
         if one_minus_r2 >= dg.COLLINEAR_TOL:
             out[j] = min(1.0 / one_minus_r2, dg.VIF_CAP)
     return out
+
+
+def one_stage_vif(X):
+    """Oracle: ``vif`` from one column-pivoted QR of the whole centred,
+    unit-norm design, as it was before the factorization went through
+    ``fitcore.pivoted_qr``; the rank, null-space and cap rules are vif's."""
+    X = np.asarray(X, dtype=np.float64)
+    Xc, _, constant = centre_columns(X)
+    values = np.full(X.shape[1], dg.VIF_CAP)
+    live = np.flatnonzero(~constant)
+    if live.size == 0:
+        return values
+    Z = Xc[:, live] / np.linalg.norm(Xc[:, live], axis=0)
+    r, piv = scipy.linalg.qr(Z, mode="r", pivoting=True)
+    rank, tol = pivoted_rank(r, X.shape[0])
+    r_inv = scipy.linalg.solve_triangular(r[:rank, :rank], np.eye(rank))
+    inflation = np.sum(r_inv**2, axis=1)
+    in_null = np.linalg.norm(r_inv @ r[:rank, rank:], axis=1) * np.sqrt(dg.COLLINEAR_TOL) > tol
+    finite = ~in_null & (inflation * dg.COLLINEAR_TOL <= 1.0)
+    values[live[piv[:rank][finite]]] = inflation[finite]
+    return values
 
 
 def correlated_pair(rho, n=200, seed=0):
@@ -142,23 +164,46 @@ def relu_layer(index):
     return outputs
 
 
-@pytest.mark.parametrize("make", [
-    orthogonal_columns,
-    lambda: correlated_pair(np.sqrt(0.9)),
-    duplicate_column,
-    combination_and_zero_column,
-    constant_columns,
-    relu_layer(0),
-    relu_layer(2),
-    relu_layer(4),
-], ids=["orthogonal", "rho2-0.9", "duplicate", "combination-and-zero", "constants",
-        "relu-dense_1", "relu-dense_2", "softmax-dense_3"])
-def test_matches_regression_loop(make):
-    X = make()
+def planted(extra):
+    X = np.random.default_rng(5).normal(size=(100, 10))
+    return np.column_stack([X, extra(X)])
+
+
+VIF_CASES = {
+    "orthogonal": orthogonal_columns,
+    "rho2-0.9": lambda: correlated_pair(np.sqrt(0.9)),
+    "duplicate": duplicate_column,
+    "combination-and-zero": combination_and_zero_column,
+    "constants": constant_columns,
+    "relu-dense_1": relu_layer(0),
+    "relu-dense_2": relu_layer(2),
+    "softmax-dense_3": relu_layer(4),
+    "tall": lambda: np.random.default_rng(8).normal(size=(2000, 60)),
+    "wide": lambda: np.random.default_rng(9).normal(size=(10, 25)),
+    "square": lambda: np.random.default_rng(10).normal(size=(12, 12)),
+    "inexact-constant": lambda: np.column_stack(
+        [np.full(50, 0.1), np.random.default_rng(6).normal(size=(50, 3))]),
+    "twice-x3": lambda: planted(lambda X: 2 * X[:, 3]),
+    "x7-minus-x9": lambda: planted(lambda X: X[:, 7] - X[:, 9]),
+}
+
+
+@pytest.mark.parametrize("case", list(VIF_CASES))
+def test_matches_regression_loop(case):
+    X = VIF_CASES[case]()
     got, ref = dg.vif(X), reference_vif(X)
     capped = ref >= dg.VIF_CAP
     np.testing.assert_array_equal(got >= dg.VIF_CAP, capped)
     np.testing.assert_allclose(got[~capped], ref[~capped], rtol=1e-9)
+
+
+@pytest.mark.parametrize("case", list(VIF_CASES))
+def test_matches_one_stage_qr(case):
+    X = VIF_CASES[case]()
+    got, ref = dg.vif(X), one_stage_vif(X)
+    capped = ref >= dg.VIF_CAP
+    np.testing.assert_array_equal(got >= dg.VIF_CAP, capped)
+    np.testing.assert_allclose(got[~capped], ref[~capped], rtol=1e-8)
 
 
 class TestSummary:

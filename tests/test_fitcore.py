@@ -9,6 +9,7 @@ import scipy.linalg
 from scipy.special import expit
 
 from polykit import fitcore as fc
+from polykit import polyterms
 from polykit.dataset import DummyGroups
 from polykit.errors import DataError
 from polykit.polyterms import PolySpec, enumerate_terms, expand
@@ -134,6 +135,86 @@ class TestOLS:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             fc.fit_ols(np.array([[np.nan]]), np.array([1.0]))
+
+
+def reference_ols(X, y):
+    """Oracle: the one-stage least squares that fit_ols replaced. One
+    column-pivoted QR of the whole centred design, its thin Q formed and
+    applied to the centred response, then fit_ols's rank rule and solve."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    n, l = X.shape
+    ym = y.mean()
+    Xc, xm, _ = fc.centre_columns(X)
+    q, r, piv = scipy.linalg.qr(Xc, mode="economic", pivoting=True)
+    rank, _ = fc.pivoted_rank(r, n)
+    coef = np.zeros(l)
+    if rank > 0:
+        rhs = q.T[:rank] @ (y - ym)
+        coef[piv[:rank]] = scipy.linalg.solve_triangular(r[:rank, :rank], rhs)
+    aliased = tuple(sorted(int(j) for j in piv[rank:]))
+    return fc.LinearFit(float(ym - xm @ coef), coef, aliased)
+
+
+def _ols_case(X, tie=False, seed=0):
+    """A design, a response with a planted signal, and whether two columns
+    tie exactly in pivot norm (so roundoff picks which of them is aliased)."""
+    rng = np.random.default_rng(seed)
+    y = X @ rng.normal(size=X.shape[1]) + rng.normal(size=X.shape[0])
+    return X, y, tie
+
+
+def _planted(extra):
+    X = np.random.default_rng(5).normal(size=(100, 10))
+    return np.column_stack([X, extra(X)])
+
+
+OLS_ORACLE_CASES = {
+    "tall": lambda: _ols_case(np.random.default_rng(1).normal(size=(500, 20))),
+    "tall_cubic": lambda: _ols_case(
+        expand(np.random.default_rng(2).uniform(-1, 1, size=(400, 3)), numeric_terms(3, 3))),
+    "degree7_on_8_rows": lambda: _ols_case(
+        expand(np.linspace(1.0, 2.0, 8)[:, None], numeric_terms(1, 7))),
+    "wide": lambda: _ols_case(np.random.default_rng(3).normal(size=(10, 25))),
+    "square": lambda: _ols_case(np.random.default_rng(4).normal(size=(12, 12))),
+    "one_column": lambda: _ols_case(np.random.default_rng(6).normal(size=(30, 1))),
+    "inexact_constant": lambda: _ols_case(np.column_stack(
+        [np.full(50, 0.1), np.random.default_rng(7).normal(size=(50, 3))])),
+    "twice_x3": lambda: _ols_case(_planted(lambda X: 2 * X[:, 3])),
+    # x7 and x9 leave identical residuals once x7 - x9 is pivoted in
+    "x7_minus_x9": lambda: _ols_case(_planted(lambda X: X[:, 7] - X[:, 9]), tie=True),
+    "duplicate": lambda: _ols_case(_planted(lambda X: X[:, 4]), tie=True),
+}
+
+
+class TestOLSOracle:
+    """fit_ols's two-stage QR against the one-stage pivoted QR it replaced:
+    the same rank, the same aliased columns where no pivot ties exactly (the
+    same count where one does), fitted values within 1e-10 of their scale."""
+
+    @pytest.mark.parametrize("case", sorted(OLS_ORACLE_CASES))
+    def test_matches_one_stage_qr(self, case):
+        X, y, tie = OLS_ORACLE_CASES[case]()
+        fit, ref = fc.fit_ols(X, y), reference_ols(X, y)
+        assert len(fit.aliased) == len(ref.aliased)
+        if not tie:
+            assert fit.aliased == ref.aliased
+        want = X @ ref.coef + ref.intercept
+        np.testing.assert_allclose(X @ fit.coef + fit.intercept, want,
+                                   rtol=0, atol=1e-10 * np.abs(want).max())
+
+    def test_peak_memory_is_bounded(self):
+        # the one-stage path held the centred design, LAPACK's Fortran copy
+        # of it and the thin Q (3x the input); the in-place factorization
+        # holds the centred design and the buffer it is copied into
+        X, y, _ = _ols_case(np.random.default_rng(8).normal(size=(4000, 150)))
+        tracemalloc.start()
+        try:
+            fc.fit_ols(X, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * X.nbytes, peak / X.nbytes
 
 
 class TestRidge:
@@ -525,6 +606,32 @@ class TestPredict:
         model = self._model(np.random.default_rng(1).normal(size=(30, 3)), np.zeros(30))
         with pytest.raises(ValueError, match="width"):
             fc.predict(model, np.ones((5, 2)))
+
+    @pytest.mark.parametrize("method", ["ols", "logistic"])
+    def test_rows_scored_in_blocks(self, monkeypatch, method):
+        rng = np.random.default_rng(9)
+        X = rng.normal(size=(1000, 3))
+        y = X[:, 0] - X[:, 1] * X[:, 2] + rng.normal(0, 0.1, 1000)
+        model = self._model(X, y if method == "ols" else np.digitize(y, [-0.5, 0.5]),
+                            d=3, method=method)
+        l = len(model.terms)
+        scores = expand(X, model.terms) @ model.coef + model.intercept
+        whole = scores if method == "ols" else np.asarray(model.classes)[scores.argmax(axis=1)]
+        # within one block the rows are scored by one product, as one expansion
+        np.testing.assert_array_equal(fc.predict(model, X), whole)
+
+        rows = []
+        def recording_expand(Z, terms, **kw):
+            rows.append(len(Z))
+            return expand(Z, terms, **kw)
+        monkeypatch.setattr(polyterms, "expand", recording_expand)
+        monkeypatch.setattr(fc, "PREDICT_BLOCK_CELLS", 37 * l + 5)
+        blocked = fc.predict(model, X)
+        assert rows == [37] * 27 + [1]
+        if method == "ols":
+            np.testing.assert_allclose(blocked, whole, rtol=0, atol=1e-13 * np.abs(whole).max())
+        else:
+            np.testing.assert_array_equal(blocked, whole)
 
     def test_pca_pipeline_round_trip(self):
         rng = np.random.default_rng(8)
