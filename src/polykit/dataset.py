@@ -330,7 +330,8 @@ def encode_design(ds: Dataset, schema: Schema | None = None) -> tuple[np.ndarray
     become k-1 indicator columns (lexicographically first level dropped).
 
     Column order is all numeric features in schema order, then one indicator
-    block per categorical feature in schema order. Passing a training
+    block per categorical feature in schema order; a design with no columns
+    is a ``DataError`` that names the features that gave none. Passing a training
     ``schema`` encodes new data against the training level sets; values
     outside them map to the all-zero reference encoding with a warning.
     """
@@ -372,8 +373,11 @@ def encode_design(ds: Dataset, schema: Schema | None = None) -> tuple[np.ndarray
     if unseen:
         warnings.warn(f"{unseen} value(s) outside the schema level sets mapped to reference")
 
-    n = ds.n
-    design = np.column_stack(arrays) if arrays else np.empty((n, 0))
+    if not arrays:
+        empty = [name for name, idxs in groups if not idxs]
+        why = f"single-level categorical column(s) {empty} give none" if empty else "no features"
+        raise DataError(f"the design has no columns: {why}")
+    design = np.column_stack(arrays)
     info = DummyGroups(
         groups=tuple(groups),
         numeric_indices=tuple(numeric_indices),
@@ -385,14 +389,16 @@ def encode_design(ds: Dataset, schema: Schema | None = None) -> tuple[np.ndarray
 def split(ds: Dataset, seed: int) -> tuple[Dataset, Dataset]:
     """Deterministic train/test split.
 
-    Test size is min(10000, n) when n > 20000, otherwise floor(n/5); rows
-    are sampled uniformly without replacement under ``seed`` and the train
-    set is the complement. Both halves keep the original row order.
+    Test size is min(10000, n) when n > 20000, otherwise floor(n/5), so
+    fewer than 5 rows is a ``DataError``; rows are sampled uniformly without
+    replacement under ``seed`` and the train set is the complement. Both
+    halves keep the original row order.
     """
     n = ds.n
-    if n < 2:
-        raise DataError("need at least two rows to split")
     test_n = min(10000, n) if n > 20000 else n // 5
+    if test_n == 0:
+        raise DataError(f"the test split (a fifth of the rows) of {n} row(s) is empty;"
+                        " the data needs at least 5 rows")
     rng = np.random.default_rng(seed)
     test_idx = np.sort(rng.choice(n, size=test_n, replace=False))
     mask = np.ones(n, dtype=bool)

@@ -41,6 +41,12 @@ def _check_finite(X: np.ndarray, y: np.ndarray | None = None) -> None:
         raise ValueError("non-finite values in response")
 
 
+def _column_norms(A: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each column, with no temporary the size of A
+    (``np.linalg.norm(A, axis=0)`` squares A into one)."""
+    return np.sqrt(np.einsum("ij,ij->j", A, A))
+
+
 def centre_columns(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Centred copy of X, its column means, and which columns are constant: a
     centred norm at most max(n, k) * eps times the raw norm is the roundoff of
@@ -48,7 +54,7 @@ def centre_columns(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     means = X.mean(axis=0)
     Xc = X - means
     eps = np.finfo(np.float64).eps
-    constant = np.linalg.norm(Xc, axis=0) <= max(X.shape) * eps * np.linalg.norm(X, axis=0)
+    constant = _column_norms(Xc) <= max(X.shape) * eps * _column_norms(X)
     Xc[:, constant] = 0.0
     return Xc, means, constant
 
@@ -262,11 +268,16 @@ def pca_fit(
     eigendecomposition of the m x m cross-product ``Xc' Xc``, whose
     eigenvalues are the squared singular values (negative roundoff ones
     read as 0). That never forms the n x m left factor a thin SVD builds,
-    so it is faster and needs about half the memory. A component comes out
-    accurate to about eps * lam_1 / gap, where gap is the distance from its
-    eigenvalue to its neighbours'. A wide design keeps the thin SVD of Xc,
-    whose cost grows with the short side where the eigendecomposition's
-    grows with m^3."""
+    so it is faster and needs about half the memory. The cross-product is
+    one ``syrk`` (upper triangle only, half a GEMM's flops). A fraction
+    needs the whole spectrum, so it takes every eigenpair; a fixed count
+    r takes only the top r (``subset_by_index``: after the tridiagonal
+    reduction, LAPACK's MRRR routine ``syevr`` computes just those
+    eigenvectors), and ``retained_fraction`` is their sum over the total.
+    A component comes out accurate to about eps * lam_1 / gap, where gap
+    is the distance from its eigenvalue to its neighbours'. A wide design
+    keeps the thin SVD of Xc, whose cost grows with the short side where
+    the eigendecomposition's grows with m^3."""
     X = np.asarray(X, dtype=np.float64)
     n, m = X.shape
     if n < 2:
@@ -280,16 +291,20 @@ def pca_fit(
     total = float(np.einsum("ij,ij->", Xc, Xc))
     if total == 0.0:
         raise DataError("zero-variance matrix: PCA undefined")
+    if n_components is not None and n_components < 1:
+        raise ValueError("n_components must be >= 1")
     if n >= m:
-        power, v = scipy.linalg.eigh(Xc.T @ Xc, overwrite_a=True)
+        # syrk fills the upper triangle only, Fortran-ordered, so eigh
+        # overwrites it with no copy
+        gram = scipy.linalg.blas.dsyrk(1.0, Xc.T, lower=0)
+        top = None if n_components is None else [m - min(n_components, m), m - 1]
+        power, v = scipy.linalg.eigh(gram, lower=False, overwrite_a=True, subset_by_index=top)
         power, v = np.maximum(power[::-1], 0.0), v[:, ::-1]
     else:
         _, s, vt = scipy.linalg.svd(Xc, full_matrices=False)
         power, v = s**2, vt.T
     cum = np.cumsum(power) / total
     if n_components is not None:
-        if n_components < 1:
-            raise ValueError("n_components must be >= 1")
         r = min(n_components, len(power))
         var_fraction = float(cum[r - 1])
     else:

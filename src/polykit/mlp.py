@@ -115,6 +115,8 @@ class MLP:
 
 def build_mlp(input_width: int, config: MLPConfig) -> MLP:
     """Seeded initialization: weights uniform on +-1/sqrt(fan_in), zero bias."""
+    if input_width < 1:
+        raise ValueError("input width must be >= 1")
     rng = np.random.default_rng(config.seed)
     layers: list = []
     fan_in = input_width
@@ -201,6 +203,7 @@ def _loss_and_grads(mlp: MLP, X: np.ndarray, Y: np.ndarray, rng=None):
     # gradient at the output pre-activation is (prediction - target) / n
     delta = (out - Y) / n
 
+    n_dense = sum(isinstance(layer, DenseLayer) for layer in mlp.layers)
     grads: list[tuple[np.ndarray, np.ndarray]] = []
     for layer, cached_in, z in reversed(caches):
         if isinstance(layer, DropoutLayer):
@@ -210,6 +213,8 @@ def _loss_and_grads(mlp: MLP, X: np.ndarray, Y: np.ndarray, rng=None):
         if layer is not output_layer:
             delta = delta * activation_grad(layer.activation, z)
         grads.append((cached_in.T @ delta, delta.sum(axis=0)))
+        if len(grads) == n_dense:
+            break  # no dense layer below reads the input gradient
         delta = delta @ layer.weights.T
     grads.reverse()
     return loss, grads

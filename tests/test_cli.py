@@ -36,6 +36,14 @@ dense 2 1 identity
 
 
 @pytest.fixture()
+def single_level_csv(tmp_path):
+    """Its one feature is a categorical with a single level: no design columns."""
+    path = tmp_path / "one.csv"
+    path.write_text("c,y\n" + "".join(f"a,{i}\n" for i in range(30)), encoding="utf-8")
+    return path
+
+
+@pytest.fixture()
 def quad_csv(tmp_path):
     X, y = quadratic_response(600, seed=1)
     return write_csv(tmp_path / "quad.csv", X, y)
@@ -131,6 +139,21 @@ class TestFit:
         assert rc == EXIT_DATA
         err = capsys.readouterr().err
         assert "bad.txt" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("extra", [[], ["--pca", "0.9"]], ids=["plain", "pca"])
+    def test_zero_width_design_is_a_data_error(self, tmp_path, single_level_csv, capsys,
+                                                extra):
+        rc = main(["fit", "--data", str(single_level_csv), "--out-dir", str(tmp_path), *extra])
+        assert rc == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "no columns" in err and "['c']" in err and "Traceback" not in err
+
+    def test_empty_test_split_is_named(self, tmp_path, capsys):
+        path = write_csv(tmp_path / "three.csv", np.eye(3, 2), [3.0, 5.0, 1.0])
+        rc = main(["fit", "--data", str(path), "--out-dir", str(tmp_path)])
+        assert rc == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "test split" in err and "at least 5 rows" in err
 
     def test_missing_data_file(self, tmp_path):
         rc = main(["fit", "--data", str(tmp_path / "none.csv")])
@@ -400,6 +423,12 @@ class TestVifProbe:
         ])
         assert rc == EXIT_OK
         assert "undefined" in capsys.readouterr().out
+
+    def test_zero_width_design_is_a_data_error(self, single_level_csv, capsys):
+        rc = main(["vif-probe", "--data", str(single_level_csv), "--widths", "5,1"])
+        assert rc == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "no columns" in err and "['c']" in err and "Traceback" not in err
 
     def test_imported_weights(self, tmp_path, capsys):
         rng = np.random.default_rng(2)

@@ -183,16 +183,33 @@ class TestEncodeDesign:
         ds = Dataset(
             Schema(
                 (
+                    ColumnSpec("u", "numeric"),
                     ColumnSpec("c", "categorical", ("only",)),
                     ColumnSpec("y", "response_numeric"),
                 )
             ),
-            {"c": np.array(["only", "only"]), "y": np.array([1.0, 2.0])},
+            {"u": np.array([0.5, 1.5]), "c": np.array(["only", "only"]),
+             "y": np.array([1.0, 2.0])},
         )
         with pytest.warns(UserWarning, match="single level"):
             X, groups = encode_design(ds)
-        assert X.shape == (2, 0)
+        np.testing.assert_array_equal(X, [[0.5], [1.5]])
         assert groups.groups == (("c", ()),)
+
+    def test_zero_width_design_names_its_columns(self):
+        ds = Dataset(
+            Schema(
+                (
+                    ColumnSpec("c", "categorical", ("only",)),
+                    ColumnSpec("d", "categorical", ("x",)),
+                    ColumnSpec("y", "response_numeric"),
+                )
+            ),
+            {"c": np.array(["only"] * 2), "d": np.array(["x"] * 2), "y": np.array([1.0, 2.0])},
+        )
+        with pytest.warns(UserWarning, match="single level"):
+            with pytest.raises(DataError, match=r"no columns: .*\['c', 'd'\]"):
+                encode_design(ds)
 
     def test_dummy_row_sums(self):
         rng = np.random.default_rng(1)
@@ -257,6 +274,17 @@ class TestSplit:
         ds = dataset_from_arrays(np.zeros((1, 1)), np.zeros(1))
         with pytest.raises(DataError):
             split(ds, seed=0)
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_empty_test_split_is_named(self, n):
+        ds = dataset_from_arrays(np.arange(float(n))[:, None], np.zeros(n))
+        with pytest.raises(DataError, match=f"test split .* of {n} row.* at least 5 rows"):
+            split(ds, seed=0)
+
+    def test_five_rows_split_one_for_test(self):
+        ds = dataset_from_arrays(np.arange(5.0)[:, None], np.zeros(5))
+        train, test = split(ds, seed=0)
+        assert (train.n, test.n) == (4, 1)
 
 
 class TestPredictLoader:

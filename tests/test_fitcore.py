@@ -217,6 +217,21 @@ class TestOLSOracle:
         assert peak <= 2.5 * X.nbytes, peak / X.nbytes
 
 
+class TestCentring:
+    def test_peak_memory_is_bounded(self):
+        # the column norms are einsum reductions: np.linalg.norm(axis=0)
+        # squared a design-sized temporary for each of them
+        X = np.random.default_rng(8).normal(3.0, 2.0, size=(4000, 150))
+        for centre, bound in ((fc.centre_columns, 1.5), (fc.standardize_columns, 2.5)):
+            tracemalloc.start()
+            try:
+                centre(X)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound * X.nbytes, (centre.__name__, peak / X.nbytes)
+
+
 class TestRidge:
     def test_small_lambda_matches_ols(self):
         rng = np.random.default_rng(0)
@@ -443,6 +458,15 @@ def _duplicated_column():
     return np.column_stack([X, X[:, 1]])
 
 
+def _with_spectrum(s, n=300, seed=9):
+    """An n x len(s) design whose centred singular values are s."""
+    rng = np.random.default_rng(seed)
+    u = rng.normal(size=(n, len(s)))
+    u = np.linalg.qr(u - u.mean(axis=0))[0]
+    v = np.linalg.qr(rng.normal(size=(len(s), len(s))))[0]
+    return (u * s) @ v.T + rng.normal(size=len(s))
+
+
 #: The designs of the TestPCA cases; the oracle checks each at var_fraction 0.9 and 0.999.
 PCA_DATA = {
     "rank_one_line": _rank_one_line,
@@ -460,6 +484,16 @@ PCA_ORACLE_CASES = {
     "rank_one_above_rank": (_rank_one_line, {"n_components": 7}),
     "wide_100x3000": (lambda: np.random.default_rng(8).normal(size=(100, 3000)),
                       {"n_components": 20}),
+    # a fixed count takes only the top eigenpairs of a tall design
+    "one_component": (PCA_DATA["gaussian_6"], {"n_components": 1}),
+    "all_columns": (PCA_DATA["gaussian_8"], {"n_components": 8}),
+    "above_columns": (PCA_DATA["gaussian_6"], {"n_components": 9}),
+    # the top two eigenvalues agree to 2e-10, relative
+    "near_tie_at_top": (lambda: _with_spectrum([5, 5 * (1 - 1e-10), 3, 2, 1, 0.5]),
+                        {"n_components": 3}),
+    # the kept count splits two eigenvalues that agree to 2e-10
+    "near_tie_at_cut": (lambda: _with_spectrum([5, 3, 3 * (1 - 1e-10), 2, 1, 0.5]),
+                        {"n_components": 2}),
 }
 
 
@@ -471,7 +505,12 @@ def digits_2400():
 def assert_pca_matches_oracle(X, **kw):
     basis, (ref, power) = fc.pca_fit(X, **kw), reference_pca(X, **kw)
     assert basis.r == ref.r
+    # the oracle's retained fraction is cum[r - 1] of the full spectrum
     assert abs(basis.retained_fraction - ref.retained_fraction) <= 1e-12
+    # a basis of a tied eigenspace is arbitrary, but the variance it keeps is not
+    Xc = X - ref.means
+    kept = np.linalg.norm(Xc @ basis.components) ** 2 / np.linalg.norm(Xc) ** 2
+    assert abs(kept - basis.retained_fraction) <= 1e-12
     assert abs(basis.target_fraction - ref.target_fraction) <= 1e-12
     np.testing.assert_array_equal(basis.means, ref.means)
     # A component is determined only as well as its eigenvalue is separated
@@ -500,6 +539,31 @@ class TestPCAOracle:
     def test_digits_twenty_components(self, digits_2400):
         basis, _ = assert_pca_matches_oracle(digits_2400, n_components=20)
         assert basis.r == 20
+
+    def test_digits_one_component(self, digits_2400):
+        basis, _ = assert_pca_matches_oracle(digits_2400, n_components=1)
+        assert basis.r == 1
+
+    @pytest.mark.parametrize("case", sorted(PCA_ORACLE_CASES))
+    def test_fraction_selects_the_oracle_count(self, case):
+        X = PCA_ORACLE_CASES[case][0]()
+        for f in (0.5, 0.8, 0.9, 0.95, 0.99, 0.999):
+            assert fc.pca_fit(X, f).r == reference_pca(X, f)[0].r, f
+
+    def test_only_a_count_takes_a_subset(self, monkeypatch):
+        computed, eigh = [], scipy.linalg.eigh
+
+        def spy(*args, **kwargs):
+            power, v = eigh(*args, **kwargs)
+            computed.append(len(power))
+            return power, v
+
+        monkeypatch.setattr(scipy.linalg, "eigh", spy)
+        X = PCA_DATA["gaussian_8"]()
+        fc.pca_fit(X, n_components=3)
+        fc.pca_fit(X, n_components=20)
+        fc.pca_fit(X, 0.9)
+        assert computed == [3, 8, 8]
 
     def test_peak_memory_is_bounded(self, digits_2400):
         # the thin SVD holds the n x m left factor and a copy of the centred

@@ -16,7 +16,8 @@ def identity_net(width):
 def train_with_masks_list(X, Y, config):
     """Oracle: minibatch SGD that draws every dropout mask of a batch up
     front, one per layer position sized from the dense layer below it, and
-    runs a forward/backward pass over that list."""
+    runs a forward/backward pass over that list. Its backward pass carries
+    the gradient through every layer, down to the input of the first."""
     net = m.build_mlp(X.shape[1], config)
     rng = np.random.default_rng([config.seed, 1])
     for _ in range(config.epochs):
@@ -224,6 +225,33 @@ class TestTraining:
             if isinstance(got, m.DenseLayer):
                 np.testing.assert_array_equal(got.weights, want.weights)
                 np.testing.assert_array_equal(got.bias, want.bias)
+
+    @pytest.mark.parametrize("widths, acts, drops, output_kind", [
+        ((1,), (), (), "linear"),
+        ((6, 4, 1), ("tanh", "square"), (), "linear"),
+        ((12, 3), ("relu",), (0.3,), "softmax"),
+    ], ids=["one-layer", "no-dropout", "dropout-softmax"])
+    def test_backward_pass_stopped_at_the_first_layer_changes_no_weight(
+            self, widths, acts, drops, output_kind):
+        # the input gradient of the first dense layer is never formed; the
+        # oracle forms it, and every weight must still agree bit for bit
+        rng = np.random.default_rng(11)
+        X = rng.normal(size=(90, 7))
+        if output_kind == "softmax":
+            Y, _ = m.one_hot(rng.integers(0, widths[-1], 90))
+        else:
+            Y = rng.normal(size=(90, 1))
+        cfg = m.MLPConfig(widths, acts, drops, output_kind=output_kind, epochs=3,
+                          batch_size=16, learning_rate=0.05, seed=3)
+        net, oracle = m.train_mlp(X, Y, cfg), train_with_masks_list(X, Y, cfg)
+        for got, want in zip(net.layers, oracle.layers):
+            if isinstance(got, m.DenseLayer):
+                assert np.array_equal(got.weights, want.weights)
+                assert np.array_equal(got.bias, want.bias)
+
+    def test_zero_input_width_rejected(self):
+        with pytest.raises(ValueError, match="input width"):
+            m.build_mlp(0, m.MLPConfig((5, 1)))
 
     def test_divergence_detected(self):
         rng = np.random.default_rng(0)
