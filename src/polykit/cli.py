@@ -15,9 +15,10 @@ choices and range is its argument type, and the rules that tie options
 together are checked right after it. Warnings are summarized on stderr;
 data goes to stdout or files.
 
-Exit codes: 0 success; 2 usage or config error; 3 unusable input data;
-4 numeric or training failure; 5 size budget exceeded; 6 bad model or
-weight container.
+Exit codes: 0 success; 2 usage or config error, or an output path that
+cannot be written; 3 unusable input data; 4 numeric or training failure;
+5 size budget exceeded; 6 bad model or weight container. The package's
+error types carry their own codes (``errors``).
 """
 
 from __future__ import annotations
@@ -33,6 +34,8 @@ from . import diagnostics, equivalence, fitcore, modelio, mlp as mlpmod, polyter
 from .dataset import (
     DummyGroups,
     encode_design,
+    holdout,
+    key_value_lines,
     load_csv,
     load_design_for_predict,
     parse_schema_sidecar,
@@ -48,10 +51,10 @@ from .errors import (
 
 EXIT_OK = 0
 EXIT_USAGE = 2
-EXIT_DATA = 3
-EXIT_NUMERIC = 4
-EXIT_BUDGET = 5
-EXIT_MODEL = 6
+EXIT_DATA = DataError.exit_code
+EXIT_NUMERIC = TrainingDiverged.exit_code
+EXIT_BUDGET = MemoryBudgetError.exit_code
+EXIT_MODEL = ModelFormatError.exit_code
 
 RESULTS_HEADER = "setting,dataset,seed,metric,value"
 
@@ -62,23 +65,16 @@ def _config_arguments(sub: argparse.ArgumentParser, path) -> list[str]:
     is true and nothing when it is false."""
     out = []
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, 1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    sub.error(f"{path}:{lineno}: expected 'key = value'")
-                key, value = (part.strip() for part in line.split("=", 1))
-                flag = "--" + key.replace("_", "-")
-                if sub.get_default(key.replace("-", "_")) is not False:
-                    out.append(f"{flag}={value}")
-                elif value.lower() in ("true", "1", "yes"):
-                    out.append(flag)
-                elif value.lower() not in ("false", "0", "no"):
-                    sub.error(f"config key {key!r} expects a boolean, got {value!r}")
-    except (OSError, UnicodeDecodeError) as exc:
-        sub.error(f"cannot read config file {path}: {exc}")
+        for _, key, value in key_value_lines(path, "config"):
+            flag = "--" + key.replace("_", "-")
+            if sub.get_default(key.replace("-", "_")) is not False:
+                out.append(f"{flag}={value}")
+            elif value.lower() in ("true", "1", "yes"):
+                out.append(flag)
+            elif value.lower() not in ("false", "0", "no"):
+                sub.error(f"config key {key!r} expects a boolean, got {value!r}")
+    except DataError as exc:
+        sub.error(str(exc))
     return out
 
 
@@ -212,7 +208,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     demo.add_argument("--inputs", type=AT_LEAST_ONE, default=2, help="input features (default 2)")
     demo.add_argument("--layers", type=AT_LEAST_ONE, default=2, help="layers (default 2)")
     demo.add_argument("--units", type=AT_LEAST_ONE, default=3, help="units per layer (default 3)")
-    demo.add_argument("--activation", choices=("square", "identity"), default="square")
+    demo.add_argument("--activation", choices=equivalence.POLYNOMIAL_ACTIVATIONS,
+                      default="square")
     demo.add_argument("--points", type=AT_LEAST_ONE, default=100,
                       help="random evaluation points (default 100)")
     demo.set_defaults(func=cmd_equiv_demo)
@@ -267,10 +264,16 @@ def _append_result(path, setting: str, dataset: str, seed: int, metric: str, val
         fh.write(f"{setting},{dataset},{seed},{metric},{value!r}\n")
 
 
-def cmd_fit(args) -> int:
+def _load_table(args):
+    """The ``--data`` CSV, typed by the ``--schema`` sidecar, ``--response``
+    and ``--classify``."""
     hints = parse_schema_sidecar(args.schema) if args.schema else {}
-    ds = load_csv(args.data, kind_hints=hints or None, response=args.response,
-                  classify=args.classify)
+    return load_csv(args.data, kind_hints=hints or None, response=args.response,
+                    classify=args.classify)
+
+
+def cmd_fit(args) -> int:
+    ds = _load_table(args)
 
     classify = ds.schema.is_classification
     method = args.method
@@ -371,9 +374,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_vif_probe(args) -> int:
-    hints = parse_schema_sidecar(args.schema) if args.schema else {}
-    ds = load_csv(args.data, kind_hints=hints or None, response=args.response,
-                  classify=args.classify)
+    ds = _load_table(args)
     design, _ = encode_design(ds)
 
     if args.weights:
@@ -407,10 +408,8 @@ def cmd_vif_probe(args) -> int:
         )
         net = mlpmod.train_mlp(design, targets, config)
 
-    rng = np.random.default_rng(args.seed)
     n = design.shape[0]
-    rows = min(args.probe_rows, n)
-    idx = np.sort(rng.choice(n, size=rows, replace=False))
+    _, idx = holdout(n, min(args.probe_rows, n), args.seed)
     reports = diagnostics.probe_layers(net, design[idx])
     sys.stdout.write(diagnostics.format_reports(reports))
     if args.csv:
@@ -438,6 +437,15 @@ def cmd_equiv_demo(args) -> int:
     return EXIT_OK
 
 
+def _exit_code(exc: Exception) -> int:
+    """A package error's own exit code; any other ValueError is a numeric
+    failure, and an OSError is an unusable output path, since every input
+    read wraps its OSError in a package error."""
+    if isinstance(exc, PolykitError):
+        return exc.exit_code
+    return EXIT_NUMERIC if isinstance(exc, ValueError) else EXIT_USAGE
+
+
 def main(argv=None) -> int:
     parser, table = build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
@@ -461,21 +469,9 @@ def main(argv=None) -> int:
         warnings.simplefilter("always")
         try:
             rc = args.func(args)
-        except DataError as exc:
+        except (PolykitError, ValueError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
-            return EXIT_DATA
-        except MemoryBudgetError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_BUDGET
-        except TrainingDiverged as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_NUMERIC
-        except ModelFormatError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_MODEL
-        except (ValueError, PolykitError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_NUMERIC
+            return _exit_code(exc)
         finally:
             for w in caught:
                 print(f"warning: {w.message}", file=sys.stderr)

@@ -29,14 +29,6 @@ MISSING_TOKENS = frozenset({"", "na", "nan", "n/a", "null"})
 DEFAULT_CATEGORICAL_THRESHOLD = 12
 
 
-def _is_number(token: str) -> bool:
-    try:
-        float(token)
-    except ValueError:
-        return False
-    return True
-
-
 def _floats(values: list[str]) -> np.ndarray | None:
     """The cells as float64 in one conversion, or None when one is not a
     number. NumPy accepts exactly the spellings ``float`` accepts."""
@@ -58,7 +50,7 @@ def _typed_columns(path, specs, values: dict[str, list[str]],
             continue
         arr = parsed[spec.name] if spec.name in parsed else _floats(cells)
         if arr is None:
-            bad = next(v for v in cells if not _is_number(v))
+            bad = next(v for v in cells if _floats([v]) is None)
             raise DataError(f"{path}: non-numeric value {bad!r} in numeric column {spec.name!r}")
         columns[spec.name] = arr
     return columns
@@ -204,13 +196,10 @@ class DummyGroups:
         return cls(groups=(), numeric_indices=tuple(range(width)), column_names=names)
 
 
-def parse_schema_sidecar(path) -> dict[str, str]:
-    """Read a schema sidecar file: one ``column = kind`` line per column.
-
-    Blank lines and ``#`` comments are ignored. Kinds are the four column
-    kinds; categorical level sets are always inferred from the data.
-    """
-    hints: dict[str, str] = {}
+def key_value_lines(path, role: str, form: str = "key = value"):
+    """``(lineno, key, value)`` of each line of a UTF-8 ``role`` file, split at
+    the first ``=``; ``#`` comments and blank lines are skipped. An unreadable
+    file, or a line without ``=`` (expected: ``form``), is a ``DataError``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, 1):
@@ -218,13 +207,22 @@ def parse_schema_sidecar(path) -> dict[str, str]:
                 if not line:
                     continue
                 if "=" not in line:
-                    raise DataError(f"{path}:{lineno}: expected 'column = kind'")
-                name, kind = (part.strip() for part in line.split("=", 1))
-                if kind not in COLUMN_KINDS:
-                    raise DataError(f"{path}:{lineno}: unknown kind {kind!r}")
-                hints[name] = kind
+                    raise DataError(f"{path}:{lineno}: expected '{form}'")
+                key, value = (part.strip() for part in line.split("=", 1))
+                yield lineno, key, value
     except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"cannot read schema file {path}: {exc}") from exc
+        raise DataError(f"cannot read {role} file {path}: {exc}") from exc
+
+
+def parse_schema_sidecar(path) -> dict[str, str]:
+    """Read a schema sidecar file: one ``column = kind`` line per column.
+    Kinds are the four column kinds; categorical level sets are always
+    inferred from the data."""
+    hints: dict[str, str] = {}
+    for lineno, name, kind in key_value_lines(path, "schema", "column = kind"):
+        if kind not in COLUMN_KINDS:
+            raise DataError(f"{path}:{lineno}: unknown kind {kind!r}")
+        hints[name] = kind
     return hints
 
 
@@ -302,23 +300,18 @@ def load_csv(
     specs = []
     for name in header:
         values = col_values[name]
-        parsed[name] = _floats(values)
-        numeric = parsed[name] is not None
-        if name == resp_name:
-            kind = "response_numeric" if numeric else "response_class"
-            specs.append(ColumnSpec(name, kind))
-        elif not numeric or len(set(values)) <= categorical_threshold:
-            levels = tuple(sorted(set(values)))
-            specs.append(ColumnSpec(name, "categorical", levels))
-        else:
-            specs.append(ColumnSpec(name, "numeric"))
-    # apply explicit kind hints on top of inference
-    for i, spec in enumerate(specs):
-        hint = hints.get(spec.name)
-        if hint is None or hint == spec.kind:
-            continue
-        levels = tuple(sorted(set(col_values[spec.name]))) if hint == "categorical" else ()
-        specs[i] = ColumnSpec(spec.name, hint, levels)
+        kind = hints.get(name)
+        if kind is None:
+            parsed[name] = _floats(values)
+            numeric = parsed[name] is not None
+            if name == resp_name:
+                kind = "response_numeric" if numeric else "response_class"
+            elif numeric and len(set(values)) > categorical_threshold:
+                kind = "numeric"
+            else:
+                kind = "categorical"
+        levels = tuple(sorted(set(values))) if kind == "categorical" else ()
+        specs.append(ColumnSpec(name, kind, levels))
     schema = Schema(tuple(specs))
 
     columns = _typed_columns(path, schema.columns, col_values, parsed)
@@ -399,12 +392,18 @@ def split(ds: Dataset, seed: int) -> tuple[Dataset, Dataset]:
     if test_n == 0:
         raise DataError(f"the test split (a fifth of the rows) of {n} row(s) is empty;"
                         " the data needs at least 5 rows")
-    rng = np.random.default_rng(seed)
-    test_idx = np.sort(rng.choice(n, size=test_n, replace=False))
-    mask = np.ones(n, dtype=bool)
-    mask[test_idx] = False
-    train_idx = np.flatnonzero(mask)
+    train_idx, test_idx = holdout(n, test_n, seed)
     return ds.take(train_idx), ds.take(test_idx)
+
+
+def holdout(n: int, k: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted row indices ``(kept, held)``: ``held`` is k of the n rows drawn
+    uniformly without replacement under ``seed``, ``kept`` the rest."""
+    rng = np.random.default_rng(seed)
+    held = np.sort(rng.choice(n, size=k, replace=False))
+    mask = np.ones(n, dtype=bool)
+    mask[held] = False
+    return np.flatnonzero(mask), held
 
 
 def load_design_for_predict(path, schema: Schema) -> np.ndarray:

@@ -18,7 +18,7 @@ import numpy as np
 import scipy.linalg
 
 from . import mlp as mlpmod
-from .fitcore import centre_columns, pivoted_qr, pivoted_rank
+from .fitcore import centre_columns, column_norms, pivoted_qr, pivoted_rank
 # not called here; perfbench's tracer test expects fit_ols bound in two modules
 from .fitcore import fit_ols  # noqa: F401
 
@@ -57,7 +57,7 @@ def vif(X: np.ndarray) -> np.ndarray:
     if live.size == 0:
         return values
     Z = np.asfortranarray(Xc[:, live])
-    Z /= np.linalg.norm(Z, axis=0)
+    Z /= column_norms(Z)
     r, piv, _ = pivoted_qr(Z, live.size)
     rank, tol = pivoted_rank(r, X.shape[0])
     r_inv = scipy.linalg.solve_triangular(r[:rank, :rank], np.eye(rank))

@@ -33,6 +33,9 @@ PRUNE_TOL = 1e-12
 #: Default cap on the total number of stored coefficients per layer.
 DEFAULT_COEF_BUDGET = 1_000_000
 
+#: The activations under which a network stays an exact polynomial.
+POLYNOMIAL_ACTIVATIONS = ("square", "identity")
+
 
 def _numeric_terms(nvars: int, degree: int) -> TermSet:
     return enumerate_terms(nvars, DummyGroups.all_numeric(nvars), PolySpec(degree))
@@ -159,7 +162,7 @@ def extract_layer_polynomials(
         if isinstance(layer, DropoutLayer):
             per_layer.append(list(current))
             continue
-        if layer.activation not in ("square", "identity"):
+        if layer.activation not in POLYNOMIAL_ACTIVATIONS:
             raise ValueError(
                 f"activation {layer.activation!r} is not polynomial; extraction"
                 " supports square and identity only"
@@ -195,7 +198,7 @@ def random_polynomial_network(
     """Random dense network whose every layer (output included) carries the
     given polynomial activation; weights and biases are uniform on
     +-1/sqrt(fan_in). Generic draws keep the extracted degree maximal."""
-    if activation not in ("square", "identity"):
+    if activation not in POLYNOMIAL_ACTIVATIONS:
         raise ValueError("activation must be 'square' or 'identity'")
     for name, size in (("n_inputs", n_inputs), ("n_layers", n_layers), ("units", units)):
         if size < 1:

@@ -41,7 +41,7 @@ def _check_finite(X: np.ndarray, y: np.ndarray | None = None) -> None:
         raise ValueError("non-finite values in response")
 
 
-def _column_norms(A: np.ndarray) -> np.ndarray:
+def column_norms(A: np.ndarray) -> np.ndarray:
     """Euclidean norm of each column, with no temporary the size of A
     (``np.linalg.norm(A, axis=0)`` squares A into one)."""
     return np.sqrt(np.einsum("ij,ij->j", A, A))
@@ -54,7 +54,7 @@ def centre_columns(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     means = X.mean(axis=0)
     Xc = X - means
     eps = np.finfo(np.float64).eps
-    constant = _column_norms(Xc) <= max(X.shape) * eps * _column_norms(X)
+    constant = column_norms(Xc) <= max(X.shape) * eps * column_norms(X)
     Xc[:, constant] = 0.0
     return Xc, means, constant
 
@@ -63,7 +63,7 @@ def standardize_columns(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     """Z-scaled columns, their means and scales; the constant columns of
     :func:`centre_columns` stay exact zeros with scale 1."""
     Z, means, constant = centre_columns(X)
-    scales = X.std(axis=0)
+    scales = column_norms(Z) / np.sqrt(X.shape[0])  # X.std(), with no centred copy
     scales[constant] = 1.0
     Z /= scales
     return Z, means, scales
@@ -394,33 +394,25 @@ def fit_poly_model(
     cell_budget: int = polyterms.DEFAULT_CELL_BUDGET,
 ) -> PolyModel:
     """Expand the (optionally PCA-reduced) design and fit by ``method``."""
+    if method not in ("ols", "ridge", "logistic"):
+        raise ValueError(f"unknown fit method {method!r}")
+    if method == "ridge" and lam is None:
+        raise ValueError("ridge requires a penalty value")
     Z = pca_transform(pca, design) if pca is not None else np.asarray(design, dtype=np.float64)
     P = polyterms.expand(Z, terms, cell_budget=cell_budget)
-    if method == "ols":
-        fit = fit_ols(P, response)
-        return PolyModel(
-            terms, fit.intercept, fit.coef, "ols",
-            pca=pca, aliased=fit.aliased, schema=schema, groups=groups,
-        )
-    if method == "ridge":
-        if lam is None:
-            raise ValueError("ridge requires a penalty value")
-        fit = fit_ridge(P, response, lam)
-        return PolyModel(
-            terms, fit.intercept, fit.coef, "ridge", lam=lam,
-            pca=pca, schema=schema, groups=groups,
-        )
     if method == "logistic":
-        lf = fit_logistic_ova(P, response, max_iter, tol)
-        stalled = [c for c, ok in zip(lf.classes, lf.converged) if not ok]
+        fit = fit_logistic_ova(P, response, max_iter, tol)
+        stalled = [c for c, ok in zip(fit.classes, fit.converged) if not ok]
         if stalled:
             warnings.warn(f"logistic fit did not converge within {max_iter} Newton iterations"
                           f" for class(es) {', '.join(map(repr, stalled))}")
-        return PolyModel(
-            terms, lf.intercepts, lf.coefs, "logistic",
-            pca=pca, classes=lf.classes, schema=schema, groups=groups,
-        )
-    raise ValueError(f"unknown fit method {method!r}")
+        intercept, coef, extra = fit.intercepts, fit.coefs, {"classes": fit.classes}
+    else:
+        fit = fit_ols(P, response) if method == "ols" else fit_ridge(P, response, lam)
+        intercept, coef = fit.intercept, fit.coef
+        extra = {"aliased": fit.aliased} if method == "ols" else {"lam": lam}
+    return PolyModel(terms, intercept, coef, method, pca=pca, schema=schema, groups=groups,
+                     **extra)
 
 
 #: New rows are expanded and scored this many cells (16 MiB of float64) at a

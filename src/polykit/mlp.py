@@ -15,40 +15,35 @@ import numpy as np
 
 from .errors import ModelFormatError, TrainingDiverged
 
-HIDDEN_ACTIVATIONS = ("relu", "tanh", "square", "identity")
+#: Each hidden activation as (elementwise function, its derivative d/dz);
+#: softmax, an output only, is the one other kind.
+ACTIVATIONS = {
+    "relu": (lambda z: np.maximum(z, 0.0), lambda z: (z > 0.0).astype(z.dtype)),
+    "tanh": (np.tanh, lambda z: 1.0 - np.tanh(z) ** 2),
+    "square": (lambda z: z**2, lambda z: 2.0 * z),
+    "identity": (lambda z: z, np.ones_like),
+}
+HIDDEN_ACTIVATIONS = tuple(ACTIVATIONS)
 
 WEIGHTS_HEADER = "polykit-mlp 2"
 WEIGHTS_V1_HEADER = "polykit-mlp 1"  # no layer count; still loads
 
 
 def apply_activation(kind: str, z: np.ndarray) -> np.ndarray:
-    if kind == "relu":
-        return np.maximum(z, 0.0)
-    if kind == "tanh":
-        return np.tanh(z)
-    if kind == "square":
-        return z**2
-    if kind == "identity":
-        return z
     if kind == "softmax":
         shifted = z - z.max(axis=1, keepdims=True)
         e = np.exp(shifted)
         return e / e.sum(axis=1, keepdims=True)
-    raise ValueError(f"unknown activation {kind!r}")
+    if kind not in ACTIVATIONS:
+        raise ValueError(f"unknown activation {kind!r}")
+    return ACTIVATIONS[kind][0](z)
 
 
 def activation_grad(kind: str, z: np.ndarray) -> np.ndarray:
     """d activation / d z, elementwise (not defined for softmax)."""
-    if kind == "relu":
-        return (z > 0.0).astype(z.dtype)
-    if kind == "tanh":
-        t = np.tanh(z)
-        return 1.0 - t**2
-    if kind == "square":
-        return 2.0 * z
-    if kind == "identity":
-        return np.ones_like(z)
-    raise ValueError(f"no elementwise gradient for activation {kind!r}")
+    if kind not in ACTIVATIONS:
+        raise ValueError(f"no elementwise gradient for activation {kind!r}")
+    return ACTIVATIONS[kind][1](z)
 
 
 @dataclass(frozen=True)

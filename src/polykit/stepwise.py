@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fitcore, polyterms
-from .dataset import Dataset, encode_design
+from .dataset import Dataset, encode_design, holdout
 from .errors import DataError
 from .polyterms import TermSet
 
@@ -90,7 +90,7 @@ class _OrthogonalScorer:
     def __init__(self, P_sub: np.ndarray, y_sub: np.ndarray, P_val: np.ndarray,
                  y_val: np.ndarray, base_score: float):
         mean = P_sub.mean(axis=0)
-        self.norms = np.linalg.norm(P_sub, axis=0)
+        self.norms = fitcore.column_norms(P_sub)
         self.resid = P_sub - mean  # candidate residuals against the basis
         self.vresid = P_val - mean  # the same combinations on validation rows
         self.y_res = y_sub - y_sub.mean()
@@ -191,11 +191,7 @@ def fsr(train: Dataset, config: FSRConfig, seed: int) -> FSRResult:
     if n_val < 1:
         raise DataError("validation holdout would be empty")
 
-    rng = np.random.default_rng(seed)
-    val_idx = np.sort(rng.choice(n, size=n_val, replace=False))
-    mask = np.ones(n, dtype=bool)
-    mask[val_idx] = False
-    sub_idx = np.flatnonzero(mask)
+    sub_idx, val_idx = holdout(n, n_val, seed)
 
     expanded = polyterms.expand(design, config.candidates)
     P_sub, P_val = expanded[sub_idx], expanded[val_idx]

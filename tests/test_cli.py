@@ -830,3 +830,150 @@ def _token_type(token):
 @pytest.mark.parametrize("command", ["fit", "predict", "vif-probe", "equiv-demo"])
 def test_threads_is_not_an_option(command):
     assert main([command, "--threads", "2"]) == EXIT_USAGE
+
+
+class TestOutputPaths:
+    """An output path that cannot be written is a usage error (exit 2) with an
+    ``error:`` line, not a traceback."""
+
+    def test_out_dir_names_a_file(self, tmp_path, quad_csv, capsys):
+        rc = main(["fit", "--data", str(quad_csv), "--out-dir", str(quad_csv)])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "error: " in err and "Traceback" not in err
+
+    def test_results_in_a_missing_directory(self, tmp_path, quad_csv, capsys):
+        rc = main(["fit", "--data", str(quad_csv), "--out-dir", str(tmp_path / "out"),
+                   "--results", str(tmp_path / "absent" / "results.csv")])
+        assert rc == EXIT_USAGE
+        assert "error: " in capsys.readouterr().err
+
+    def test_predict_out_names_a_directory(self, tmp_path, quad_csv, capsys):
+        assert main(["fit", "--data", str(quad_csv), "--out-dir", str(tmp_path)]) == EXIT_OK
+        rc = main(["predict", "--model", str(tmp_path / "model.json"), "--data", str(quad_csv),
+                   "--out", str(tmp_path)])
+        assert rc == EXIT_USAGE
+        assert "error: " in capsys.readouterr().err
+
+    def test_vif_probe_csv_names_a_directory(self, tmp_path, capsys):
+        rc = main(["vif-probe", "--data", str(TestFit._blobs_csv(tmp_path)), "--widths", "4,1",
+                   "--epochs", "0", "--csv", str(tmp_path)])
+        assert rc == EXIT_USAGE
+        assert "error: " in capsys.readouterr().err
+
+
+class TestKeyValueFiles:
+    """Config files and schema sidecars share one reader: a file it cannot
+    use is a usage error as a config (exit 2) and a data error as a sidecar
+    (exit 3); comments and blank lines are skipped in both."""
+
+    @pytest.mark.parametrize("content, config, sidecar", [
+        (b"# nothing but a comment\n", (EXIT_OK, ""), (EXIT_OK, "")),
+        (b"\n  \n\n", (EXIT_OK, ""), (EXIT_OK, "")),
+        (b"# header\ndegree\n", (EXIT_USAGE, "lines.txt:2: expected 'key = value'"),
+         (EXIT_DATA, "lines.txt:2: expected 'column = kind'")),
+        (b"# \xff\n", (EXIT_USAGE, "cannot read config file"),
+         (EXIT_DATA, "cannot read schema file")),
+    ], ids=["comment-only", "blank", "no-equals", "not-utf8"])
+    def test_both_roles(self, tmp_path, quad_csv, capsys, content, config, sidecar):
+        path = tmp_path / "lines.txt"
+        path.write_bytes(content)
+        fit = ["fit", "--data", str(quad_csv), "--degree", "1", "--out-dir", str(tmp_path)]
+        for option, (rc, message) in (("--config", config), ("--schema", sidecar)):
+            assert main(fit + [option, str(path)]) == rc
+            err = capsys.readouterr().err
+            assert message in err and "Traceback" not in err
+
+
+#: Cells of a fuzzed CSV column: numbers, text levels, missing tokens and
+#: non-finite spellings.
+FUZZ_CELLS = ("0", "1", "2", "-2.5", "3e3", "0.1", "a", "b", "", "nan", "inf", "-inf", "NA")
+
+
+@st.composite
+def fuzz_tables(draw, header):
+    """CSV text under ``header`` with 0 to 20 rows; each column draws its cells
+    from a pool of 1 to 4 entries (one entry: a constant or single-level
+    column) or from random floats."""
+    pools = []
+    for _ in header:
+        if draw(st.booleans()):
+            pools.append(st.floats(-10, 10).map(lambda v: f"{v:.3f}"))
+        else:
+            pools.append(st.sampled_from(
+                draw(st.lists(st.sampled_from(FUZZ_CELLS), min_size=1, max_size=4))))
+    rows = draw(st.lists(st.tuples(*pools), max_size=20))
+    return "\n".join([",".join(header)] + [",".join(r) for r in rows]) + "\n"
+
+
+def _fit_options(draw) -> list[str]:
+    method = draw(st.sampled_from(["auto", "ols", "ridge", "logistic"]))
+    degree = draw(st.integers(1, 2))
+    args = ["--degree", str(degree), "--interact", str(draw(st.integers(1, degree))),
+            "--method", method, "--max-iter", str(draw(st.integers(1, 4)))]
+    if method == "ridge":
+        args += ["--ridge-lambda", "0.5"]
+    if draw(st.booleans()):
+        args.append("--classify")
+    if method != "ridge" and draw(st.booleans()):
+        args += ["--fsr", "--min-models", str(draw(st.integers(1, 5))),
+                 "--validation-fraction", str(draw(st.sampled_from([0.2, 0.5, 0.9])))]
+    elif draw(st.booleans()):
+        args += ["--pca", str(draw(st.sampled_from([0.5, 0.9, 1.0])))]
+    if draw(st.booleans()):
+        args += ["--keep-fraction", str(draw(st.sampled_from([0.3, 0.7])))]
+    return args
+
+
+def _vif_probe_options(draw) -> list[str]:
+    hidden = draw(st.lists(st.integers(1, 4), max_size=2))
+    widths = hidden + [draw(st.integers(1, 3))]
+    args = ["--widths", ",".join(map(str, widths)), "--epochs", str(draw(st.integers(0, 2))),
+            "--batch-size", str(draw(st.integers(1, 8))),
+            "--probe-rows", str(draw(st.integers(1, 10))),
+            "--learning-rate", str(draw(st.sampled_from([0.01, 0.5, 50.0])))]
+    if hidden and draw(st.booleans()):
+        acts = draw(st.lists(st.sampled_from(m.HIDDEN_ACTIVATIONS),
+                             min_size=len(hidden), max_size=len(hidden)))
+        args += ["--activations", ",".join(acts)]
+    if hidden and draw(st.booleans()):
+        args += ["--dropout", ",".join(["0.5"] * len(hidden))]
+    if draw(st.booleans()):
+        args.append("--classify")
+    return args
+
+
+class TestSubcommandFuzz:
+    """Every subcommand, with valid options, on small generated CSVs (no rows,
+    one row, constant or single-level columns, one class, missing and
+    non-finite cells) ends with a documented exit code and raises nothing."""
+
+    DOCUMENTED = {0, 2, 3, 4, 5, 6}
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_every_subcommand(self, fuzz_inputs, data):
+        root, _, _ = fuzz_inputs
+        command = data.draw(st.sampled_from(["fit", "predict", "vif-probe", "equiv-demo"]))
+        seed = ["--seed", str(data.draw(st.integers(0, 3)))]
+        if command == "equiv-demo":
+            sizes = [data.draw(st.integers(1, 3)) for _ in range(4)]
+            args = ["--inputs", str(sizes[0]), "--layers", str(sizes[1]), "--units",
+                    str(sizes[2]), "--points", str(sizes[3]),
+                    "--activation", data.draw(st.sampled_from(["square", "identity"]))]
+            assert main(["equiv-demo", *seed, *args]) in self.DOCUMENTED
+            return
+        header = data.draw(st.sampled_from([("u", "c", "y"), ("u", "y"), ("c", "v", "w", "y")]))
+        table = root / "table.csv"
+        table.write_text(data.draw(fuzz_tables(header)), encoding="utf-8")
+        if command == "vif-probe":
+            rc = main(["vif-probe", "--data", str(table), *seed, *_vif_probe_options(data.draw)])
+        elif command == "fit":
+            rc = main(["fit", "--data", str(table), "--out-dir", str(root / "fuzz-fit"),
+                       *seed, *_fit_options(data.draw)])
+        else:
+            # the saved regression model reads columns u and c; a table
+            # without them is a data error
+            rc = main(["predict", "--model", str(root / "reg" / "model.json"),
+                       "--data", str(table), "--out", str(root / "preds.csv")])
+        assert rc in self.DOCUMENTED

@@ -6,12 +6,15 @@ import numpy as np
 import pytest
 
 from polykit.dataset import (
+    DEFAULT_CATEGORICAL_THRESHOLD,
+    RESPONSE_KINDS,
     ColumnSpec,
     Dataset,
     DummyGroups,
     Schema,
     dataset_from_arrays,
     encode_design,
+    holdout,
     load_csv,
     load_design_for_predict,
     parse_schema_sidecar,
@@ -24,6 +27,35 @@ def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return path
+
+
+def two_pass_schema(values: dict[str, list[str]], hints: dict[str, str], threshold: int):
+    """Oracle: infer a kind for every column, then replace the hinted ones,
+    recomputing a hinted categorical's levels."""
+    response = next((n for n, k in hints.items() if k in RESPONSE_KINDS), list(values)[-1])
+    specs = []
+    for name, cells in values.items():
+        numeric = all(_is_float(v) for v in cells)
+        if name == response:
+            specs.append(ColumnSpec(name, "response_numeric" if numeric else "response_class"))
+        elif not numeric or len(set(cells)) <= threshold:
+            specs.append(ColumnSpec(name, "categorical", tuple(sorted(set(cells)))))
+        else:
+            specs.append(ColumnSpec(name, "numeric"))
+    for i, spec in enumerate(specs):
+        hint = hints.get(spec.name)
+        if hint is not None and hint != spec.kind:
+            levels = tuple(sorted(set(values[spec.name]))) if hint == "categorical" else ()
+            specs[i] = ColumnSpec(spec.name, hint, levels)
+    return Schema(tuple(specs))
+
+
+def _is_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
 
 
 class TestLoadCsv:
@@ -77,6 +109,29 @@ class TestLoadCsv:
         ds = load_csv(path, kind_hints=hints, categorical_threshold=0)
         assert ds.schema.column("u").kind == "categorical"
         assert ds.schema.column("v").kind == "numeric"
+
+    @pytest.mark.parametrize("column", ["u", "c", "k", "y"])
+    @pytest.mark.parametrize("hint", [None, "numeric", "categorical", "response_numeric",
+                                      "response_class"])
+    def test_hint_replaces_the_inferred_kind(self, tmp_path, column, hint):
+        # u: many numbers, c: text, k: few numbers, y: numeric response
+        values = {"u": [f"{i * 1.5}" for i in range(20)], "c": ["pq"[i % 2] for i in range(20)],
+                  "k": [str(i % 3) for i in range(20)], "y": [str(i) for i in range(20)]}
+        rows = [",".join(cells) for cells in zip(*values.values())]
+        path = write(tmp_path, "t.csv", "u,c,k,y\n" + "\n".join(rows) + "\n")
+        hints = {} if hint is None else {column: hint}
+        try:
+            want = two_pass_schema(values, hints, DEFAULT_CATEGORICAL_THRESHOLD)
+        except DataError:
+            with pytest.raises(DataError):
+                load_csv(path, kind_hints=hints)
+            return
+        if any(c.kind in ("numeric", "response_numeric")
+               and not all(_is_float(v) for v in values[c.name]) for c in want.columns):
+            with pytest.raises(DataError, match="non-numeric value"):
+                load_csv(path, kind_hints=hints)
+            return
+        assert load_csv(path, kind_hints=hints).schema == want
 
     def test_non_numeric_cell_in_schema_numeric_column(self, tmp_path):
         schema = Schema((ColumnSpec("u", "numeric"), ColumnSpec("y", "response_numeric")))
@@ -285,6 +340,25 @@ class TestSplit:
         ds = dataset_from_arrays(np.arange(5.0)[:, None], np.zeros(5))
         train, test = split(ds, seed=0)
         assert (train.n, test.n) == (4, 1)
+
+
+class TestHoldout:
+    @pytest.mark.parametrize("n, k, seed", [(5, 1, 0), (10, 3, 7), (997, 199, 11),
+                                            (2000, 2000, 3), (50000, 10000, 1311)])
+    def test_matches_the_inline_draw(self, n, k, seed):
+        rng = np.random.default_rng(seed)
+        want_held = np.sort(rng.choice(n, size=k, replace=False))
+        want_kept = np.setdiff1d(np.arange(n), want_held)
+        kept, held = holdout(n, k, seed)
+        np.testing.assert_array_equal(held, want_held)
+        np.testing.assert_array_equal(kept, want_kept)
+
+    def test_split_holds_out_the_test_rows(self):
+        ds = dataset_from_arrays(np.arange(50.0)[:, None], np.zeros(50))
+        train, test = split(ds, seed=4)
+        kept, held = holdout(50, 10, 4)
+        np.testing.assert_array_equal(train.columns["x0"], kept)
+        np.testing.assert_array_equal(test.columns["x0"], held)
 
 
 class TestPredictLoader:

@@ -220,9 +220,10 @@ class TestOLSOracle:
 class TestCentring:
     def test_peak_memory_is_bounded(self):
         # the column norms are einsum reductions: np.linalg.norm(axis=0)
-        # squared a design-sized temporary for each of them
+        # squared a design-sized temporary for each of them, and the scales
+        # come from the centred columns, where X.std() centred a second copy
         X = np.random.default_rng(8).normal(3.0, 2.0, size=(4000, 150))
-        for centre, bound in ((fc.centre_columns, 1.5), (fc.standardize_columns, 2.5)):
+        for centre, bound in ((fc.centre_columns, 1.5), (fc.standardize_columns, 1.5)):
             tracemalloc.start()
             try:
                 centre(X)
@@ -230,6 +231,17 @@ class TestCentring:
             finally:
                 tracemalloc.stop()
             assert peak <= bound * X.nbytes, (centre.__name__, peak / X.nbytes)
+
+
+    def test_scales_are_the_standard_deviations(self):
+        X = np.random.default_rng(3).normal(3.0, 2.0, size=(500, 4))
+        X[:, 2] = 0.1  # constant, with an inexact mean
+        Z, means, scales = fc.standardize_columns(X)
+        want = X.std(axis=0)
+        want[2] = 1.0
+        np.testing.assert_allclose(scales, want, rtol=1e-13, atol=0)
+        np.testing.assert_array_equal(Z[:, 2], 0.0)
+        np.testing.assert_allclose(Z * scales + means, X, rtol=0, atol=1e-13 * np.abs(X).max())
 
 
 class TestRidge:
@@ -653,6 +665,17 @@ class TestPredict:
         rng = np.random.default_rng(2)
         X = rng.normal(size=(200, 2))
         return X, np.digitize(X[:, 0] + 0.5 * rng.normal(size=200), [-0.5, 0.5])
+
+    @pytest.mark.parametrize("method, kw", [("bogus", {}), ("ridge", {})],
+                             ids=["unknown-method", "ridge-without-penalty"])
+    def test_bad_method_fails_before_expansion(self, monkeypatch, method, kw):
+        def no_expansion(*args, **kwargs):
+            raise AssertionError("expand called")
+
+        monkeypatch.setattr(polyterms, "expand", no_expansion)
+        X = np.random.default_rng(0).normal(size=(10, 2))
+        with pytest.raises(ValueError, match="unknown fit method|requires a penalty"):
+            self._model(X, X[:, 0], method=method, **kw)
 
     def test_logistic_non_convergence_warns(self):
         X, labels = self._three_classes()

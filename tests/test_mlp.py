@@ -127,6 +127,7 @@ class TestGradients:
             ("linear", ("tanh", "square"), (4, 3, 2)),
             ("linear", ("relu",), (5, 1)),
             ("softmax", ("identity",), (4, 3)),
+            ("linear", m.HIDDEN_ACTIVATIONS, (4, 4, 3, 3, 2)),  # every table entry
         ],
     )
     def test_matches_central_differences(self, output_kind, acts, widths):
