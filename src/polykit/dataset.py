@@ -235,7 +235,7 @@ def _read_rows(path) -> tuple[list[str], list[list[str]]]:
             except StopIteration:
                 raise DataError(f"{path}: empty file") from None
             rows = list(reader)
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     return [h.strip() for h in header], rows
 
@@ -321,6 +321,8 @@ def load_csv(
 def encode_design(ds: Dataset, schema: Schema | None = None) -> tuple[np.ndarray, DummyGroups]:
     """Build the numeric design matrix: numerics pass through, categoricals
     become k-1 indicator columns (lexicographically first level dropped).
+    The matrix is column-major (Fortran-ordered), filled one contiguous
+    column at a time.
 
     Column order is all numeric features in schema order, then one indicator
     block per categorical feature in schema order; a design with no columns
@@ -332,18 +334,11 @@ def encode_design(ds: Dataset, schema: Schema | None = None) -> tuple[np.ndarray
     absent = [c.name for c in enc.features if c.name not in ds.columns]
     if absent:
         raise DataError(f"dataset lacks feature columns {absent} named by the schema")
-    arrays: list[np.ndarray] = []
-    names: list[str] = []
-    numeric_indices: list[int] = []
+    # (feature, level) of each design column; the level is None for a numeric one
+    sources: list[tuple[str, str | None]] = [
+        (spec.name, None) for spec in enc.features if spec.kind == "numeric"
+    ]
     groups: list[tuple[str, tuple[int, ...]]] = []
-
-    for spec in enc.features:
-        if spec.kind != "numeric":
-            continue
-        numeric_indices.append(len(names))
-        names.append(spec.name)
-        arrays.append(ds.columns[spec.name].astype(np.float64))
-
     unseen = 0
     for spec in enc.features:
         if spec.kind != "categorical":
@@ -358,23 +353,26 @@ def encode_design(ds: Dataset, schema: Schema | None = None) -> tuple[np.ndarray
         unseen += int(np.sum(~np.isin(values, spec.levels)))
         idxs = []
         for level in spec.levels[1:]:
-            idxs.append(len(names))
-            names.append(f"{spec.name}={level}")
-            arrays.append((values == level).astype(np.float64))
+            idxs.append(len(sources))
+            sources.append((spec.name, level))
         groups.append((spec.name, tuple(idxs)))
 
     if unseen:
         warnings.warn(f"{unseen} value(s) outside the schema level sets mapped to reference")
 
-    if not arrays:
+    if not sources:
         empty = [name for name, idxs in groups if not idxs]
         why = f"single-level categorical column(s) {empty} give none" if empty else "no features"
         raise DataError(f"the design has no columns: {why}")
-    design = np.column_stack(arrays)
+    design = np.empty((ds.n, len(sources)), order="F")
+    for j, (name, level) in enumerate(sources):
+        values = ds.columns[name]
+        design[:, j] = values if level is None else values == level
     info = DummyGroups(
         groups=tuple(groups),
-        numeric_indices=tuple(numeric_indices),
-        column_names=tuple(names),
+        numeric_indices=tuple(j for j, (_, level) in enumerate(sources) if level is None),
+        column_names=tuple(name if level is None else f"{name}={level}"
+                           for name, level in sources),
     )
     return design, info
 

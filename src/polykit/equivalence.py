@@ -220,15 +220,22 @@ def equivalence_check(
 ) -> float:
     """Max relative deviation between the forward pass and the extracted
     polynomials at random points in [-1, 1]^p; relative means
-    |f - g| / max(1, |f|)."""
+    |f - g| / max(1, |f|).
+
+    Every polynomial is evaluated from one expansion over the largest term
+    set: graded order makes each smaller set a prefix of it, so the
+    coefficient vectors line up by zero-padding."""
+    if not extracted:
+        return 0.0
     rng = np.random.default_rng(seed)
     pts = rng.uniform(-1.0, 1.0, size=(n_points, mlp.input_width))
-    net = forward(mlp, pts)
-    worst = 0.0
+    net = forward(mlp, pts)[:, : len(extracted)]
+    terms = max((poly.terms for poly in extracted), key=len)
+    coefs = np.zeros((len(terms), len(extracted)))
     for j, poly in enumerate(extracted):
-        rel = np.abs(net[:, j] - poly.evaluate(pts)) / np.maximum(1.0, np.abs(net[:, j]))
-        worst = max(worst, float(rel.max()))
-    return worst
+        coefs[: len(poly.coef), j] = poly.coef
+    values = expand(pts, terms) @ coefs + [poly.constant for poly in extracted]
+    return float((np.abs(net - values) / np.maximum(1.0, np.abs(net))).max())
 
 
 def degree_growth_report(layer_polynomials: list[list[SymbolicPoly]]) -> list[int]:

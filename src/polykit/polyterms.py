@@ -228,6 +228,11 @@ def expand(
 ) -> np.ndarray:
     """Evaluate every term on every row: column j of the result is term j.
 
+    The result is column-major (Fortran-ordered), so each term is written
+    into one contiguous column: its first factor is copied in and the later
+    ones multiplied in place, in the term's column order, from a cache of
+    the column powers.
+
     Raises :class:`MemoryBudgetError` when rows x terms would exceed
     ``cell_budget``; shrink via PCA or :func:`drop_random_columns` first.
     """
@@ -244,16 +249,18 @@ def expand(
             f"expansion needs {cells} cells (> budget {cell_budget});"
             " reduce dimension with PCA or drop random columns"
         )
-    out = np.empty((n, len(terms)))
+    out = np.empty((n, len(terms)), order="F")
     power_cache: dict[tuple[int, int], np.ndarray] = {}
     for j, mono in enumerate(terms):
-        col = np.ones(n)
-        for c, e in mono.powers:
+        col = out[:, j]
+        for k, (c, e) in enumerate(mono.powers):
             key = (c, e)
             if key not in power_cache:
                 power_cache[key] = design[:, c] ** e
-            col = col * power_cache[key]
-        out[:, j] = col
+            if k == 0:
+                col[:] = power_cache[key]
+            else:
+                np.multiply(col, power_cache[key], out=col)
     return out
 
 

@@ -159,6 +159,20 @@ class TestFit:
         rc = main(["fit", "--data", str(tmp_path / "none.csv")])
         assert rc == EXIT_DATA
 
+    @pytest.mark.parametrize("extra, response", [
+        (["--classify"], "1"),
+        (["--method", "logistic"], "a"),
+        (["--fsr", "--classify"], "1"),
+    ], ids=["classify", "logistic", "fsr"])
+    def test_single_class_response_is_a_data_error(self, tmp_path, capsys, extra, response):
+        rows = "".join(f"{i % 7},{i % 5},{response}\n" for i in range(40))
+        path = tmp_path / "one-class.csv"
+        path.write_text("u,v,y\n" + rows, encoding="utf-8")
+        rc = main(["fit", "--data", str(path), *extra, "--out-dir", str(tmp_path / "out")])
+        assert rc == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "error: need at least two classes" in err and "Traceback" not in err
+
     def test_interaction_cap_limits_terms(self, tmp_path, quad_csv, capsys):
         from polykit.modelio import load_model
 
@@ -830,6 +844,39 @@ def _token_type(token):
 @pytest.mark.parametrize("command", ["fit", "predict", "vif-probe", "equiv-demo"])
 def test_threads_is_not_an_option(command):
     assert main([command, "--threads", "2"]) == EXIT_USAGE
+
+
+class TestOversizedCell:
+    """A cell beyond the csv module's field limit is unreadable data (exit 3)
+    for every command that reads a CSV."""
+
+    @staticmethod
+    def _csv(tmp_path, names):
+        rows = "".join(",".join(["1"] * len(names)) + "\n" for _ in range(30))
+        cells = ['"' + "x" * 200_000 + '"'] + ["1"] * (len(names) - 1)
+        path = tmp_path / "huge.csv"
+        path.write_text(",".join(names) + "\n" + rows + ",".join(cells) + "\n",
+                        encoding="utf-8")
+        return path
+
+    @pytest.mark.parametrize("command, extra", [
+        ("fit", []), ("vif-probe", ["--widths", "4,1", "--epochs", "1"]),
+    ])
+    def test_fit_and_vif_probe(self, tmp_path, capsys, command, extra):
+        rc = main([command, "--data", str(self._csv(tmp_path, ("u", "v", "y"))), *extra])
+        assert rc == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "error: cannot read" in err and "huge.csv" in err and "Traceback" not in err
+
+    def test_predict(self, tmp_path, quad_csv, capsys):
+        assert main(["fit", "--data", str(quad_csv), "--degree", "1",
+                     "--out-dir", str(tmp_path / "out")]) == EXIT_OK
+        capsys.readouterr()
+        rc = main(["predict", "--model", str(tmp_path / "out" / "model.json"),
+                   "--data", str(self._csv(tmp_path, ("u", "v")))])
+        assert rc == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "error: cannot read" in err and "huge.csv" in err and "Traceback" not in err
 
 
 class TestOutputPaths:

@@ -304,6 +304,36 @@ class TestEncodeDesign:
         np.testing.assert_array_equal(X, [[0.0], [1.0]])
 
 
+    def test_matches_a_column_stack_of_the_columns(self):
+        # column-major, and the same values as stacking one float64 array per
+        # design column: numerics in schema order, then each indicator block
+        rng = np.random.default_rng(6)
+        n = 50
+        columns = {
+            "c": rng.choice(["a", "b", "c"], size=n),
+            "u": rng.normal(size=n),
+            "d": rng.choice(["p", "q"], size=n),
+            "v": rng.normal(size=n),
+            "y": rng.normal(size=n),
+        }
+        schema = Schema((
+            ColumnSpec("c", "categorical", ("a", "b", "c")),
+            ColumnSpec("u", "numeric"),
+            ColumnSpec("d", "categorical", ("p", "q")),
+            ColumnSpec("v", "numeric"),
+            ColumnSpec("y", "response_numeric"),
+        ))
+        X, groups = encode_design(Dataset(schema, columns))
+        oracle = np.column_stack([
+            columns["u"].astype(np.float64), columns["v"].astype(np.float64),
+            (columns["c"] == "b").astype(np.float64), (columns["c"] == "c").astype(np.float64),
+            (columns["d"] == "q").astype(np.float64),
+        ])
+        assert X.flags.f_contiguous
+        np.testing.assert_array_equal(X, oracle, strict=True)
+        assert groups.column_names == ("u", "v", "c=b", "c=c", "d=q")
+
+
 class TestSplit:
     def test_large_n_caps_test_at_10000(self):
         ds = dataset_from_arrays(np.arange(50000.0)[:, None], np.zeros(50000))

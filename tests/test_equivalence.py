@@ -269,7 +269,33 @@ class TestExtraction:
                     assert abs(got[exps] - c) <= 1e-12 * max(1.0, abs(c))
 
 
+def loop_deviation(net, extracted, n_points, seed):
+    """equivalence_check's value from one expansion per polynomial."""
+    pts = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(n_points, net.input_width))
+    f = m.forward(net, pts)
+    rel = [np.abs(f[:, j] - poly.evaluate(pts)) / np.maximum(1.0, np.abs(f[:, j]))
+           for j, poly in enumerate(extracted)]
+    return max(float(r.max()) for r in rel)
+
+
 class TestEquivalenceCheck:
+    @pytest.mark.parametrize("case", ["4x4x4", "2x3x3", "mixed_degrees"])
+    def test_one_expansion_matches_the_loop(self, monkeypatch, case):
+        if case == "mixed_degrees":
+            # term sets of degrees 1 and 2, the second polynomial off by x1^2 - x1
+            net = m.MLP((m.DenseLayer(np.eye(2), np.zeros(2), "identity"),))
+            extracted = [var(0), eq.poly_mul(var(1), var(1))]
+        else:
+            p, layers, units = map(int, case.split("x"))
+            net = eq.random_polynomial_network(p, layers, units, seed=7)
+            extracted = eq.extract_polynomial(net)
+        want = loop_deviation(net, extracted, 100, 3)
+        calls = []
+        monkeypatch.setattr(eq, "expand", lambda *a, **k: calls.append(a) or expand(*a, **k))
+        got = eq.equivalence_check(net, extracted, 100, seed=3)
+        assert len(calls) == 1
+        assert abs(got - want) <= 1e-12, (got, want)
+
     def test_random_square_nets_exact(self):
         for seed in range(10):
             p = 1 + seed % 3

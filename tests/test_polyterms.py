@@ -47,6 +47,24 @@ def brute_force_terms(width, groups, degree, max_interact):
     return out
 
 
+def reference_expand(design, terms):
+    """Row-major expansion, one fresh vector per factor: the term values
+    ``expand`` must reproduce bit for bit."""
+    design = np.asarray(design, dtype=np.float64)
+    n = design.shape[0]
+    out = np.empty((n, len(terms)))
+    power_cache = {}
+    for j, mono in enumerate(terms):
+        col = np.ones(n)
+        for c, e in mono.powers:
+            key = (c, e)
+            if key not in power_cache:
+                power_cache[key] = design[:, c] ** e
+            col = col * power_cache[key]
+        out[:, j] = col
+    return out
+
+
 def numeric_terms(p, degree, max_interact=None):
     return enumerate_terms(p, DummyGroups.all_numeric(p), PolySpec(degree, max_interact))
 
@@ -201,6 +219,53 @@ class TestExpand:
         for i in range(out.shape[1]):
             for j in range(i + 1, out.shape[1]):
                 assert not np.array_equal(out[:, i], out[:, j])
+
+
+def _mixed_terms(degree, cap):
+    """Two numeric columns, then dummy groups of two and three indicators."""
+    groups = DummyGroups(groups=(("a", (2, 3)), ("b", (4, 5, 6))), numeric_indices=(0, 1),
+                         column_names=tuple(f"x{i}" for i in range(7)))
+    return enumerate_terms(7, groups, PolySpec(degree, cap))
+
+
+def _mixed_design(n, seed=0):
+    rng = np.random.default_rng(seed)
+    a, b = rng.integers(0, 3, n), rng.integers(0, 4, n)  # level 0 is the reference
+    indicators = [a == 1, a == 2, b == 1, b == 2, b == 3]
+    return np.column_stack([rng.normal(size=(n, 2))] + indicators)
+
+
+class TestExpandLayout:
+    """``expand`` writes column-major output that matches the row-major
+    reference bit for bit, whatever the layout of its input."""
+
+    @pytest.mark.parametrize("degree, cap", [(2, None), (3, None), (3, 2), (4, 1)])
+    @pytest.mark.parametrize("layout", ["C", "F", "row-slice"])
+    def test_matches_reference(self, degree, cap, layout):
+        terms = _mixed_terms(degree, cap)
+        design = _mixed_design(60)
+        if layout == "F":
+            design = np.asfortranarray(design)
+        elif layout == "row-slice":
+            design = np.asfortranarray(_mixed_design(180))[10:130:2]
+        out = expand(design, terms)
+        assert out.flags.f_contiguous
+        np.testing.assert_array_equal(out, reference_expand(design, terms), strict=True)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_zero_and_one_rows(self, n):
+        terms = _mixed_terms(3, 2)
+        design = _mixed_design(n)
+        out = expand(design, terms)
+        assert out.shape == (n, len(terms)) and out.flags.f_contiguous
+        np.testing.assert_array_equal(out, reference_expand(design, terms), strict=True)
+
+    def test_numeric_degree_three(self):
+        terms = numeric_terms(4, 3)
+        design = np.random.default_rng(2).normal(size=(500, 4))
+        out = expand(design, terms)
+        assert out.flags.f_contiguous
+        np.testing.assert_array_equal(out, reference_expand(design, terms), strict=True)
 
 
 class TestDropRandomColumns:
