@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -29,7 +31,7 @@ MISSING_TOKENS = frozenset({"", "na", "nan", "n/a", "null"})
 DEFAULT_CATEGORICAL_THRESHOLD = 12
 
 
-def _floats(values: list[str]) -> np.ndarray | None:
+def _floats(values: Sequence[str]) -> np.ndarray | None:
     """The cells as float64 in one conversion, or None when one is not a
     number. NumPy accepts exactly the spellings ``float`` accepts."""
     try:
@@ -38,22 +40,72 @@ def _floats(values: list[str]) -> np.ndarray | None:
         return None
 
 
-def _typed_columns(path, specs, values: dict[str, list[str]],
-                   parsed: dict[str, np.ndarray | None]) -> dict[str, np.ndarray]:
-    """One array per column spec: float64 for the numeric kinds (taken from
-    ``parsed`` when the column was converted already), strings otherwise."""
-    columns: dict[str, np.ndarray] = {}
-    for spec in specs:
-        cells = values[spec.name]
+def _strip(cells: Sequence[str]) -> list[str]:
+    """The cells stripped of surrounding whitespace, each distinct value once."""
+    stripped = {v: v.strip() for v in set(cells)}
+    return list(map(stripped.__getitem__, cells))
+
+
+class _Column:
+    """One CSV column: its raw cells, their float64 values (None when a cell
+    is not a number even once stripped) and, on demand, the stripped cells."""
+
+    def __init__(self, cells: Sequence[str], floats: np.ndarray | None,
+                 stripped: list[str] | None):
+        self.cells = cells
+        self.floats = floats
+        self._stripped = stripped
+
+    @classmethod
+    def read(cls, cells: Sequence[str]) -> tuple[_Column, np.ndarray]:
+        """The column and its missing-cell mask. The raw cells are converted
+        once; of the missing tokens only ``nan`` converts, so only the NaN
+        cells of a converted column are looked up. A column the conversion
+        rejects is stripped and looked up one distinct value at a time, then
+        converted again."""
+        floats = _floats(cells)
+        if floats is not None:
+            missing = np.isnan(floats)
+            for i in np.flatnonzero(missing):
+                missing[i] = cells[i].strip().lower() in MISSING_TOKENS
+            return cls(cells, floats, None), missing
+        stripped = _strip(cells)
+        absent = {v for v in set(stripped) if v.lower() in MISSING_TOKENS}
+        missing = np.fromiter(map(absent.__contains__, stripped), bool, len(stripped))
+        return cls(cells, _floats(stripped), stripped), missing
+
+    def strings(self) -> list[str]:
+        """The cells stripped of surrounding whitespace."""
+        if self._stripped is None:
+            self._stripped = _strip(self.cells)
+        return self._stripped
+
+    def take(self, keep: np.ndarray) -> _Column:
+        """The cells where ``keep`` holds. A column that did not convert is
+        converted again, as the cells that stopped it may be gone."""
+        flags = keep.tolist()
+        cells = list(compress(self.cells, flags))
+        if self.floats is not None:
+            return _Column(cells, self.floats[keep], None)
+        stripped = list(compress(self.strings(), flags))
+        return _Column(cells, _floats(stripped), stripped)
+
+    def typed(self, path, spec: ColumnSpec) -> np.ndarray:
+        """float64 for the numeric kinds, the stripped strings otherwise."""
         if spec.kind not in ("numeric", "response_numeric"):
-            columns[spec.name] = np.array(cells, dtype=str)
-            continue
-        arr = parsed[spec.name] if spec.name in parsed else _floats(cells)
-        if arr is None:
-            bad = next(v for v in cells if _floats([v]) is None)
+            return np.array(self.strings(), dtype=str)
+        if self.floats is None:
+            bad = next(v for v in self.strings() if _floats([v]) is None)
             raise DataError(f"{path}: non-numeric value {bad!r} in numeric column {spec.name!r}")
-        columns[spec.name] = arr
-    return columns
+        return self.floats
+
+
+def _read_columns(rows: list[list[str]], fields: int,
+                  positions: Sequence[int]) -> list[tuple[_Column, np.ndarray]]:
+    """Each column at ``positions`` of the ``rows`` (``fields`` cells each),
+    transposed in one pass, with its missing-cell mask."""
+    cells = list(zip(*rows)) if rows else [()] * fields
+    return [_Column.read(cells[p]) for p in positions]
 
 
 @dataclass(frozen=True)
@@ -262,6 +314,12 @@ def load_csv(
     Rows with any missing cell (or the wrong field count) are dropped; the
     count is reported as a warning and on ``Dataset.dropped_rows``. New rows
     are read against a saved schema by :func:`load_design_for_predict`.
+
+    Ingest is column-wise: the rows of full length are transposed once, and
+    each column is converted to float64 in one call, which settles both
+    whether it is numeric and, from its NaN cells, which of its cells are
+    missing. Only a column the conversion rejects is stripped and checked
+    for missing tokens, one distinct value at a time.
     """
     header, raw_rows = _read_rows(path)
     hints = kind_hints or {}
@@ -278,43 +336,35 @@ def load_csv(
     if classify:
         hints = {**hints, resp_name: "response_class"}
 
-    kept: list[list[str]] = []
-    dropped = 0
-    for row in raw_rows:
-        if len(row) != len(header):
-            dropped += 1
-            continue
-        cells = [c.strip() for c in row]
-        if any(c.lower() in MISSING_TOKENS for c in cells):
-            dropped += 1
-            continue
-        kept.append(cells)
+    fields = len(header)
+    rows = [row for row in raw_rows if len(row) == fields]
+    read = _read_columns(rows, fields, range(fields))
+    keep = ~np.logical_or.reduce([holes for _, holes in read])
+    kept = int(np.count_nonzero(keep))
     if not kept:
         raise DataError(f"{path}: no usable rows after dropping incomplete ones")
+    dropped = len(raw_rows) - kept
     if dropped:
         warnings.warn(f"{path}: {dropped} row(s) dropped (missing or malformed cells)")
+    cols = [col if kept == len(rows) else col.take(keep) for col, _ in read]
 
-    col_values = {name: [r[i] for r in kept] for i, name in enumerate(header)}
-
-    parsed: dict[str, np.ndarray | None] = {}
     specs = []
-    for name in header:
-        values = col_values[name]
+    for name, col in zip(header, cols):
         kind = hints.get(name)
         if kind is None:
-            parsed[name] = _floats(values)
-            numeric = parsed[name] is not None
+            numeric = col.floats is not None
             if name == resp_name:
                 kind = "response_numeric" if numeric else "response_class"
-            elif numeric and len(set(values)) > categorical_threshold:
+            elif numeric and (len(np.unique(col.floats)) > categorical_threshold
+                              or len(set(col.strings())) > categorical_threshold):
                 kind = "numeric"
             else:
                 kind = "categorical"
-        levels = tuple(sorted(set(values))) if kind == "categorical" else ()
+        levels = tuple(sorted(set(col.strings()))) if kind == "categorical" else ()
         specs.append(ColumnSpec(name, kind, levels))
     schema = Schema(tuple(specs))
 
-    columns = _typed_columns(path, schema.columns, col_values, parsed)
+    columns = {spec.name: col.typed(path, spec) for spec, col in zip(specs, cols)}
     return Dataset(schema, columns, dropped_rows=dropped)
 
 
@@ -410,23 +460,25 @@ def load_design_for_predict(path, schema: Schema) -> np.ndarray:
     The response column need not be present. Rows must be complete: unlike
     training ingestion, nothing is dropped, so the output keeps one row
     per input row. A file with no data rows yields a (0, width) matrix.
+
+    Only the feature columns are read, column-wise as in :func:`load_csv`.
+    The first bad row in file order is named: a wrong field count, or else
+    the first feature column, in schema order, with a missing cell.
     """
     header, raw_rows = _read_rows(path)
     feats = schema.features
     missing = [c.name for c in feats if c.name not in header]
     if missing:
         raise DataError(f"{path}: feature columns {missing} are absent")
-    positions = {c.name: header.index(c.name) for c in feats}
-
-    values: dict[str, list[str]] = {c.name: [] for c in feats}
-    for rownum, row in enumerate(raw_rows, 2):
-        if len(row) != len(header):
-            raise DataError(f"{path}:{rownum}: wrong field count")
-        for c in feats:
-            cell = row[positions[c.name]].strip()
-            if cell.lower() in MISSING_TOKENS:
-                raise DataError(f"{path}:{rownum}: missing value in column {c.name!r}")
-            values[c.name].append(cell)
+    fields = len(header)
+    short = next((i for i, row in enumerate(raw_rows) if len(row) != fields), len(raw_rows))
+    read = _read_columns(raw_rows[:short], fields, [header.index(c.name) for c in feats])
+    hole = min((int(np.argmax(holes)) for _, holes in read if holes.any()), default=short)
+    if hole < short:
+        name = next(c.name for c, (_, holes) in zip(feats, read) if holes[hole])
+        raise DataError(f"{path}:{hole + 2}: missing value in column {name!r}")
+    if short < len(raw_rows):
+        raise DataError(f"{path}:{short + 2}: wrong field count")
 
     n = len(raw_rows)
     width = sum(
@@ -435,7 +487,7 @@ def load_design_for_predict(path, schema: Schema) -> np.ndarray:
     if n == 0:
         return np.empty((0, width))
 
-    columns = _typed_columns(path, feats, values, {})
+    columns = {c.name: col.typed(path, c) for c, (col, _) in zip(feats, read)}
     resp = schema.response
     columns[resp.name] = (
         np.zeros(n) if resp.kind == "response_numeric" else np.array(["?"] * n, dtype=str)

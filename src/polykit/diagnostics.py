@@ -46,17 +46,21 @@ def vif(X: np.ndarray) -> np.ndarray:
     """VIF of every column of X; needs at least two columns.
 
     Constant columns, and columns in the support of the numerical null
-    space of the rest, get ``VIF_CAP``.
+    space of the rest, get ``VIF_CAP``. X is centred straight into one
+    Fortran-ordered buffer, whose live columns are factored in place.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] < 2:
         raise ValueError("VIF needs a matrix with at least two columns")
-    Xc, _, constant = centre_columns(X)
+    Z = np.empty(X.shape, order="F")
+    _, _, constant = centre_columns(X, out=Z)
     values = np.full(X.shape[1], VIF_CAP)
     live = np.flatnonzero(~constant)
     if live.size == 0:
         return values
-    Z = np.asfortranarray(Xc[:, live])
+    for j, col in enumerate(live):  # the live columns to the front, in place
+        Z[:, j] = Z[:, col]
+    Z = Z[:, :live.size]
     Z /= column_norms(Z)
     r, piv, _ = pivoted_qr(Z, live.size)
     rank, tol = pivoted_rank(r, X.shape[0])

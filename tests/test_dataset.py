@@ -1,12 +1,19 @@
 """Ingestion, encoding and split behavior."""
 
+import csv
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from polykit import dataset
 from polykit.dataset import (
+    COLUMN_KINDS,
     DEFAULT_CATEGORICAL_THRESHOLD,
+    MISSING_TOKENS,
     RESPONSE_KINDS,
     ColumnSpec,
     Dataset,
@@ -160,6 +167,33 @@ class TestLoadCsv:
             bad = write(tmp_path, "bad.csv", f"u\n1\n{spelling}\n")
             with pytest.raises(DataError, match=f"non-numeric value '{spelling}'"):
                 load_design_for_predict(bad, schema)
+
+
+    def test_a_nan_that_is_no_missing_token_is_kept(self, tmp_path):
+        # the conversion turns both "NaN" and "-nan" into NaN; only the first
+        # is a missing token, so its row is dropped and the other is an error
+        path = write(tmp_path, "t.csv", "u,y\n NaN ,1\n-nan,2\n1,3\n2,4\n")
+        with pytest.warns(UserWarning, match="1 row"), \
+                pytest.raises(DataError, match="non-finite values in numeric column 'u'"):
+            load_csv(path, categorical_threshold=0)
+        with pytest.warns(UserWarning, match="1 row"):
+            ds = load_csv(path, categorical_threshold=3)
+        assert ds.schema.column("u").levels == ("-nan", "1", "2")
+
+    def test_a_cell_numpy_rejects_converts_once_stripped(self, tmp_path):
+        # float() rejects the separator '\x1c' around a number; str.strip drops it
+        path = write(tmp_path, "t.csv", "u,y\n\x1c2,1\n3\x1c,2\n\xa07,3\n")
+        ds = load_csv(path, categorical_threshold=0)
+        assert ds.schema.column("u").kind == "numeric"
+        np.testing.assert_array_equal(ds.columns["u"], [2.0, 3.0, 7.0])
+
+    def test_threshold_counts_spellings_not_values(self, tmp_path):
+        # "1" and "1.0" are one float but two distinct cells
+        path = write(tmp_path, "t.csv", "u,v,y\n1,1,1\n1.0,1,2\n 1 ,1,3\n")
+        ds = load_csv(path, categorical_threshold=1)
+        assert ds.schema.column("u").kind == "numeric"
+        assert ds.schema.column("v") == ColumnSpec("v", "categorical", ("1",))
+        np.testing.assert_array_equal(ds.columns["u"], [1.0, 1.0, 1.0])
 
 
 class TestSchemaValidation:
@@ -429,7 +463,274 @@ class TestPredictLoader:
             load_design_for_predict(path, schema)
 
 
+    @pytest.mark.parametrize("lines, want", [
+        (("1,1", "2", "3,3", "NA,4", "5,5"), "t.csv:3: wrong field count"),
+        (("1,1", "NA,2", "3,3", "4", "5,5"), "t.csv:3: missing value in column 'u'"),
+    ])
+    def test_the_first_bad_row_is_named(self, tmp_path, lines, want):
+        schema = Schema((ColumnSpec("u", "numeric"), ColumnSpec("y", "response_numeric")))
+        path = write(tmp_path, "t.csv", "u,y\n" + "\n".join(lines) + "\n")
+        for reader in (load_design_for_predict, reference_load_design_for_predict):
+            with pytest.raises(DataError) as err:
+                reader(path, schema)
+            assert str(err.value) == f"{path.parent}/{want}"
+
+    def test_the_first_feature_with_a_hole_is_named(self, tmp_path):
+        schema = Schema((ColumnSpec("u", "numeric"), ColumnSpec("c", "categorical", ("a", "b")),
+                         ColumnSpec("y", "response_numeric")))
+        path = write(tmp_path, "t.csv", "y,c,u\n1,a,1\n2,null, N/A \n")
+        with pytest.raises(DataError, match=r"t\.csv:3: missing value in column 'u'$"):
+            load_design_for_predict(path, schema)
+
+
 class TestDummyGroups:
     def test_double_assignment_rejected(self):
         with pytest.raises(DataError):
             DummyGroups(groups=(("c", (0,)),), numeric_indices=(0,), column_names=("a",))
+
+
+# --------------------------------------------------------------------------
+# Row-wise reference readers: the cell-by-cell ingest the column-wise readers
+# replaced, kept as the oracle they must match exactly
+# --------------------------------------------------------------------------
+
+def _reference_floats(values):
+    try:
+        return np.array(values, dtype=np.float64)
+    except ValueError:
+        return None
+
+
+def _reference_typed_columns(path, specs, values, parsed):
+    columns = {}
+    for spec in specs:
+        cells = values[spec.name]
+        if spec.kind not in ("numeric", "response_numeric"):
+            columns[spec.name] = np.array(cells, dtype=str)
+            continue
+        arr = parsed[spec.name] if spec.name in parsed else _reference_floats(cells)
+        if arr is None:
+            bad = next(v for v in cells if _reference_floats([v]) is None)
+            raise DataError(f"{path}: non-numeric value {bad!r} in numeric column {spec.name!r}")
+        columns[spec.name] = arr
+    return columns
+
+
+def reference_load_csv(path, *, kind_hints=None, response=None,
+                       categorical_threshold=DEFAULT_CATEGORICAL_THRESHOLD, classify=False):
+    header, raw_rows = dataset._read_rows(path)
+    hints = kind_hints or {}
+    unknown = [name for name in hints if name not in header]
+    if unknown:
+        raise DataError(f"{path}: schema names columns {unknown} absent from header")
+    resp_name = response
+    if resp_name is None:
+        resp_name = next((n for n, k in hints.items() if k in RESPONSE_KINDS), None)
+    if resp_name is None:
+        resp_name = header[-1]
+    if resp_name not in header:
+        raise DataError(f"{path}: response column {resp_name!r} absent")
+    if classify:
+        hints = {**hints, resp_name: "response_class"}
+
+    kept = []
+    dropped = 0
+    for row in raw_rows:
+        if len(row) != len(header):
+            dropped += 1
+            continue
+        cells = [c.strip() for c in row]
+        if any(c.lower() in MISSING_TOKENS for c in cells):
+            dropped += 1
+            continue
+        kept.append(cells)
+    if not kept:
+        raise DataError(f"{path}: no usable rows after dropping incomplete ones")
+    if dropped:
+        warnings.warn(f"{path}: {dropped} row(s) dropped (missing or malformed cells)")
+
+    col_values = {name: [r[i] for r in kept] for i, name in enumerate(header)}
+
+    parsed = {}
+    specs = []
+    for name in header:
+        values = col_values[name]
+        kind = hints.get(name)
+        if kind is None:
+            parsed[name] = _reference_floats(values)
+            numeric = parsed[name] is not None
+            if name == resp_name:
+                kind = "response_numeric" if numeric else "response_class"
+            elif numeric and len(set(values)) > categorical_threshold:
+                kind = "numeric"
+            else:
+                kind = "categorical"
+        levels = tuple(sorted(set(values))) if kind == "categorical" else ()
+        specs.append(ColumnSpec(name, kind, levels))
+    schema = Schema(tuple(specs))
+
+    columns = _reference_typed_columns(path, schema.columns, col_values, parsed)
+    return Dataset(schema, columns, dropped_rows=dropped)
+
+
+def reference_load_design_for_predict(path, schema):
+    header, raw_rows = dataset._read_rows(path)
+    feats = schema.features
+    missing = [c.name for c in feats if c.name not in header]
+    if missing:
+        raise DataError(f"{path}: feature columns {missing} are absent")
+    positions = {c.name: header.index(c.name) for c in feats}
+
+    values = {c.name: [] for c in feats}
+    for rownum, row in enumerate(raw_rows, 2):
+        if len(row) != len(header):
+            raise DataError(f"{path}:{rownum}: wrong field count")
+        for c in feats:
+            cell = row[positions[c.name]].strip()
+            if cell.lower() in MISSING_TOKENS:
+                raise DataError(f"{path}:{rownum}: missing value in column {c.name!r}")
+            values[c.name].append(cell)
+
+    n = len(raw_rows)
+    width = sum(
+        1 if c.kind == "numeric" else max(0, len(c.levels) - 1) for c in feats
+    )
+    if n == 0:
+        return np.empty((0, width))
+
+    columns = _reference_typed_columns(path, feats, values, {})
+    resp = schema.response
+    columns[resp.name] = (
+        np.zeros(n) if resp.kind == "response_numeric" else np.array(["?"] * n, dtype=str)
+    )
+    ds = Dataset(schema, columns)
+    design, _ = encode_design(ds, schema)
+    return design
+
+
+def outcome(reader, *args, **kwargs):
+    """``(result, warnings, error)`` of one reader call: the error as its
+    type and text, the warnings as their texts in order."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result, error = reader(*args, **kwargs), None
+        except Exception as exc:  # compared, not swallowed
+            result, error = None, (type(exc), str(exc))
+    return result, [str(w.message) for w in caught], error
+
+
+def assert_same_dataset(got, want):
+    assert got.schema == want.schema
+    assert got.dropped_rows == want.dropped_rows
+    assert list(got.columns) == list(want.columns)
+    for name, arr in want.columns.items():
+        assert got.columns[name].dtype == arr.dtype, name
+        np.testing.assert_array_equal(got.columns[name], arr)
+
+
+MISSING_SPELLINGS = ("", "na", "nan", "n/a", "null")
+ODD_NUMBERS = ("-nan", "+nan", "inf", "-Infinity", "1e400", "\xa07", "\x1c2", "7\x1c",
+               "1_0", "0x10", "١")
+PADDING = ("", " ", "  ", "\t", "\xa0", "\x1c", "　")
+CELL_KINDS = ("missing", "odd", "int", "float", "word")
+
+
+@st.composite
+def cells(draw, kinds=CELL_KINDS):
+    """One cell of a kind in ``kinds``, padded on either side."""
+    kind = draw(st.sampled_from(kinds))
+    if kind == "missing":
+        token = "".join(
+            ch.upper() if draw(st.booleans()) else ch
+            for ch in draw(st.sampled_from(MISSING_SPELLINGS)))
+    elif kind == "odd":
+        token = draw(st.sampled_from(ODD_NUMBERS))
+    elif kind == "int":
+        token = str(draw(st.integers(0, 3)))
+    elif kind == "float":
+        token = draw(st.sampled_from(("1.0", "2.0", "1e0", "-3", "0.5")))
+    else:
+        token = draw(st.sampled_from(("a", "b", "B", "c d", "x,y")))
+    return draw(st.sampled_from(PADDING)) + token + draw(st.sampled_from(PADDING))
+
+
+@st.composite
+def csv_rows(draw, header):
+    """Rows for ``header``: each column draws from a few cells, some rows are
+    short or long, and there may be none."""
+    numeric = ("missing", "int", "float", "int", "float")  # a few values, several spellings
+    pools = [draw(st.lists(cells(numeric if draw(st.booleans()) else CELL_KINDS),
+                           min_size=1, max_size=6)) for _ in header]
+    rows = []
+    for _ in range(draw(st.integers(0, 9))):
+        row = [draw(st.sampled_from(pool)) for pool in pools]
+        shape = draw(st.sampled_from(("full",) * 8 + ("short", "long")))
+        if shape == "short":
+            row = row[:-1]
+        elif shape == "long":
+            row = row + ["1"]
+        rows.append(row)
+    return rows
+
+
+def write_rows(path, header, rows):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows([header, *rows])
+
+
+class TestReaderOracle:
+    """The column-wise readers give what the row-wise references give on
+    small generated files: schema, columns, drops, warnings and errors."""
+
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_load_csv_matches_the_reference(self, tmp_path, data):
+        header = [f"c{j}" for j in range(data.draw(st.integers(1, 4)))]
+        rows = data.draw(csv_rows(header))
+        path = tmp_path / "t.csv"
+        write_rows(path, header, rows)
+        hint = data.draw(st.sampled_from((None, *COLUMN_KINDS)))
+        kwargs = {
+            "categorical_threshold": data.draw(st.integers(0, 4)),
+            "classify": data.draw(st.booleans()),
+            "kind_hints": {data.draw(st.sampled_from(header)): hint} if hint else None,
+        }
+        got, got_warned, got_error = outcome(load_csv, path, **kwargs)
+        want, want_warned, want_error = outcome(reference_load_csv, path, **kwargs)
+        assert got_error == want_error
+        assert got_warned == want_warned
+        if want is not None:
+            assert_same_dataset(got, want)
+
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_load_design_for_predict_matches_the_reference(self, tmp_path, data):
+        specs = []
+        for j in range(data.draw(st.integers(0, 3))):
+            levels = data.draw(st.lists(cells().map(str.strip), min_size=1, max_size=4,
+                                        unique=True))
+            if data.draw(st.booleans()):
+                specs.append(ColumnSpec(f"f{j}", "categorical", tuple(sorted(levels))))
+            else:
+                specs.append(ColumnSpec(f"f{j}", "numeric"))
+        specs.append(ColumnSpec("y", data.draw(st.sampled_from(RESPONSE_KINDS))))
+        schema = Schema(tuple(specs))
+        header = [s.name for s in specs[:-1]]
+        if data.draw(st.booleans()):
+            header.append("y")
+        if data.draw(st.booleans()) and header:
+            header.pop(data.draw(st.integers(0, len(header) - 1)))
+        header = data.draw(st.permutations(header)) or ["y"]
+        rows = data.draw(csv_rows(header))
+        path = tmp_path / "t.csv"
+        write_rows(path, header, rows)
+        got, got_warned, got_error = outcome(load_design_for_predict, path, schema)
+        want, want_warned, want_error = outcome(reference_load_design_for_predict, path, schema)
+        assert got_error == want_error
+        assert got_warned == want_warned
+        if want is not None:
+            assert got.dtype == want.dtype and got.shape == want.shape
+            np.testing.assert_array_equal(got, want)

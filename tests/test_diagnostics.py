@@ -1,5 +1,7 @@
 """VIF computation and the per-layer collinearity probe."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -7,7 +9,7 @@ import scipy.linalg
 from polykit import diagnostics as dg
 from polykit import mlp as m
 from polykit import synthdata
-from polykit.fitcore import centre_columns, fit_ols, pivoted_rank
+from polykit.fitcore import centre_columns, column_norms, fit_ols, pivoted_qr, pivoted_rank
 
 
 def reference_vif(X):
@@ -44,6 +46,27 @@ def one_stage_vif(X):
         return values
     Z = Xc[:, live] / np.linalg.norm(Xc[:, live], axis=0)
     r, piv = scipy.linalg.qr(Z, mode="r", pivoting=True)
+    rank, tol = pivoted_rank(r, X.shape[0])
+    r_inv = scipy.linalg.solve_triangular(r[:rank, :rank], np.eye(rank))
+    inflation = np.sum(r_inv**2, axis=1)
+    in_null = np.linalg.norm(r_inv @ r[:rank, rank:], axis=1) * np.sqrt(dg.COLLINEAR_TOL) > tol
+    finite = ~in_null & (inflation * dg.COLLINEAR_TOL <= 1.0)
+    values[live[piv[:rank][finite]]] = inflation[finite]
+    return values
+
+
+def two_copy_vif(X):
+    """Oracle: ``vif`` as it was when it centred X into a copy and then
+    copied the live columns again into a Fortran-ordered array."""
+    X = np.asarray(X, dtype=np.float64)
+    Xc, _, constant = centre_columns(X)
+    values = np.full(X.shape[1], dg.VIF_CAP)
+    live = np.flatnonzero(~constant)
+    if live.size == 0:
+        return values
+    Z = np.asfortranarray(Xc[:, live])
+    Z /= column_norms(Z)
+    r, piv, _ = pivoted_qr(Z, live.size)
     rank, tol = pivoted_rank(r, X.shape[0])
     r_inv = scipy.linalg.solve_triangular(r[:rank, :rank], np.eye(rank))
     inflation = np.sum(r_inv**2, axis=1)
@@ -204,6 +227,27 @@ def test_matches_one_stage_qr(case):
     capped = ref >= dg.VIF_CAP
     np.testing.assert_array_equal(got >= dg.VIF_CAP, capped)
     np.testing.assert_allclose(got[~capped], ref[~capped], rtol=1e-8)
+
+
+@pytest.mark.parametrize("case", list(VIF_CASES))
+def test_matches_the_two_copy_vif_exactly(case):
+    X = VIF_CASES[case]()
+    assert np.array_equal(dg.vif(X), two_copy_vif(X))
+
+
+def test_vif_holds_one_design_copy():
+    # X is centred straight into one Fortran-ordered buffer whose live
+    # columns are moved to the front and factored in place
+    rng = np.random.default_rng(11)
+    X = np.maximum(rng.normal(size=(2000, 50)) @ rng.normal(size=(50, 100)), 0.0)
+    X[:, :5] = 0.0  # dead units: constant columns, dropped from the factorization
+    tracemalloc.start()
+    try:
+        dg.vif(X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * X.nbytes, peak / X.nbytes
 
 
 class TestSummary:
