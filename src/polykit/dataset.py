@@ -41,14 +41,14 @@ def _floats(values: Sequence[str]) -> np.ndarray | None:
 
 
 def _strip(cells: Sequence[str]) -> list[str]:
-    """The cells stripped of surrounding whitespace, each distinct value once."""
-    stripped = {v: v.strip() for v in set(cells)}
-    return list(map(stripped.__getitem__, cells))
+    """The cells stripped of surrounding whitespace."""
+    return list(map(str.strip, cells))
 
 
 class _Column:
     """One CSV column: its raw cells, their float64 values (None when a cell
-    is not a number even once stripped) and, on demand, the stripped cells."""
+    is not a number even once stripped, or is missing in a column the raw
+    conversion rejected) and, on demand, the stripped cells."""
 
     def __init__(self, cells: Sequence[str], floats: np.ndarray | None,
                  stripped: list[str] | None):
@@ -61,8 +61,9 @@ class _Column:
         """The column and its missing-cell mask. The raw cells are converted
         once; of the missing tokens only ``nan`` converts, so only the NaN
         cells of a converted column are looked up. A column the conversion
-        rejects is stripped and looked up one distinct value at a time, then
-        converted again."""
+        rejects is stripped, and only its cells no longer than a missing token
+        are looked up; it is converted again only when no cell is missing, as
+        :meth:`take` converts the kept ones."""
         floats = _floats(cells)
         if floats is not None:
             missing = np.isnan(floats)
@@ -70,9 +71,13 @@ class _Column:
                 missing[i] = cells[i].strip().lower() in MISSING_TOKENS
             return cls(cells, floats, None), missing
         stripped = _strip(cells)
-        absent = {v for v in set(stripped) if v.lower() in MISSING_TOKENS}
-        missing = np.fromiter(map(absent.__contains__, stripped), bool, len(stripped))
-        return cls(cells, _floats(stripped), stripped), missing
+        # a cell longer than every missing token is none of them: lowering never shortens
+        longest = max(map(len, MISSING_TOKENS))
+        lengths = np.fromiter(map(len, stripped), np.intp, len(stripped))
+        maybe = np.flatnonzero(lengths <= longest).tolist()
+        missing = np.zeros(len(stripped), bool)
+        missing[maybe] = [stripped[i].lower() in MISSING_TOKENS for i in maybe]
+        return cls(cells, None if missing.any() else _floats(stripped), stripped), missing
 
     def strings(self) -> list[str]:
         """The cells stripped of surrounding whitespace."""
@@ -84,11 +89,10 @@ class _Column:
         """The cells where ``keep`` holds. A column that did not convert is
         converted again, as the cells that stopped it may be gone."""
         flags = keep.tolist()
-        cells = list(compress(self.cells, flags))
         if self.floats is not None:
-            return _Column(cells, self.floats[keep], None)
+            return _Column(list(compress(self.cells, flags)), self.floats[keep], None)
         stripped = list(compress(self.strings(), flags))
-        return _Column(cells, _floats(stripped), stripped)
+        return _Column(stripped, _floats(stripped), stripped)
 
     def typed(self, path, spec: ColumnSpec) -> np.ndarray:
         """float64 for the numeric kinds, the stripped strings otherwise."""
@@ -100,12 +104,9 @@ class _Column:
         return self.floats
 
 
-def _read_columns(rows: list[list[str]], fields: int,
-                  positions: Sequence[int]) -> list[tuple[_Column, np.ndarray]]:
-    """Each column at ``positions`` of the ``rows`` (``fields`` cells each),
-    transposed in one pass, with its missing-cell mask."""
-    cells = list(zip(*rows)) if rows else [()] * fields
-    return [_Column.read(cells[p]) for p in positions]
+def _transpose(rows: list[list[str]], fields: int) -> list[tuple[str, ...]]:
+    """The cells of the ``rows`` (``fields`` each) column by column, in one pass."""
+    return list(zip(*rows)) if rows else [()] * fields
 
 
 @dataclass(frozen=True)
@@ -319,7 +320,7 @@ def load_csv(
     each column is converted to float64 in one call, which settles both
     whether it is numeric and, from its NaN cells, which of its cells are
     missing. Only a column the conversion rejects is stripped and checked
-    for missing tokens, one distinct value at a time.
+    for missing tokens, and only in its cells no longer than a token.
     """
     header, raw_rows = _read_rows(path)
     hints = kind_hints or {}
@@ -338,7 +339,7 @@ def load_csv(
 
     fields = len(header)
     rows = [row for row in raw_rows if len(row) == fields]
-    read = _read_columns(rows, fields, range(fields))
+    read = [_Column.read(cells) for cells in _transpose(rows, fields)]
     keep = ~np.logical_or.reduce([holes for _, holes in read])
     kept = int(np.count_nonzero(keep))
     if not kept:
@@ -463,7 +464,8 @@ def load_design_for_predict(path, schema: Schema) -> np.ndarray:
 
     Only the feature columns are read, column-wise as in :func:`load_csv`.
     The first bad row in file order is named: a wrong field count, or else
-    the first feature column, in schema order, with a missing cell.
+    the first feature column, in schema order, with a missing cell. Each
+    column is read only up to the earliest missing cell found so far.
     """
     header, raw_rows = _read_rows(path)
     feats = schema.features
@@ -472,10 +474,14 @@ def load_design_for_predict(path, schema: Schema) -> np.ndarray:
         raise DataError(f"{path}: feature columns {missing} are absent")
     fields = len(header)
     short = next((i for i, row in enumerate(raw_rows) if len(row) != fields), len(raw_rows))
-    read = _read_columns(raw_rows[:short], fields, [header.index(c.name) for c in feats])
-    hole = min((int(np.argmax(holes)) for _, holes in read if holes.any()), default=short)
+    cells = _transpose(raw_rows[:short], fields)
+    read, hole = [], short
+    for spec in feats:
+        col, holes = _Column.read(cells[header.index(spec.name)][:hole])
+        if holes.any():
+            hole, name = int(np.argmax(holes)), spec.name
+        read.append(col)
     if hole < short:
-        name = next(c.name for c, (_, holes) in zip(feats, read) if holes[hole])
         raise DataError(f"{path}:{hole + 2}: missing value in column {name!r}")
     if short < len(raw_rows):
         raise DataError(f"{path}:{short + 2}: wrong field count")
@@ -487,7 +493,7 @@ def load_design_for_predict(path, schema: Schema) -> np.ndarray:
     if n == 0:
         return np.empty((0, width))
 
-    columns = {c.name: col.typed(path, c) for c, (col, _) in zip(feats, read)}
+    columns = {c.name: col.typed(path, c) for c, col in zip(feats, read)}
     resp = schema.response
     columns[resp.name] = (
         np.zeros(n) if resp.kind == "response_numeric" else np.array(["?"] * n, dtype=str)

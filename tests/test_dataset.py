@@ -482,6 +482,20 @@ class TestPredictLoader:
         with pytest.raises(DataError, match=r"t\.csv:3: missing value in column 'u'$"):
             load_design_for_predict(path, schema)
 
+    @pytest.mark.parametrize("lines, want", [
+        (("1,1,a", "2,2,NA", "NA,3,a", "4,4,a"), "t.csv:3: missing value in column 'c'"),
+        (("1,1,a", "NA,2,a", "3,3,NA", "4,4,a"), "t.csv:3: missing value in column 'u'"),
+        (("1,1,a", "2,2,a", "NA,3,NA", "4,4,NA"), "t.csv:4: missing value in column 'u'"),
+    ])
+    def test_the_earliest_hole_over_all_features_is_named(self, tmp_path, lines, want):
+        schema = Schema((ColumnSpec("u", "numeric"), ColumnSpec("c", "categorical", ("a", "b")),
+                         ColumnSpec("y", "response_numeric")))
+        path = write(tmp_path, "t.csv", "u,y,c\n" + "\n".join(lines) + "\n")
+        for reader in (load_design_for_predict, reference_load_design_for_predict):
+            with pytest.raises(DataError) as err:
+                reader(path, schema)
+            assert str(err.value) == f"{path.parent}/{want}"
+
 
 class TestDummyGroups:
     def test_double_assignment_rejected(self):
