@@ -287,6 +287,8 @@ def _read_rows(path) -> tuple[list[str], list[list[str]]]:
                 header = next(reader)
             except StopIteration:
                 raise DataError(f"{path}: empty file") from None
+            if not header:
+                raise DataError(f"{path}: the header row (line 1) has no field")
             rows = list(reader)
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc

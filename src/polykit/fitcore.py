@@ -397,7 +397,6 @@ def fit_poly_model(
     groups: DummyGroups | None = None,
     max_iter: int = 100,
     tol: float = 1e-8,
-    cell_budget: int = polyterms.DEFAULT_CELL_BUDGET,
 ) -> PolyModel:
     """Expand the (optionally PCA-reduced) design and fit by ``method``."""
     if method not in ("ols", "ridge", "logistic"):
@@ -405,7 +404,7 @@ def fit_poly_model(
     if method == "ridge" and lam is None:
         raise ValueError("ridge requires a penalty value")
     Z = pca_transform(pca, design) if pca is not None else np.asarray(design, dtype=np.float64)
-    P = polyterms.expand(Z, terms, cell_budget=cell_budget)
+    P = polyterms.expand(Z, terms)
     if method == "logistic":
         fit = fit_logistic_ova(P, response, max_iter, tol)
         stalled = [c for c, ok in zip(fit.classes, fit.converged) if not ok]

@@ -203,10 +203,10 @@ def _loss_and_grads(mlp: MLP, X: np.ndarray, Y: np.ndarray, rng=None):
     for layer, cached_in, z in reversed(caches):
         if isinstance(layer, DropoutLayer):
             if cached_in is not None:
-                delta = delta * cached_in
+                delta *= cached_in
             continue
         if layer is not output_layer:
-            delta = delta * activation_grad(layer.activation, z)
+            delta *= activation_grad(layer.activation, z)
         grads.append((cached_in.T @ delta, delta.sum(axis=0)))
         if len(grads) == n_dense:
             break  # no dense layer below reads the input gradient
@@ -241,28 +241,27 @@ def train_mlp(design: np.ndarray, targets: np.ndarray, config: MLPConfig) -> MLP
         raise ValueError("target width must match the output layer width")
 
     mlp = build_mlp(X.shape[1], config)
+    dense = [layer for layer in mlp.layers if isinstance(layer, DenseLayer)]
     rng = np.random.default_rng([config.seed, 1])
     n = X.shape[0]
-    for epoch in range(config.epochs):
-        perm = rng.permutation(n)
-        for start in range(0, n, config.batch_size):
-            idx = perm[start : start + config.batch_size]
-            # transient overflow shows up as a non-finite loss and is
-            # reported through TrainingDiverged rather than as warnings
-            with np.errstate(over="ignore", invalid="ignore"):
+    # transient overflow shows up as a non-finite loss and is reported
+    # through TrainingDiverged rather than as warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(config.epochs):
+            perm = rng.permutation(n)
+            for start in range(0, n, config.batch_size):
+                idx = perm[start : start + config.batch_size]
                 loss, grads = _loss_and_grads(mlp, X[idx], Y[idx], rng)
-            if not np.isfinite(loss):
-                raise TrainingDiverged(
-                    f"non-finite loss at epoch {epoch}, batch offset {start};"
-                    f" try a smaller learning rate than {config.learning_rate}"
-                )
-            g = iter(grads)
-            for layer in mlp.layers:
-                if isinstance(layer, DropoutLayer):
-                    continue
-                dw, db = next(g)
-                layer.weights -= config.learning_rate * dw
-                layer.bias -= config.learning_rate * db
+                if not np.isfinite(loss):
+                    raise TrainingDiverged(
+                        f"non-finite loss at epoch {epoch}, batch offset {start};"
+                        f" try a smaller learning rate than {config.learning_rate}"
+                    )
+                for layer, (dw, db) in zip(dense, grads):
+                    dw *= config.learning_rate
+                    db *= config.learning_rate
+                    layer.weights -= dw
+                    layer.bias -= db
     return mlp
 
 

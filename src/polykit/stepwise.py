@@ -2,28 +2,33 @@
 a validation holdout carved out of the training data.
 
 Each greedy step scores every remaining candidate term as an addition to
-the current model and keeps the candidate that most improves the
-validation score (mean absolute error for regression, proportion correct
-for classification). The loop keeps adding best candidates until no
-candidate improves by more than the tolerance AND at least ``min_models``
-candidates have been scored. The returned model is the shortest prefix of
-the growth trace scoring within the tolerance of the best score seen, refit
-on the sub-training rows.
+the current model and keeps the candidate with the least validation loss:
+the mean absolute error for regression, the negated proportion correct for
+classification (the trace reports the proportion itself). The loop keeps
+adding best candidates until no candidate lowers the loss by more than the
+tolerance AND at least ``min_models`` candidates have been scored. The
+returned model is the shortest prefix of the growth trace within the
+tolerance of the least loss seen, refit on the sub-training rows.
 
-Regression candidates are scored by orthogonal least-squares updating
-(Chen, Billings & Luo 1989, "Orthogonal least squares methods and their
-application to non-linear system identification", Int. J. Control 50:1873).
-The search keeps an orthonormal basis of the selected, centred columns on
-the sub-training rows and, for every candidate, its residual against that
-basis, with the same Gram-Schmidt combination applied to its validation
-rows. Adding candidate j to the model adds gamma_j * r_j to the fit, where
-r_j is its residual and gamma_j = r_j'y_res / |r_j|^2, so one step scores
-all candidates with a few array operations, and an accepted term costs one
-O(n m) projection of the remaining residuals (done twice, "twice is
-enough" re-orthogonalisation). A candidate whose residual is negligible
-next to the column norms is aliased with the model and scores the parent
-model, as a pivoted-QR refit that drops it would. Classification refits
-the one-vs-all logistic model once per candidate.
+The design is expanded once, its rows permuted so that the sub-training
+rows come first; both scorers read that one expansion. Regression
+candidates are scored by orthogonal least-squares updating (Chen, Billings
+& Luo 1989, "Orthogonal least squares methods and their application to
+non-linear system identification", Int. J. Control 50:1873). The expansion,
+centred in place on the sub-training means, becomes the search's one
+residual buffer: each candidate column holds its residual against an
+orthonormal basis of the selected columns on the sub-training rows, and
+the same Gram-Schmidt combination of its validation rows below them.
+Adding candidate j to the model adds gamma_j * r_j to the fit, where r_j is
+its residual and gamma_j = r_j'y_res / |r_j|^2, so one step scores all
+candidates with a few array operations, and an accepted term costs two
+rank-one updates of the buffer in place ("twice is enough"
+re-orthogonalisation, BLAS ``dger``). No other array the size of the
+expansion is held: the search peaks at about twice one expansion. A
+candidate whose residual is negligible next to the column norms is aliased
+with the model and scores the parent model, as a pivoted-QR refit that
+drops it would. Classification refits the one-vs-all logistic model once
+per candidate on column subsets of the expansion.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dger
 
 from . import fitcore, polyterms
 from .dataset import Dataset, encode_design, holdout
@@ -85,80 +91,85 @@ def trace_to_csv(trace: tuple[FSRTraceRow, ...]) -> str:
 
 class _OrthogonalScorer:
     """Validation MAE of the current OLS model plus each candidate, from one
-    maintained orthonormal basis (see the module docstring)."""
+    residual buffer updated in place (see the module docstring)."""
 
-    def __init__(self, P_sub: np.ndarray, y_sub: np.ndarray, P_val: np.ndarray,
-                 y_val: np.ndarray, base_score: float):
-        mean = P_sub.mean(axis=0)
-        self.norms = fitcore.column_norms(P_sub)
-        self.resid = P_sub - mean  # candidate residuals against the basis
-        self.vresid = P_val - mean  # the same combinations on validation rows
+    def __init__(self, W: np.ndarray, n_sub: int, y_sub: np.ndarray, y_val: np.ndarray):
+        self.n_sub = n_sub
+        self.norms = fitcore.column_norms(W[:n_sub])
+        W -= W[:n_sub].mean(axis=0)
+        self.W = W  # candidate residuals against the basis, sub-training rows first
         self.y_res = y_sub - y_sub.mean()
         self.pred = np.full(len(y_val), y_sub.mean())
         self.y_val = y_val
-        self.parent_score = base_score
+        self.loss = fitcore.mape(self.pred, y_val)
         self.n_selected = 0
         self.selected_norm = 0.0  # largest of self.norms over the selected columns
 
-    def _gamma(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """New-term coefficients of candidates ``idx`` and which are not aliased."""
-        R = self.resid[:, idx]
+    def _gamma(self, cols: slice) -> tuple[np.ndarray, np.ndarray]:
+        """New-term coefficients of the columns ``cols`` and which are not aliased."""
+        R = self.W[: self.n_sub, cols]
         ss = np.einsum("ij,ij->j", R, R)
         # aliased: residual norm <= max(n, k)*eps*(largest column norm among the
         # k model columns), fit_ols's rank rule on |r11|; norms are taken before
         # centring, so a column constant on these rows is aliased even when
         # its mean is inexact
-        tol = (max(R.shape[0], self.n_selected + 1) * np.finfo(np.float64).eps
-               * np.maximum(self.norms[idx], self.selected_norm))
+        tol = (max(self.n_sub, self.n_selected + 1) * np.finfo(np.float64).eps
+               * np.maximum(self.norms[cols], self.selected_norm))
         live = np.sqrt(ss) > tol
-        gamma = np.zeros(len(idx))
-        gamma[live] = (self.y_res @ R[:, live]) / ss[live]
+        gamma = np.divide(np.einsum("i,ij->j", self.y_res, R), ss,
+                          out=np.zeros_like(ss), where=live)
         return gamma, live
 
-    def scores(self, idx: np.ndarray) -> np.ndarray:
-        gamma, live = self._gamma(idx)
-        scores = np.full(len(idx), self.parent_score)
-        pred = self.pred[:, None] + self.vresid[:, idx[live]] * gamma[live]
-        scores[live] = np.mean(np.abs(pred - self.y_val[:, None]), axis=0)
-        return scores
+    def losses(self, idx: np.ndarray) -> np.ndarray:
+        gamma, live = self._gamma(slice(None))
+        live = live[idx]
+        cols = idx[live]
+        losses = np.full(len(idx), self.loss)
+        E = self.W[self.n_sub :, cols] * gamma[cols]  # validation errors, in place
+        E += self.pred[:, None]
+        E -= self.y_val[:, None]
+        losses[live] = np.abs(E, out=E).mean(axis=0)
+        return losses
 
-    def accept(self, j: int, score: float) -> None:
-        gamma, live = self._gamma(np.array([j]))
+    def accept(self, j: int, loss: float) -> None:
+        gamma, live = self._gamma(slice(j, j + 1))
         self.n_selected += 1
         self.selected_norm = max(self.selected_norm, float(self.norms[j]))
-        self.parent_score = score
+        self.loss = loss
         if not live[0]:
             return
-        r, vr = self.resid[:, j], self.vresid[:, j]
-        self.y_res -= gamma[0] * r
-        self.pred += gamma[0] * vr
-        scale = np.linalg.norm(r)
-        q, vq = r / scale, vr / scale
+        sub = self.W[: self.n_sub]
+        self.y_res -= gamma[0] * sub[:, j]
+        self.pred += gamma[0] * self.W[self.n_sub :, j]
+        q = self.W[:, j] / np.linalg.norm(sub[:, j])  # unit on the sub-training rows
+        # products by einsum, not `@`: a threaded OpenBLAS gemv next to each
+        # dger made a 4,000-row, 148-candidate search 9x slower (2-core host)
         for _ in range(2):  # twice is enough
-            a = q @ self.resid
-            self.resid -= np.outer(q, a)
-            self.vresid -= np.outer(vq, a)
+            dger(-1.0, q, np.einsum("i,ij->j", q[: self.n_sub], sub), a=self.W, overwrite_a=True)
 
 
 class _LogisticScorer:
-    """Validation PCC of a one-vs-all logistic refit per candidate."""
+    """Negated validation PCC of a one-vs-all logistic refit per candidate."""
 
-    def __init__(self, P_sub: np.ndarray, y_sub: np.ndarray, P_val: np.ndarray,
-                 y_val: np.ndarray, max_iter: int, tol: float):
-        self.P_sub, self.y_sub, self.P_val, self.y_val = P_sub, y_sub, P_val, y_val
+    def __init__(self, P: np.ndarray, n_sub: int, y_sub: np.ndarray, y_val: np.ndarray,
+                 max_iter: int, tol: float):
+        self.P_sub, self.P_val, self.y_sub, self.y_val = P[:n_sub], P[n_sub:], y_sub, y_val
         self.max_iter, self.tol = max_iter, tol
+        values, counts = np.unique(y_sub, return_counts=True)
+        self.loss = -fitcore.pcc(np.full(len(y_val), values[np.argmax(counts)]), y_val)
         self.selected: list[int] = []
 
-    def scores(self, idx: np.ndarray) -> np.ndarray:
+    def losses(self, idx: np.ndarray) -> np.ndarray:
         out = np.empty(len(idx))
         for i, j in enumerate(idx):
             cols = self.selected + [int(j)]
             fit = fitcore.fit_logistic_ova(self.P_sub[:, cols], self.y_sub, self.max_iter, self.tol)
-            out[i] = fitcore.pcc(fit.predict(self.P_val[:, cols]), self.y_val)
+            out[i] = -fitcore.pcc(fit.predict(self.P_val[:, cols]), self.y_val)
         return out
 
-    def accept(self, j: int, score: float) -> None:
+    def accept(self, j: int, loss: float) -> None:
         self.selected.append(j)
+        self.loss = loss
 
 
 def fsr(train: Dataset, config: FSRConfig, seed: int) -> FSRResult:
@@ -192,70 +203,53 @@ def fsr(train: Dataset, config: FSRConfig, seed: int) -> FSRResult:
         raise DataError("validation holdout would be empty")
 
     sub_idx, val_idx = holdout(n, n_val, seed)
-
-    expanded = polyterms.expand(design, config.candidates)
-    P_sub, P_val = expanded[sub_idx], expanded[val_idx]
+    rows = design[np.r_[sub_idx, val_idx]]
+    n_sub = len(sub_idx)
+    expanded = polyterms.expand(rows, config.candidates)
     y_sub, y_val = y[sub_idx], y[val_idx]
-
-    labels = config.candidates.labels()
-
     if classify:
-        values, counts = np.unique(y_sub, return_counts=True)
-        majority = values[np.argmax(counts)]
-        base_score = fitcore.pcc(np.full(n_val, majority), y_val)
-        scorer = _LogisticScorer(P_sub, y_sub, P_val, y_val, config.max_iter, config.tol)
+        scorer = _LogisticScorer(expanded, n_sub, y_sub, y_val, config.max_iter, config.tol)
     else:
-        base_score = fitcore.mape(np.full(n_val, y_sub.mean()), y_val)
-        scorer = _OrthogonalScorer(P_sub, y_sub, P_val, y_val, base_score)
+        scorer = _OrthogonalScorer(expanded, n_sub, y_sub, y_val)
 
+    # the loss of each step's model (the negated PCC when classifying) and the
+    # candidate fits evaluated by then; step 0 is the intercept-only model
     selected: list[int] = []
+    losses, fits = [scorer.loss], [0]
     remaining = list(range(len(config.candidates)))
-    fits = 0
-    trace: list[FSRTraceRow] = [FSRTraceRow(0, "", base_score, 0)]
-    prev_score = base_score
-
     while remaining:
-        step_scores = scorer.scores(np.array(remaining))
-        fits += len(remaining)
-        # the first strict best in candidate order
-        b = int(np.argmax(step_scores) if classify else np.argmin(step_scores))
-        best_j, best_score = remaining[b], float(step_scores[b])
-        improvement = (best_score - prev_score) if classify else (prev_score - best_score)
-        if improvement <= config.improvement_tolerance and fits >= config.min_models:
+        step_losses = scorer.losses(np.array(remaining))
+        b = int(np.argmin(step_losses))  # the first strict best in candidate order
+        loss, evaluated = float(step_losses[b]), fits[-1] + len(remaining)
+        if scorer.loss - loss <= config.improvement_tolerance and evaluated >= config.min_models:
             break
-        scorer.accept(best_j, best_score)
-        selected.append(best_j)
-        del remaining[b]
-        trace.append(FSRTraceRow(len(selected), labels[best_j], best_score, fits))
-        prev_score = best_score
+        scorer.accept(remaining[b], loss)
+        selected.append(remaining.pop(b))
+        losses.append(loss)
+        fits.append(evaluated)
+    del expanded, scorer  # the refit below expands the chosen terms again
 
-    # final selection: the shortest prefix of the growth trace whose score is
-    # within improvement_tolerance of the best score seen (parsimony rule;
+    # final selection: the shortest prefix of the growth trace whose loss is
+    # within improvement_tolerance of the least loss seen (parsimony rule;
     # tolerance 0 keeps the earliest strict optimum)
-    scores = [row.validation_score for row in trace]
-    best = max(scores) if classify else min(scores)
-    if classify:
-        meets = [s >= best - config.improvement_tolerance for s in scores]
-    else:
-        meets = [s <= best + config.improvement_tolerance for s in scores]
-    best_step = meets.index(True)
-    chosen = sorted(selected[:best_step])
-
+    best_step = int(np.argmax(np.array(losses) <= min(losses) + config.improvement_tolerance))
     final_terms = TermSet(
-        tuple(config.candidates[j] for j in chosen),
+        tuple(config.candidates[j] for j in sorted(selected[:best_step])),
         config.candidates.width,
         config.candidates.groups,
         config.candidates.spec,
     )
-    sub_design = design[sub_idx]
     method = "logistic" if classify else "ols"
     model = fitcore.fit_poly_model(
-        sub_design, y_sub, final_terms, method,
+        rows[:n_sub], y_sub, final_terms, method,
         schema=train.schema, groups=groups, max_iter=config.max_iter, tol=config.tol,
     )
-    marked = tuple(
-        FSRTraceRow(r.step, r.term_label, r.validation_score, r.fits_evaluated,
-                    selected=r.step > 0 and r.step <= best_step)
-        for r in trace
+    sign = -1.0 if classify else 1.0
+    names = config.candidates.labels()
+    labels = [""] + [names[j] for j in selected]
+    trace = tuple(
+        FSRTraceRow(step, labels[step], sign * losses[step], fits[step],
+                    selected=0 < step <= best_step)
+        for step in range(len(losses))
     )
-    return FSRResult(model, marked)
+    return FSRResult(model, trace)

@@ -44,6 +44,19 @@ def single_level_csv(tmp_path):
 
 
 @pytest.fixture()
+def blank_header_csv(tmp_path):
+    """Its first line, the header row, is blank."""
+    path = tmp_path / "blank.csv"
+    path.write_text("\n1,2\n3,4\n", encoding="utf-8")
+    return path
+
+
+def assert_blank_header_named(capsys):
+    err = capsys.readouterr().err
+    assert "error:" in err and "header row" in err and "Traceback" not in err
+
+
+@pytest.fixture()
 def quad_csv(tmp_path):
     X, y = quadratic_response(600, seed=1)
     return write_csv(tmp_path / "quad.csv", X, y)
@@ -147,6 +160,11 @@ class TestFit:
         assert rc == EXIT_DATA
         err = capsys.readouterr().err
         assert "no columns" in err and "['c']" in err and "Traceback" not in err
+
+    def test_blank_first_line_is_a_data_error(self, tmp_path, blank_header_csv, capsys):
+        rc = main(["fit", "--data", str(blank_header_csv), "--out-dir", str(tmp_path / "out")])
+        assert rc == EXIT_DATA
+        assert_blank_header_named(capsys)
 
     def test_empty_test_split_is_named(self, tmp_path, capsys):
         path = write_csv(tmp_path / "three.csv", np.eye(3, 2), [3.0, 5.0, 1.0])
@@ -380,6 +398,15 @@ class TestPredict:
         assert "outside the schema" in err
         assert len(out.read_text().splitlines()) == 2
 
+    def test_blank_first_line_is_a_data_error(self, tmp_path, quad_csv, blank_header_csv,
+                                              capsys):
+        model = self._fit(tmp_path, quad_csv)
+        capsys.readouterr()
+        rc = main(["predict", "--model", str(model), "--data", str(blank_header_csv),
+                   "--out", str(tmp_path / "preds.csv")])
+        assert rc == EXIT_DATA
+        assert_blank_header_named(capsys)
+
     def test_bad_model_container(self, tmp_path, quad_csv):
         bad = tmp_path / "bad.json"
         bad.write_text("{}", encoding="utf-8")
@@ -443,6 +470,11 @@ class TestVifProbe:
         assert rc == EXIT_DATA
         err = capsys.readouterr().err
         assert "no columns" in err and "['c']" in err and "Traceback" not in err
+
+    def test_blank_first_line_is_a_data_error(self, blank_header_csv, capsys):
+        rc = main(["vif-probe", "--data", str(blank_header_csv), "--widths", "5,1"])
+        assert rc == EXIT_DATA
+        assert_blank_header_named(capsys)
 
     def test_imported_weights(self, tmp_path, capsys):
         rng = np.random.default_rng(2)
@@ -993,7 +1025,8 @@ def _vif_probe_options(draw) -> list[str]:
 class TestSubcommandFuzz:
     """Every subcommand, with valid options, on small generated CSVs (no rows,
     one row, constant or single-level columns, one class, missing and
-    non-finite cells) ends with a documented exit code and raises nothing."""
+    non-finite cells, no header field) ends with a documented exit code and
+    raises nothing."""
 
     DOCUMENTED = {0, 2, 3, 4, 5, 6}
 
@@ -1010,7 +1043,7 @@ class TestSubcommandFuzz:
                     "--activation", data.draw(st.sampled_from(["square", "identity"]))]
             assert main(["equiv-demo", *seed, *args]) in self.DOCUMENTED
             return
-        header = data.draw(st.sampled_from([("u", "c", "y"), ("u", "y"), ("c", "v", "w", "y")]))
+        header = data.draw(st.sampled_from([("u", "c", "y"), ("u", "y"), ("c", "v", "w", "y"), ()]))
         table = root / "table.csv"
         table.write_text(data.draw(fuzz_tables(header)), encoding="utf-8")
         if command == "vif-probe":

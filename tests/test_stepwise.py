@@ -1,11 +1,15 @@
 """Forward stepwise selection behavior."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from polykit import fitcore as fc
 from polykit import stepwise as sw
-from polykit.dataset import DummyGroups, dataset_from_arrays, encode_design, load_csv
+from polykit.dataset import (
+    DummyGroups, dataset_from_arrays, encode_design, holdout, load_csv,
+)
 from polykit.errors import DataError
 from polykit.polyterms import Monomial, PolySpec, TermSet, enumerate_terms, expand
 
@@ -85,6 +89,33 @@ def assert_matches_reference(train, config, seed):
     return res
 
 
+def mixed_table(tmp_path, seed, n=500, extra=0):
+    """A wage-style CSV, loaded: numeric u and v, categorical g (3 levels)
+    and h (2 levels), ``extra`` numeric noise columns, and a response with
+    main effects, a square and a group-by-numeric interaction."""
+    rng = np.random.default_rng(seed)
+    u, v = rng.normal(size=n), rng.uniform(-1, 1, size=n)
+    g = rng.integers(0, 3, size=n)
+    h = rng.integers(0, 2, size=n)
+    noise = rng.normal(size=(n, extra))
+    y = 1 + 2 * u - v**2 + np.array([0.0, 1.5, -1.0])[g] + 0.8 * h * u + rng.normal(0, 0.5, n)
+    header = ["u", "v", "g", "h"] + [f"x{k}" for k in range(extra)] + ["y"]
+    rows = [",".join(header)] + [
+        ",".join([f"{a:.8f}", f"{b:.8f}", "pqr"[c], "st"[d]] + [f"{x:.8f}" for x in xs]
+                 + [f"{t:.8f}"])
+        for a, b, c, d, xs, t in zip(u, v, g, h, noise, y)
+    ]
+    path = tmp_path / "mixed.csv"
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    return load_csv(path)
+
+
+def full_candidates(ds, degree=2):
+    """Every term of ``degree`` over the encoded design of ``ds``."""
+    design, groups = encode_design(ds)
+    return enumerate_terms(design.shape[1], groups, PolySpec(degree))
+
+
 def full_pass(candidates):
     """min_models of a full greedy pass: the search runs until it stops improving
     with no candidate left to try."""
@@ -107,21 +138,8 @@ class TestReferenceSearch:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_mixed_table_full_pass(self, tmp_path, seed):
-        rng = np.random.default_rng(seed)
-        n = 500
-        u, v = rng.normal(size=n), rng.uniform(-1, 1, size=n)
-        g = rng.integers(0, 3, size=n)
-        h = rng.integers(0, 2, size=n)
-        y = 1 + 2 * u - v**2 + np.array([0.0, 1.5, -1.0])[g] + 0.8 * h * u + rng.normal(0, 0.5, n)
-        rows = ["u,v,g,h,y"] + [
-            f"{a:.8f},{b:.8f},{'pqr'[c]},{'st'[d]},{t:.8f}"
-            for a, b, c, d, t in zip(u, v, g, h, y)
-        ]
-        path = tmp_path / "mixed.csv"
-        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
-        ds = load_csv(path)
-        design, groups = encode_design(ds)
-        terms = enumerate_terms(design.shape[1], groups, PolySpec(2))
+        ds = mixed_table(tmp_path, seed)
+        terms = full_candidates(ds)
         cfg = sw.FSRConfig(terms, improvement_tolerance=0.0, min_models=full_pass(terms))
         res = assert_matches_reference(ds, cfg, seed)
         assert res.trace[-1].fits_evaluated <= full_pass(terms)
@@ -153,6 +171,104 @@ class TestReferenceSearch:
                 assert row.validation_score == prev.validation_score
         assert "u2" not in res.model.terms.labels()
         assert "c" not in res.model.terms.labels()
+
+
+def blob_dataset(seed, n=300):
+    """Three overlapping Gaussian classes in the plane."""
+    rng = np.random.default_rng(seed)
+    centers = np.array([[0.0, 0.0], [1.5, 0.0], [0.0, 1.5]])
+    X = np.vstack([rng.normal(size=(n // 3, 2)) + c for c in centers])
+    labels = np.repeat([0, 1, 2], n // 3)
+    return dataset_from_arrays(X, labels, classification=True, feature_names=("u", "v"))
+
+
+def reference_classification_search(train, config, seed):
+    """The one-vs-all logistic search as ``fsr`` ran it on a row-order
+    expansion: one cold ``fit_logistic_ova`` per remaining candidate on the
+    sub-training rows, the first strict argmax of validation PCC kept at
+    each step, then the parsimony rule and the refit of the chosen terms.
+
+    Returns the trace as (term label, validation score, fits evaluated,
+    selected) rows, the intercept-only row first, and the final model.
+    """
+    design, _ = encode_design(train)
+    y = train.response_values()
+    n = design.shape[0]
+    n_val = int(n * config.validation_fraction)
+    sub_idx, val_idx = holdout(n, n_val, seed)
+    expanded = expand(design, config.candidates)
+    P_sub, P_val = expanded[sub_idx], expanded[val_idx]
+    y_sub, y_val = y[sub_idx], y[val_idx]
+    labels = config.candidates.labels()
+
+    values, counts = np.unique(y_sub, return_counts=True)
+    prev_score = fc.pcc(np.full(n_val, values[np.argmax(counts)]), y_val)
+    trace = [("", prev_score, 0)]
+    selected: list[int] = []
+    remaining = list(range(len(config.candidates)))
+    fits = 0
+    while remaining:
+        best_j, best_score = None, None
+        for j in remaining:
+            cols = selected + [j]
+            fit = fc.fit_logistic_ova(P_sub[:, cols], y_sub, config.max_iter, config.tol)
+            score = fc.pcc(fit.predict(P_val[:, cols]), y_val)
+            fits += 1
+            if best_score is None or score > best_score:
+                best_j, best_score = j, score
+        if best_score - prev_score <= config.improvement_tolerance and fits >= config.min_models:
+            break
+        selected.append(best_j)
+        remaining.remove(best_j)
+        trace.append((labels[best_j], best_score, fits))
+        prev_score = best_score
+
+    best = max(score for _, score, _ in trace)
+    best_step = next(i for i, (_, score, _) in enumerate(trace)
+                     if score >= best - config.improvement_tolerance)
+    terms = TermSet(tuple(config.candidates[j] for j in sorted(selected[:best_step])),
+                    config.candidates.width, config.candidates.groups, config.candidates.spec)
+    model = fc.fit_poly_model(design[sub_idx], y_sub, terms, "logistic",
+                              max_iter=config.max_iter, tol=config.tol)
+    return [row + (0 < i <= best_step,) for i, row in enumerate(trace)], model
+
+
+class TestReferenceClassificationSearch:
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("degree", [2, 3])
+    @pytest.mark.parametrize("tolerance", [0.0, 0.02])
+    @pytest.mark.parametrize("full", [False, True], ids=["stop-rule", "full-pass"])
+    def test_blob_classes(self, seed, degree, tolerance, full):
+        ds = blob_dataset(seed)
+        terms = full_candidates(ds, degree)
+        cfg = sw.FSRConfig(terms, improvement_tolerance=tolerance,
+                           min_models=full_pass(terms) if full else 1)
+        res = sw.fsr(ds, cfg, seed=seed)
+        trace, model = reference_classification_search(ds, cfg, seed)
+        got = [(r.term_label, r.validation_score, r.fits_evaluated, r.selected)
+               for r in res.trace]
+        assert got == trace
+        assert res.model.terms.terms == model.terms.terms
+        assert res.model.classes == model.classes
+        assert np.array_equal(res.model.coef, model.coef)
+        assert np.array_equal(res.model.intercept, model.intercept)
+
+
+class TestMemory:
+    def test_peak_is_bounded_by_the_expansion(self, tmp_path):
+        # one expansion of every candidate over every training row, centred in
+        # place and updated in place, is the search's only design-sized array
+        ds = mixed_table(tmp_path, 0, n=1000, extra=4)
+        terms = full_candidates(ds)
+        cfg = sw.FSRConfig(terms, improvement_tolerance=0.0, min_models=full_pass(terms))
+        expansion = ds.n * len(terms) * 8
+        tracemalloc.start()
+        try:
+            sw.fsr(ds, cfg, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * expansion, peak / expansion
 
 
 class TestSupportRecovery:
