@@ -161,9 +161,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
                           " (each remaining candidate counts once per greedy step)")
     fit.add_argument("--improvement-tolerance", type=_ranged(float, "[0, inf]"), default=0.0,
                      help="FSR stops once the best candidate improves by less than this")
-    fit.add_argument("--max-iter", type=AT_LEAST_ONE, default=100,
-                     help="logistic Newton iterations (default 100)")
-    fit.add_argument("--tol", type=_ranged(float, "[0, inf]"), default=1e-8,
+    fit.add_argument("--max-iter", type=AT_LEAST_ONE, default=fitcore.NEWTON_MAX_ITER,
+                     help="logistic Newton iterations (default %(default)s)")
+    fit.add_argument("--tol", type=_ranged(float, "[0, inf]"), default=fitcore.NEWTON_TOL,
                      help="logistic stop: max |gradient| entry")
     fit.add_argument("--out-dir", default=".", help="directory for model and trace files")
     fit.add_argument("--results", help="CSV file to append the scored result row to")
@@ -297,6 +297,9 @@ def cmd_fit(args) -> int:
         term_width = design.shape[1]
         term_groups = groups
 
+    total = polyterms.count_terms(term_width, term_groups, spec)
+    polyterms.check_cell_budget(
+        train.n, polyterms.kept_term_count(total, term_width, args.keep_fraction))
     terms = polyterms.enumerate_terms(term_width, term_groups, spec)
     if args.keep_fraction < 1.0:
         terms = polyterms.drop_random_columns(terms, args.keep_fraction, args.seed)

@@ -27,8 +27,9 @@ RESPONSE_KINDS = ("response_numeric", "response_class")
 MISSING_TOKENS = frozenset({"", "na", "nan", "n/a", "null"})
 
 #: A feature column whose distinct-value count is at or below this is
-#: treated as categorical even when every value parses as a number.
-DEFAULT_CATEGORICAL_THRESHOLD = 12
+#: treated as categorical even when every value parses as a number; a
+#: schema sidecar (``kind_hints``) types any column its own way.
+CATEGORICAL_THRESHOLD = 12
 
 
 def _floats(values: Sequence[str]) -> np.ndarray | None:
@@ -300,7 +301,6 @@ def load_csv(
     *,
     kind_hints: dict[str, str] | None = None,
     response: str | None = None,
-    categorical_threshold: int = DEFAULT_CATEGORICAL_THRESHOLD,
     classify: bool = False,
 ) -> Dataset:
     """Load a comma-delimited UTF-8 file with a header row into a Dataset.
@@ -308,7 +308,7 @@ def load_csv(
     Column typing: per-column ``kind_hints`` (e.g. from
     :func:`parse_schema_sidecar`) override inference. An inferred feature
     column is categorical iff a non-numeric value occurs or its
-    distinct-value count is <= ``categorical_threshold``. The response
+    distinct-value count is <= ``CATEGORICAL_THRESHOLD``. The response
     column is named by ``response`` (default: last header column) and is
     inferred as a class response iff it holds non-numeric values; with
     ``classify`` it is a class response whatever its values, as if hinted
@@ -358,8 +358,8 @@ def load_csv(
             numeric = col.floats is not None
             if name == resp_name:
                 kind = "response_numeric" if numeric else "response_class"
-            elif numeric and (len(np.unique(col.floats)) > categorical_threshold
-                              or len(set(col.strings())) > categorical_threshold):
+            elif numeric and (len(np.unique(col.floats)) > CATEGORICAL_THRESHOLD
+                              or len(set(col.strings())) > CATEGORICAL_THRESHOLD):
                 kind = "numeric"
             else:
                 kind = "categorical"

@@ -27,7 +27,8 @@ VIF_CAP = 1e15
 
 COLLINEAR_TOL = 1e-12
 
-DEFAULT_THRESHOLD = 10.0
+#: A VIF above this counts towards a layer's share over threshold.
+VIF_THRESHOLD = 10.0
 
 
 @dataclass(frozen=True)
@@ -38,7 +39,6 @@ class VIFReport:
     vifs: tuple[float, ...]
     proportion_over_threshold: float
     mean_vif: float
-    threshold: float = DEFAULT_THRESHOLD
     undefined: bool = False
 
 
@@ -75,20 +75,15 @@ def vif(X: np.ndarray) -> np.ndarray:
     return values
 
 
-def vif_summary(vifs: np.ndarray, threshold: float = DEFAULT_THRESHOLD) -> tuple[float, float]:
-    """(proportion strictly above threshold, arithmetic mean incl. caps)."""
+def vif_summary(vifs: np.ndarray) -> tuple[float, float]:
+    """(proportion strictly above ``VIF_THRESHOLD``, arithmetic mean incl. caps)."""
     vifs = np.asarray(vifs, dtype=np.float64)
     if vifs.size == 0:
         raise ValueError("empty VIF vector")
-    return float(np.mean(vifs > threshold)), float(np.mean(vifs))
+    return float(np.mean(vifs > VIF_THRESHOLD)), float(np.mean(vifs))
 
 
-def probe_layers(
-    mlp: "mlpmod.MLP",
-    X: np.ndarray,
-    *,
-    threshold: float = DEFAULT_THRESHOLD,
-) -> list[VIFReport]:
+def probe_layers(mlp: "mlpmod.MLP", X: np.ndarray) -> list[VIFReport]:
     """One VIFReport per network layer, dense and dropout alike.
 
     Layer outputs are taken in inference mode, so a dropout layer passes
@@ -107,11 +102,11 @@ def probe_layers(
             reports.append(replace(reports[-1], layer_label=labels[i]))
             continue
         if outputs.shape[1] < 2:
-            reports.append(VIFReport(labels[i], (), 0.0, 0.0, threshold, undefined=True))
+            reports.append(VIFReport(labels[i], (), 0.0, 0.0, undefined=True))
             continue
         values = vif(outputs)
-        prop, mean = vif_summary(values, threshold)
-        reports.append(VIFReport(labels[i], tuple(float(v) for v in values), prop, mean, threshold))
+        prop, mean = vif_summary(values)
+        reports.append(VIFReport(labels[i], tuple(float(v) for v in values), prop, mean))
     return reports
 
 
@@ -119,8 +114,7 @@ def format_reports(reports: list[VIFReport]) -> str:
     """Aligned three-column text table: layer, share over threshold, mean."""
     if not reports:
         return ""
-    thr = reports[0].threshold
-    rows = [("layer", f"share_vif_over_{thr:g}", "mean_vif")]
+    rows = [("layer", f"share_vif_over_{VIF_THRESHOLD:g}", "mean_vif")]
     for rep in reports:
         if rep.undefined:
             rows.append((rep.layer_label, "undefined", "undefined"))
@@ -139,6 +133,6 @@ def reports_to_csv(reports: list[VIFReport]) -> str:
     for rep in reports:
         lines.append(
             f"{rep.layer_label},{rep.proportion_over_threshold!r},"
-            f"{rep.mean_vif!r},{rep.threshold!r},{int(rep.undefined)}"
+            f"{rep.mean_vif!r},{VIF_THRESHOLD!r},{int(rep.undefined)}"
         )
     return "\n".join(lines) + "\n"

@@ -30,8 +30,8 @@ from .polyterms import (
 #: Coefficients with absolute value below this are pruned after every op.
 PRUNE_TOL = 1e-12
 
-#: Default cap on the total number of stored coefficients per layer.
-DEFAULT_COEF_BUDGET = 1_000_000
+#: Cap on the total number of stored coefficients per layer.
+COEF_BUDGET = 1_000_000
 
 #: The activations under which a network stays an exact polynomial.
 POLYNOMIAL_ACTIVATIONS = ("square", "identity")
@@ -143,15 +143,13 @@ def poly_pow(a: SymbolicPoly, k: int) -> SymbolicPoly:
     return out
 
 
-def extract_layer_polynomials(
-    mlp: MLP, *, coef_budget: int = DEFAULT_COEF_BUDGET
-) -> list[list[SymbolicPoly]]:
+def extract_layer_polynomials(mlp: MLP) -> list[list[SymbolicPoly]]:
     """Per-layer polynomial vectors for a square/identity network.
 
     Dropout layers pass through unchanged (they are the identity at
     inference). Raises for any non-polynomial activation, and raises
     :class:`MemoryBudgetError` before a layer would store more than
-    ``coef_budget`` coefficients in total.
+    ``COEF_BUDGET`` coefficients in total.
     """
     p = mlp.input_width
     terms = _numeric_terms(p, 1)
@@ -169,9 +167,9 @@ def extract_layer_polynomials(
             )
         degree = terms.spec.degree * (2 if layer.activation == "square" else 1)
         size = layer.weights.shape[1] * (exact_numeric_term_count(p, degree) + 1)
-        if size > coef_budget:
+        if size > COEF_BUDGET:
             raise MemoryBudgetError(
-                f"extraction stores {size} coefficients (> budget {coef_budget})"
+                f"extraction stores {size} coefficients (> budget {COEF_BUDGET})"
             )
         rows = layer.weights.T @ rows
         rows[:, 0] += layer.bias
@@ -183,9 +181,9 @@ def extract_layer_polynomials(
     return per_layer
 
 
-def extract_polynomial(mlp: MLP, *, coef_budget: int = DEFAULT_COEF_BUDGET) -> list[SymbolicPoly]:
+def extract_polynomial(mlp: MLP) -> list[SymbolicPoly]:
     """The exact polynomial computed by each output unit."""
-    return extract_layer_polynomials(mlp, coef_budget=coef_budget)[-1]
+    return extract_layer_polynomials(mlp)[-1]
 
 
 def random_polynomial_network(

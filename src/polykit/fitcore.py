@@ -135,11 +135,15 @@ def fit_ols(X: np.ndarray, y: np.ndarray) -> LinearFit:
     return LinearFit(intercept, coef, aliased)
 
 
+def _check_ridge_penalty(lam) -> None:
+    if lam is None or not 0 < lam < np.inf:  # the comparisons fail for NaN
+        raise ValueError(f"ridge penalty must be positive and finite, got {lam}")
+
+
 def fit_ridge(X: np.ndarray, y: np.ndarray, lam: float) -> LinearFit:
     """Ridge regression: penalized normal equations on z-scaled columns,
     intercept unpenalized, coefficients reported on the original scale."""
-    if lam <= 0:
-        raise ValueError("ridge penalty must be positive")
+    _check_ridge_penalty(lam)
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     _check_finite(X, y)
@@ -177,9 +181,13 @@ class LogisticFit:
 #: separable classes keep finite coefficients on one scale for the argmax.
 LOGISTIC_PENALTY = 1.0
 
+#: Newton iterations and gradient tolerance of every logistic fit by default.
+NEWTON_MAX_ITER = 100
+NEWTON_TOL = 1e-8
+
 
 def fit_logistic_ova(
-    X: np.ndarray, labels: np.ndarray, max_iter: int = 100, tol: float = 1e-8
+    X: np.ndarray, labels: np.ndarray, max_iter: int = NEWTON_MAX_ITER, tol: float = NEWTON_TOL
 ) -> LogisticFit:
     """One-vs-all logistic regression: each class minimizes its log-loss plus
     ``LOGISTIC_PENALTY / 2`` times its squared slope norm, all in lockstep on
@@ -395,14 +403,14 @@ def fit_poly_model(
     pca: PCABasis | None = None,
     schema: Schema | None = None,
     groups: DummyGroups | None = None,
-    max_iter: int = 100,
-    tol: float = 1e-8,
+    max_iter: int = NEWTON_MAX_ITER,
+    tol: float = NEWTON_TOL,
 ) -> PolyModel:
     """Expand the (optionally PCA-reduced) design and fit by ``method``."""
     if method not in ("ols", "ridge", "logistic"):
         raise ValueError(f"unknown fit method {method!r}")
-    if method == "ridge" and lam is None:
-        raise ValueError("ridge requires a penalty value")
+    if method == "ridge":
+        _check_ridge_penalty(lam)
     Z = pca_transform(pca, design) if pca is not None else np.asarray(design, dtype=np.float64)
     P = polyterms.expand(Z, terms)
     if method == "logistic":

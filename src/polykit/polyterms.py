@@ -11,6 +11,7 @@ additionally capped at ``max_interact_degree`` total degree.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
@@ -19,8 +20,8 @@ import numpy as np
 from .dataset import DummyGroups
 from .errors import MemoryBudgetError
 
-#: Default cap on rows x columns of an expanded matrix.
-DEFAULT_CELL_BUDGET = 200_000_000
+#: Cap on rows x columns of an expanded matrix.
+CELL_BUDGET = 200_000_000
 
 #: Term-count bounds saturate at the largest signed 64-bit integer.
 BOUND_SATURATION = 2**63 - 1
@@ -162,6 +163,48 @@ def enumerate_terms(width: int, groups: DummyGroups, spec: PolySpec) -> TermSet:
     return TermSet(tuple(found), width, groups, spec)
 
 
+def count_terms(width: int, groups: DummyGroups, spec: PolySpec) -> int:
+    """``len(enumerate_terms(width, groups, spec))``, counted without
+    building the terms.
+
+    Up to K = min(degree, cap) a term is a numeric monomial times one
+    indicator from each of j distinct groups; the j-th elementary symmetric
+    polynomial of the group sizes counts the indicator choices, and stars
+    and bars the numeric monomials of degree <= K - j; the constant, the
+    empty product, is no term. Above the cap each degree adds one power of
+    each numeric column.
+    """
+    if width < 1:
+        raise ValueError("design width must be >= 1")
+    sizes = Counter(g for c, g in groups.group_of().items() if c < width).values()
+    numeric = width - sum(sizes)
+    top = min(spec.degree, spec.max_interact_degree)
+    picks = [1] + [0] * top  # picks[j]: one indicator from each of j distinct groups
+    for size in sizes:
+        for j in range(top, 0, -1):
+            picks[j] += size * picks[j - 1]
+    up_to_cap = sum(picks[j] * math.comb(numeric + top - j, numeric) for j in range(top + 1))
+    return up_to_cap - 1 + (spec.degree - top) * numeric
+
+
+def kept_term_count(total: int, linear: int, keep_fraction: float) -> int:
+    """Terms :func:`drop_random_columns` keeps of ``total``, ``linear`` of
+    them of degree 1: ceil(keep_fraction * total), but never fewer than the
+    linear ones."""
+    return min(total, max(linear, math.ceil(keep_fraction * total)))
+
+
+def check_cell_budget(rows: int, n_terms: int) -> None:
+    """Raise :class:`MemoryBudgetError` when expanding ``rows`` rows over
+    ``n_terms`` terms would exceed ``CELL_BUDGET`` cells."""
+    cells = rows * n_terms
+    if cells > CELL_BUDGET:
+        raise MemoryBudgetError(
+            f"expansion needs {cells} cells (> budget {CELL_BUDGET});"
+            " reduce dimension with PCA or drop random columns"
+        )
+
+
 class TermCountBound(NamedTuple):
     bound: int
     saturated: bool
@@ -220,12 +263,7 @@ def graded_position(exponents: np.ndarray) -> np.ndarray:
     return position
 
 
-def expand(
-    design: np.ndarray,
-    terms: TermSet,
-    *,
-    cell_budget: int = DEFAULT_CELL_BUDGET,
-) -> np.ndarray:
+def expand(design: np.ndarray, terms: TermSet) -> np.ndarray:
     """Evaluate every term on every row: column j of the result is term j.
 
     The result is column-major (Fortran-ordered), so each term is written
@@ -234,7 +272,7 @@ def expand(
     the column powers.
 
     Raises :class:`MemoryBudgetError` when rows x terms would exceed
-    ``cell_budget``; shrink via PCA or :func:`drop_random_columns` first.
+    ``CELL_BUDGET``; shrink via PCA or :func:`drop_random_columns` first.
     """
     design = np.asarray(design, dtype=np.float64)
     if design.ndim != 2 or design.shape[1] != terms.width:
@@ -243,12 +281,7 @@ def expand(
             f" does not match term-set width {terms.width}"
         )
     n = design.shape[0]
-    cells = n * len(terms)
-    if cells > cell_budget:
-        raise MemoryBudgetError(
-            f"expansion needs {cells} cells (> budget {cell_budget});"
-            " reduce dimension with PCA or drop random columns"
-        )
+    check_cell_budget(n, len(terms))
     out = np.empty((n, len(terms)), order="F")
     power_cache: dict[tuple[int, int], np.ndarray] = {}
     for j, mono in enumerate(terms):
@@ -274,12 +307,11 @@ def drop_random_columns(terms: TermSet, keep_fraction: float, seed: int) -> Term
     if not 0 < keep_fraction <= 1:
         raise ValueError("keep_fraction must be in (0, 1]")
     total = len(terms)
-    target = math.ceil(keep_fraction * total)
     linear = set(terms.linear_indices())
     higher = [i for i in range(total) if i not in linear]
-    n_extra = max(0, target - len(linear))
+    n_extra = kept_term_count(total, len(linear), keep_fraction) - len(linear)
     rng = np.random.default_rng(seed)
-    picked = rng.choice(len(higher), size=min(n_extra, len(higher)), replace=False)
+    picked = rng.choice(len(higher), size=n_extra, replace=False)
     keep = linear | {higher[i] for i in picked}
     kept = tuple(terms[i] for i in sorted(keep))
     return TermSet(kept, terms.width, terms.groups, terms.spec)

@@ -50,8 +50,8 @@ class FSRConfig:
     validation_fraction: float = 0.2
     min_models: int = 200
     improvement_tolerance: float = 0.0
-    max_iter: int = 25  # logistic refits only
-    tol: float = 1e-8  # logistic refits only
+    max_iter: int = fitcore.NEWTON_MAX_ITER  # logistic refits only
+    tol: float = fitcore.NEWTON_TOL  # logistic refits only
 
     def __post_init__(self):
         if not 0 < self.validation_fraction < 1:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from polykit import dataset, fitcore, polyterms
 from polykit import mlp as m
-from polykit.cli import EXIT_DATA, EXIT_MODEL, EXIT_OK, EXIT_USAGE, main
+from polykit.cli import EXIT_BUDGET, EXIT_DATA, EXIT_MODEL, EXIT_OK, EXIT_USAGE, main
 from polykit.synthdata import linear_response, quadratic_response
 
 
@@ -100,6 +100,28 @@ class TestFit:
             line = next(l for l in out.splitlines() if l.startswith("mape="))
             values[degree] = float(line.split("=", 1)[1])
         assert values[2] < values[1]
+
+    @pytest.mark.parametrize("extra, rc", [([], EXIT_BUDGET), (["--fsr"], EXIT_BUDGET),
+                                           (["--keep-fraction", "0.5"], EXIT_OK)],
+                             ids=["full", "fsr", "thinned-within-budget"])
+    def test_over_budget_fit_builds_no_terms(self, tmp_path, capsys, monkeypatch, extra, rc):
+        # 40 training rows x 55 degree-3 terms of 5 columns is 2,200 cells: over
+        # a budget lowered to 1,200, which the 28 terms kept at 0.5 stay within
+        built = []
+        enumerate_terms = polyterms.enumerate_terms
+        monkeypatch.setattr(polyterms, "enumerate_terms",
+                            lambda *a: built.append(a) or enumerate_terms(*a))
+        monkeypatch.setattr(polyterms, "CELL_BUDGET", 1_200)
+        X = np.random.default_rng(0).normal(size=(50, 5))
+        path = write_csv(tmp_path / "wide.csv", X, X @ np.arange(5.0), names="abcde")
+        assert main(["fit", "--data", str(path), "--degree", "3", *extra,
+                     "--out-dir", str(tmp_path / "out")]) == rc
+        err = capsys.readouterr().err
+        if rc == EXIT_BUDGET:
+            assert built == []
+            assert "error: expansion needs 2200 cells (> budget 1200)" in err
+        else:
+            assert len(built) == 1 and "error:" not in err
 
     def test_fsr_writes_trace(self, tmp_path, quad_csv):
         out_dir = tmp_path / "out"
@@ -362,7 +384,7 @@ class TestPredict:
         assert main(args + [str(tmp_path / "whole.csv")]) == EXIT_OK
         # 600 rows x 5 terms is 3,000 cells: over a budget lowered to 1,000,
         # which each 100-row block of 500 cells stays within
-        monkeypatch.setitem(polyterms.expand.__kwdefaults__, "cell_budget", 1_000)
+        monkeypatch.setattr(polyterms, "CELL_BUDGET", 1_000)
         monkeypatch.setattr(fitcore, "PREDICT_BLOCK_CELLS", 500)
         assert main(args + [str(tmp_path / "blocked.csv")]) == EXIT_OK
         whole, blocked = ((tmp_path / name).read_text().splitlines()

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from polykit import dataset
 from polykit.dataset import (
     COLUMN_KINDS,
-    DEFAULT_CATEGORICAL_THRESHOLD,
+    CATEGORICAL_THRESHOLD,
     MISSING_TOKENS,
     RESPONSE_KINDS,
     ColumnSpec,
@@ -57,6 +57,12 @@ def two_pass_schema(values: dict[str, list[str]], hints: dict[str, str], thresho
     return Schema(tuple(specs))
 
 
+@pytest.fixture
+def categorical_threshold(monkeypatch):
+    """Sets ``dataset.CATEGORICAL_THRESHOLD`` for the rest of one test."""
+    return lambda value: monkeypatch.setattr(dataset, "CATEGORICAL_THRESHOLD", value)
+
+
 def _is_float(text: str) -> bool:
     try:
         float(text)
@@ -66,9 +72,10 @@ def _is_float(text: str) -> bool:
 
 
 class TestLoadCsv:
-    def test_numeric_columns_and_response(self, tmp_path):
+    def test_numeric_columns_and_response(self, tmp_path, categorical_threshold):
         path = write(tmp_path, "t.csv", "u,v,y\n1,2,3\n4,5,6\n7,8,9\n")
-        ds = load_csv(path, categorical_threshold=0)
+        categorical_threshold(0)
+        ds = load_csv(path)
         assert ds.n == 3
         assert len(ds.schema.features) == 2
         assert all(c.kind == "numeric" for c in ds.schema.features)
@@ -82,16 +89,18 @@ class TestLoadCsv:
         assert spec.kind == "categorical"
         assert spec.levels == ("a", "b")
 
-    def test_low_cardinality_numeric_is_categorical(self, tmp_path):
+    def test_low_cardinality_numeric_is_categorical(self, tmp_path, categorical_threshold):
         path = write(tmp_path, "t.csv", "c,y\n1,10\n2,20\n1,30\n")
-        ds = load_csv(path, categorical_threshold=2)
+        categorical_threshold(2)
+        ds = load_csv(path)
         assert ds.schema.column("c").kind == "categorical"
 
-    def test_missing_rows_dropped_and_reported(self, tmp_path):
+    def test_missing_rows_dropped_and_reported(self, tmp_path, categorical_threshold):
         rows = "\n".join(f"{i},{i + 1}" for i in range(9))
         path = write(tmp_path, "t.csv", f"u,y\n,0\n{rows}\n")
+        categorical_threshold(0)
         with pytest.warns(UserWarning, match="1 row"):
-            ds = load_csv(path, categorical_threshold=0)
+            ds = load_csv(path)
         assert ds.n == 9
         assert ds.dropped_rows == 1
 
@@ -109,11 +118,12 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="response column"):
             load_csv(path, response="y")
 
-    def test_sidecar_hints(self, tmp_path):
+    def test_sidecar_hints(self, tmp_path, categorical_threshold):
         side = write(tmp_path, "s.schema", "# kinds\nu = categorical\ny = response_numeric\n")
         path = write(tmp_path, "t.csv", "u,v,y\n1,2,3\n4,5,6\n")
         hints = parse_schema_sidecar(side)
-        ds = load_csv(path, kind_hints=hints, categorical_threshold=0)
+        categorical_threshold(0)
+        ds = load_csv(path, kind_hints=hints)
         assert ds.schema.column("u").kind == "categorical"
         assert ds.schema.column("v").kind == "numeric"
 
@@ -128,7 +138,7 @@ class TestLoadCsv:
         path = write(tmp_path, "t.csv", "u,c,k,y\n" + "\n".join(rows) + "\n")
         hints = {} if hint is None else {column: hint}
         try:
-            want = two_pass_schema(values, hints, DEFAULT_CATEGORICAL_THRESHOLD)
+            want = two_pass_schema(values, hints, CATEGORICAL_THRESHOLD)
         except DataError:
             with pytest.raises(DataError):
                 load_csv(path, kind_hints=hints)
@@ -146,14 +156,15 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="non-numeric value 'abc' in numeric column 'u'"):
             load_design_for_predict(path, schema)
 
-    def test_number_spellings_are_those_float_accepts(self, tmp_path):
+    def test_number_spellings_are_those_float_accepts(self, tmp_path, categorical_threshold):
         # a column is converted in one NumPy call, which must accept exactly
         # the spellings float() accepts: underscores, other-script digits and
         # signs pass; hex, Fortran exponents and words do not
         path = write(tmp_path, "t.csv", "u,h,d,w,y\n"
                      "1_000,0x10,1d5,True,1\n\u0661\u0662,1,1,1,2\n 2,2,2,2,3\n"
                      "+3,3,3,3,4\n-.5,4,4,4,5\n")
-        ds = load_csv(path, categorical_threshold=0)
+        categorical_threshold(0)
+        ds = load_csv(path)
         assert [c.kind for c in ds.schema.columns] == [
             "numeric", "categorical", "categorical", "categorical", "response_numeric"]
         np.testing.assert_array_equal(ds.columns["u"], [1000.0, 12.0, 2.0, 3.0, -0.5])
@@ -161,7 +172,7 @@ class TestLoadCsv:
         assert ds.columns["y"].dtype == np.float64
         inf = write(tmp_path, "inf.csv", "u,y\ninfinity,1\n1,2\n")
         with pytest.raises(DataError, match="non-finite values in numeric column 'u'"):
-            load_csv(inf, categorical_threshold=0)
+            load_csv(inf)
         schema = Schema((ColumnSpec("u", "numeric"), ColumnSpec("y", "response_numeric")))
         for spelling in ("0x10", "1d5", "True"):
             bad = write(tmp_path, "bad.csv", f"u\n1\n{spelling}\n")
@@ -169,28 +180,32 @@ class TestLoadCsv:
                 load_design_for_predict(bad, schema)
 
 
-    def test_a_nan_that_is_no_missing_token_is_kept(self, tmp_path):
+    def test_a_nan_that_is_no_missing_token_is_kept(self, tmp_path, categorical_threshold):
         # the conversion turns both "NaN" and "-nan" into NaN; only the first
         # is a missing token, so its row is dropped and the other is an error
         path = write(tmp_path, "t.csv", "u,y\n NaN ,1\n-nan,2\n1,3\n2,4\n")
+        categorical_threshold(0)
         with pytest.warns(UserWarning, match="1 row"), \
                 pytest.raises(DataError, match="non-finite values in numeric column 'u'"):
-            load_csv(path, categorical_threshold=0)
+            load_csv(path)
+        categorical_threshold(3)
         with pytest.warns(UserWarning, match="1 row"):
-            ds = load_csv(path, categorical_threshold=3)
+            ds = load_csv(path)
         assert ds.schema.column("u").levels == ("-nan", "1", "2")
 
-    def test_a_cell_numpy_rejects_converts_once_stripped(self, tmp_path):
+    def test_a_cell_numpy_rejects_converts_once_stripped(self, tmp_path, categorical_threshold):
         # float() rejects the separator '\x1c' around a number; str.strip drops it
         path = write(tmp_path, "t.csv", "u,y\n\x1c2,1\n3\x1c,2\n\xa07,3\n")
-        ds = load_csv(path, categorical_threshold=0)
+        categorical_threshold(0)
+        ds = load_csv(path)
         assert ds.schema.column("u").kind == "numeric"
         np.testing.assert_array_equal(ds.columns["u"], [2.0, 3.0, 7.0])
 
-    def test_threshold_counts_spellings_not_values(self, tmp_path):
+    def test_threshold_counts_spellings_not_values(self, tmp_path, categorical_threshold):
         # "1" and "1.0" are one float but two distinct cells
         path = write(tmp_path, "t.csv", "u,v,y\n1,1,1\n1.0,1,2\n 1 ,1,3\n")
-        ds = load_csv(path, categorical_threshold=1)
+        categorical_threshold(1)
+        ds = load_csv(path)
         assert ds.schema.column("u").kind == "numeric"
         assert ds.schema.column("v") == ColumnSpec("v", "categorical", ("1",))
         np.testing.assert_array_equal(ds.columns["u"], [1.0, 1.0, 1.0])
@@ -531,7 +546,7 @@ def _reference_typed_columns(path, specs, values, parsed):
 
 
 def reference_load_csv(path, *, kind_hints=None, response=None,
-                       categorical_threshold=DEFAULT_CATEGORICAL_THRESHOLD, classify=False):
+                       categorical_threshold=CATEGORICAL_THRESHOLD, classify=False):
     header, raw_rows = dataset._read_rows(path)
     hints = kind_hints or {}
     unknown = [name for name in hints if name not in header]
@@ -700,19 +715,21 @@ class TestReaderOracle:
     @settings(max_examples=400, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
-    def test_load_csv_matches_the_reference(self, tmp_path, data):
+    def test_load_csv_matches_the_reference(self, tmp_path, categorical_threshold, data):
         header = [f"c{j}" for j in range(data.draw(st.integers(1, 4)))]
         rows = data.draw(csv_rows(header))
         path = tmp_path / "t.csv"
         write_rows(path, header, rows)
         hint = data.draw(st.sampled_from((None, *COLUMN_KINDS)))
+        threshold = data.draw(st.integers(0, 4))
+        categorical_threshold(threshold)
         kwargs = {
-            "categorical_threshold": data.draw(st.integers(0, 4)),
             "classify": data.draw(st.booleans()),
             "kind_hints": {data.draw(st.sampled_from(header)): hint} if hint else None,
         }
         got, got_warned, got_error = outcome(load_csv, path, **kwargs)
-        want, want_warned, want_error = outcome(reference_load_csv, path, **kwargs)
+        want, want_warned, want_error = outcome(reference_load_csv, path,
+                                                categorical_threshold=threshold, **kwargs)
         assert got_error == want_error
         assert got_warned == want_warned
         if want is not None:

@@ -231,10 +231,11 @@ class TestExtraction:
         with pytest.raises(ValueError, match=f"{name} must be at least 1"):
             eq.random_polynomial_network(*sizes, seed=0)
 
-    def test_budget_enforced(self):
+    def test_budget_enforced(self, monkeypatch):
         net = eq.random_polynomial_network(3, 3, 5, seed=0)
+        monkeypatch.setattr(eq, "COEF_BUDGET", 10)
         with pytest.raises(MemoryBudgetError):
-            eq.extract_polynomial(net, coef_budget=10)
+            eq.extract_polynomial(net)
 
     def test_five_square_layers_within_memory(self):
         net = eq.random_polynomial_network(4, 5, 3, 0)

@@ -284,9 +284,10 @@ class TestRidge:
         ]
         assert all(a >= b - 1e-12 for a, b in zip(norms, norms[1:]))
 
-    def test_lambda_must_be_positive(self):
-        with pytest.raises(ValueError):
-            fc.fit_ridge(np.ones((3, 1)), np.ones(3), 0.0)
+    @pytest.mark.parametrize("lam", [0.0, -1.0, np.nan, np.inf])
+    def test_lambda_must_be_positive_and_finite(self, lam):
+        with pytest.raises(ValueError, match="ridge penalty must be positive and finite"):
+            fc.fit_ridge(np.ones((3, 1)), np.ones(3), lam)
 
     def test_inexact_constant_column_gets_zero(self):
         # the constant columns are those fit_ols aliases: 0.1 centres to a
@@ -677,15 +678,16 @@ class TestPredict:
         X = rng.normal(size=(200, 2))
         return X, np.digitize(X[:, 0] + 0.5 * rng.normal(size=200), [-0.5, 0.5])
 
-    @pytest.mark.parametrize("method, kw", [("bogus", {}), ("ridge", {})],
-                             ids=["unknown-method", "ridge-without-penalty"])
+    @pytest.mark.parametrize("method, kw", [
+        ("bogus", {}), ("ridge", {}), ("ridge", {"lam": np.nan}), ("ridge", {"lam": np.inf}),
+    ], ids=["unknown-method", "ridge-without-penalty", "ridge-nan", "ridge-inf"])
     def test_bad_method_fails_before_expansion(self, monkeypatch, method, kw):
         def no_expansion(*args, **kwargs):
             raise AssertionError("expand called")
 
         monkeypatch.setattr(polyterms, "expand", no_expansion)
         X = np.random.default_rng(0).normal(size=(10, 2))
-        with pytest.raises(ValueError, match="unknown fit method|requires a penalty"):
+        with pytest.raises(ValueError, match="unknown fit method|ridge penalty must be positive"):
             self._model(X, X[:, 0], method=method, **kw)
 
     def test_logistic_non_convergence_warns(self):

@@ -10,13 +10,17 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from polykit import polyterms
 from polykit.dataset import DummyGroups
 from polykit.errors import MemoryBudgetError
 from polykit.polyterms import (
     Monomial,
     PolySpec,
     TermSet,
+    count_terms,
     count_terms_bound,
     drop_random_columns,
     enumerate_terms,
@@ -24,6 +28,7 @@ from polykit.polyterms import (
     expand,
     exponent_matrix,
     graded_position,
+    kept_term_count,
 )
 
 
@@ -160,6 +165,46 @@ class TestEnumerate:
             TermSet((Monomial(((0, 1), (1, 1))),), 2, groups, PolySpec(2))
 
 
+@st.composite
+def layouts(draw):
+    """A design of 1-8 columns, each numeric or in one of up to five dummy
+    groups (some of them empty), with a degree of 1-4 and any interaction cap."""
+    width = draw(st.integers(1, 8))
+    owner = draw(st.lists(st.integers(-1, 3), min_size=width, max_size=width))  # -1: numeric
+    n_groups = draw(st.integers(max(owner) + 1, 5))
+    groups = DummyGroups(
+        groups=tuple((f"g{g}", tuple(c for c in range(width) if owner[c] == g))
+                     for g in range(n_groups)),
+        numeric_indices=tuple(c for c in range(width) if owner[c] < 0),
+        column_names=tuple(f"c{c}" for c in range(width)),
+    )
+    degree = draw(st.integers(1, 4))
+    return width, groups, PolySpec(degree, draw(st.integers(1, degree)))
+
+
+class TestCountTerms:
+    @settings(max_examples=400, deadline=None)
+    @given(layouts())
+    def test_matches_the_enumeration(self, layout):
+        assert count_terms(*layout) == len(enumerate_terms(*layout))
+
+    @pytest.mark.parametrize("p", range(1, 9))
+    @pytest.mark.parametrize("d", range(1, 5))
+    def test_all_numeric_is_the_closed_form(self, p, d):
+        assert count_terms(p, DummyGroups.all_numeric(p), PolySpec(d)) == \
+            exact_numeric_term_count(p, d)
+
+    def test_counts_a_set_too_large_to_build(self):
+        assert count_terms(784, DummyGroups.all_numeric(784), PolySpec(3)) == 80_931_144
+
+    @settings(max_examples=200, deadline=None)
+    @given(layouts(), st.floats(0.0, 1.0, exclude_min=True), st.integers(0, 9))
+    def test_kept_count_is_what_dropping_keeps(self, layout, fraction, seed):
+        ts = enumerate_terms(*layout)
+        assert len(drop_random_columns(ts, fraction, seed)) == \
+            kept_term_count(len(ts), layout[0], fraction)
+
+
 class TestCountBound:
     def test_examples(self):
         assert count_terms_bound(3, 2) == (12, False)
@@ -202,10 +247,11 @@ class TestExpand:
         out = expand(np.array([[1.0, 0.0]]), ts)
         np.testing.assert_array_equal(out, [[1.0, 0.0]])
 
-    def test_budget_exceeded(self):
+    def test_budget_exceeded(self, monkeypatch):
         ts = numeric_terms(3, 2)
+        monkeypatch.setattr(polyterms, "CELL_BUDGET", 10)
         with pytest.raises(MemoryBudgetError, match="PCA"):
-            expand(np.ones((100, 3)), ts, cell_budget=10)
+            expand(np.ones((100, 3)), ts)
 
     def test_width_mismatch(self):
         ts = numeric_terms(3, 2)
