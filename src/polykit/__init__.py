@@ -49,9 +49,9 @@ from .polyterms import (
     PolySpec,
     TermSet,
     count_terms_bound,
-    drop_random_columns,
     enumerate_terms,
     expand,
+    thinned_terms,
 )
 from .stepwise import FSRConfig, FSRResult, fsr
 

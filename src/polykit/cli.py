@@ -300,9 +300,11 @@ def cmd_fit(args) -> int:
     total = polyterms.count_terms(term_width, term_groups, spec)
     polyterms.check_cell_budget(
         train.n, polyterms.kept_term_count(total, term_width, args.keep_fraction))
-    terms = polyterms.enumerate_terms(term_width, term_groups, spec)
     if args.keep_fraction < 1.0:
-        terms = polyterms.drop_random_columns(terms, args.keep_fraction, args.seed)
+        terms = polyterms.thinned_terms(term_width, term_groups, spec, args.keep_fraction,
+                                        args.seed)
+    else:
+        terms = polyterms.enumerate_terms(term_width, term_groups, spec)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

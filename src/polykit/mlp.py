@@ -9,10 +9,12 @@ general-purpose deep learning stack.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import blas
 from .errors import ModelFormatError, TrainingDiverged
 
 #: Each hidden activation as (elementwise function, its derivative d/dz);
@@ -24,6 +26,13 @@ ACTIVATIONS = {
     "identity": (lambda z: z, np.ones_like),
 }
 HIDDEN_ACTIVATIONS = tuple(ACTIVATIONS)
+
+#: Minibatches smaller than this train with OpenBLAS on one thread. At
+#: 784-100-50-10 on a 2-core host, one thread took 0.65-0.70x of the
+#: threaded time at batch 16, 0.78-0.94x at 32, 0.91-1.09x at 64 and 0.92x
+#: at 96, but 1.16-1.17x at 128 and 1.13-1.26x at 256
+#: (BENCH_17_sgd_one_thread.json).
+SINGLE_THREAD_BATCH = 128
 
 WEIGHTS_HEADER = "polykit-mlp 2"
 WEIGHTS_V1_HEADER = "polykit-mlp 1"  # no layer count; still loads
@@ -230,6 +239,11 @@ def train_mlp(design: np.ndarray, targets: np.ndarray, config: MLPConfig) -> MLP
     """Minibatch SGD on squared error (linear output) or cross-entropy
     (softmax output, one-hot targets). Dropout is applied only while
     training, with inverted scaling, so inference needs no correction.
+
+    Batches smaller than ``SINGLE_THREAD_BATCH`` train inside
+    :func:`blas.one_thread`: their products are too small to gain from
+    BLAS threads, which cost them more than they save. Every OpenBLAS
+    thread count is restored when the call returns or raises.
     """
     X = np.asarray(design, dtype=np.float64)
     Y = np.asarray(targets, dtype=np.float64)
@@ -244,9 +258,11 @@ def train_mlp(design: np.ndarray, targets: np.ndarray, config: MLPConfig) -> MLP
     dense = [layer for layer in mlp.layers if isinstance(layer, DenseLayer)]
     rng = np.random.default_rng([config.seed, 1])
     n = X.shape[0]
+    pinned = config.batch_size < SINGLE_THREAD_BATCH
     # transient overflow shows up as a non-finite loss and is reported
     # through TrainingDiverged rather than as warnings
-    with np.errstate(over="ignore", invalid="ignore"):
+    with blas.one_thread() if pinned else nullcontext(), \
+            np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(config.epochs):
             perm = rng.permutation(n)
             for start in range(0, n, config.batch_size):

@@ -10,6 +10,7 @@ additionally capped at ``max_interact_degree`` total degree.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -123,9 +124,11 @@ class TermSet:
         return tuple(i for i, m in enumerate(self.terms) if m.degree == 1)
 
 
-def enumerate_terms(width: int, groups: DummyGroups, spec: PolySpec) -> TermSet:
+def enumerate_terms(width: int, groups: DummyGroups, spec: PolySpec,
+                    keep: Sequence[int] | None = None) -> TermSet:
     """Every admissible monomial of total degree 1..spec.degree, in graded
-    order.
+    order; with ``keep``, ascending positions in that order, only the
+    monomials at those positions.
 
     Admissible means: indicator exponents are at most 1, no two indicators
     from the same group co-occur, and any monomial with >= 2 distinct
@@ -134,17 +137,27 @@ def enumerate_terms(width: int, groups: DummyGroups, spec: PolySpec) -> TermSet:
 
     One walk per degree takes later columns in order and tries exponents
     from high to low, which yields that degree's terms in graded order
-    without sorting them.
+    without sorting them. It counts every position but builds a monomial
+    only at a kept one.
     """
     if width < 1:
         raise ValueError("design width must be >= 1")
     dummy_group = groups.group_of()
     found: list[Monomial] = []
     chosen: list[tuple[int, int]] = []
+    wanted = iter(keep) if keep is not None else itertools.count()
+    position, target = 0, next(wanted, -1)
+
+    def leaf() -> None:
+        nonlocal position, target
+        if position == target:
+            found.append(Monomial(tuple(chosen)))
+            target = next(wanted, -1)
+        position += 1
 
     def walk(col: int, remaining: int, groups_used: frozenset[int]) -> None:
         if remaining == 0:
-            found.append(Monomial(tuple(chosen)))
+            leaf()
             return
         for nxt in range(col, width):
             g = dummy_group.get(nxt)
@@ -159,7 +172,11 @@ def enumerate_terms(width: int, groups: DummyGroups, spec: PolySpec) -> TermSet:
         if degree <= spec.max_interact_degree:
             walk(0, degree, frozenset())
         else:  # above the interaction cap only powers of one numeric column remain
-            found.extend(Monomial(((c, degree),)) for c in range(width) if c not in dummy_group)
+            for c in range(width):
+                if c not in dummy_group:
+                    chosen.append((c, degree))
+                    leaf()
+                    chosen.pop()
     return TermSet(tuple(found), width, groups, spec)
 
 
@@ -188,7 +205,7 @@ def count_terms(width: int, groups: DummyGroups, spec: PolySpec) -> int:
 
 
 def kept_term_count(total: int, linear: int, keep_fraction: float) -> int:
-    """Terms :func:`drop_random_columns` keeps of ``total``, ``linear`` of
+    """Terms :func:`thinned_terms` keeps of ``total``, ``linear`` of
     them of degree 1: ceil(keep_fraction * total), but never fewer than the
     linear ones."""
     return min(total, max(linear, math.ceil(keep_fraction * total)))
@@ -272,7 +289,7 @@ def expand(design: np.ndarray, terms: TermSet) -> np.ndarray:
     the column powers.
 
     Raises :class:`MemoryBudgetError` when rows x terms would exceed
-    ``CELL_BUDGET``; shrink via PCA or :func:`drop_random_columns` first.
+    ``CELL_BUDGET``; shrink via PCA or :func:`thinned_terms` first.
     """
     design = np.asarray(design, dtype=np.float64)
     if design.ndim != 2 or design.shape[1] != terms.width:
@@ -297,21 +314,20 @@ def expand(design: np.ndarray, terms: TermSet) -> np.ndarray:
     return out
 
 
-def drop_random_columns(terms: TermSet, keep_fraction: float, seed: int) -> TermSet:
-    """Thin a term set to ceil(keep_fraction * size) monomials.
+def thinned_terms(width: int, groups: DummyGroups, spec: PolySpec,
+                  keep_fraction: float, seed: int) -> TermSet:
+    """A seeded random share of :func:`enumerate_terms`'s terms, built
+    without building the others: :func:`kept_term_count` of them.
 
-    All degree-1 monomials are always retained (so the result still nests
-    the linear model); the remaining slots are a uniform sample of the
-    higher-degree terms. Original (graded) order is preserved.
+    All degree-1 monomials, the first ``width`` positions, are always kept
+    (so the result still nests the linear model); the remaining slots are a
+    uniform draw of the higher-degree positions, found from
+    :func:`count_terms` alone. Graded order is preserved.
     """
     if not 0 < keep_fraction <= 1:
         raise ValueError("keep_fraction must be in (0, 1]")
-    total = len(terms)
-    linear = set(terms.linear_indices())
-    higher = [i for i in range(total) if i not in linear]
-    n_extra = kept_term_count(total, len(linear), keep_fraction) - len(linear)
-    rng = np.random.default_rng(seed)
-    picked = rng.choice(len(higher), size=n_extra, replace=False)
-    keep = linear | {higher[i] for i in picked}
-    kept = tuple(terms[i] for i in sorted(keep))
-    return TermSet(kept, terms.width, terms.groups, terms.spec)
+    total = count_terms(width, groups, spec)
+    n_extra = kept_term_count(total, width, keep_fraction) - width
+    picked = np.random.default_rng(seed).choice(total - width, size=n_extra, replace=False)
+    picked.sort()
+    return enumerate_terms(width, groups, spec, [*range(width), *(picked + width).tolist()])

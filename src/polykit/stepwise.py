@@ -23,22 +23,24 @@ Adding candidate j to the model adds gamma_j * r_j to the fit, where r_j is
 its residual and gamma_j = r_j'y_res / |r_j|^2, so one step scores all
 candidates with a few array operations, and an accepted term costs two
 rank-one updates of the buffer in place ("twice is enough"
-re-orthogonalisation, BLAS ``dger``). No other array the size of the
-expansion is held: the search peaks at about twice one expansion. A
-candidate whose residual is negligible next to the column norms is aliased
-with the model and scores the parent model, as a pivoted-QR refit that
-drops it would. Classification refits the one-vs-all logistic model once
-per candidate on column subsets of the expansion.
+re-orthogonalisation, BLAS ``dger``, on one BLAS thread). No other array
+the size of the expansion is held: the search peaks at about twice one
+expansion. A candidate whose residual is negligible next to the column
+norms is aliased with the model and scores the parent model, as a
+pivoted-QR refit that drops it would. Classification refits the
+one-vs-all logistic model once per candidate on column subsets of the
+expansion.
 """
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.blas import dger
 
-from . import fitcore, polyterms
+from . import blas, fitcore, polyterms
 from .dataset import Dataset, encode_design, holdout
 from .errors import DataError
 from .polyterms import TermSet
@@ -142,10 +144,8 @@ class _OrthogonalScorer:
         self.y_res -= gamma[0] * sub[:, j]
         self.pred += gamma[0] * self.W[self.n_sub :, j]
         q = self.W[:, j] / np.linalg.norm(sub[:, j])  # unit on the sub-training rows
-        # products by einsum, not `@`: a threaded OpenBLAS gemv next to each
-        # dger made a 4,000-row, 148-candidate search 9x slower (2-core host)
         for _ in range(2):  # twice is enough
-            dger(-1.0, q, np.einsum("i,ij->j", q[: self.n_sub], sub), a=self.W, overwrite_a=True)
+            dger(-1.0, q, q[: self.n_sub] @ sub, a=self.W, overwrite_a=True)
 
 
 class _LogisticScorer:
@@ -217,16 +217,22 @@ def fsr(train: Dataset, config: FSRConfig, seed: int) -> FSRResult:
     selected: list[int] = []
     losses, fits = [scorer.loss], [0]
     remaining = list(range(len(config.candidates)))
-    while remaining:
-        step_losses = scorer.losses(np.array(remaining))
-        b = int(np.argmin(step_losses))  # the first strict best in candidate order
-        loss, evaluated = float(step_losses[b]), fits[-1] + len(remaining)
-        if scorer.loss - loss <= config.improvement_tolerance and evaluated >= config.min_models:
-            break
-        scorer.accept(remaining[b], loss)
-        selected.append(remaining.pop(b))
-        losses.append(loss)
-        fits.append(evaluated)
+    # the regression search runs on one BLAS thread: next to each dger, a
+    # threaded gemv made a 4,000-row, 148-candidate search 9x slower, and on
+    # one thread gemv and dger beat threaded dger next to einsum at 1,000 and
+    # 4,000 rows (2-core host; BENCH_17_sgd_one_thread.json)
+    with nullcontext() if classify else blas.one_thread():
+        while remaining:
+            step_losses = scorer.losses(np.array(remaining))
+            b = int(np.argmin(step_losses))  # the first strict best in candidate order
+            loss, evaluated = float(step_losses[b]), fits[-1] + len(remaining)
+            if (scorer.loss - loss <= config.improvement_tolerance
+                    and evaluated >= config.min_models):
+                break
+            scorer.accept(remaining[b], loss)
+            selected.append(remaining.pop(b))
+            losses.append(loss)
+            fits.append(evaluated)
     del expanded, scorer  # the refit below expands the chosen terms again
 
     # final selection: the shortest prefix of the growth trace whose loss is

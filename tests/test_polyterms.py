@@ -1,4 +1,4 @@
-"""Term enumeration, bounds, expansion and column dropping.
+"""Term enumeration, bounds, expansion and random thinning.
 
 The enumeration oracle used throughout is independent of the production
 code path: it walks every exponent vector with itertools.product and
@@ -22,13 +22,13 @@ from polykit.polyterms import (
     TermSet,
     count_terms,
     count_terms_bound,
-    drop_random_columns,
     enumerate_terms,
     exact_numeric_term_count,
     expand,
     exponent_matrix,
     graded_position,
     kept_term_count,
+    thinned_terms,
 )
 
 
@@ -68,6 +68,19 @@ def reference_expand(design, terms):
             col = col * power_cache[key]
         out[:, j] = col
     return out
+
+
+def reference_thinning(terms, keep_fraction, seed):
+    """Thinning of a built term set: all degree-1 terms plus a seeded draw
+    of the others, in graded order. ``thinned_terms`` must keep exactly
+    these terms without building the rest."""
+    total = len(terms)
+    linear = set(terms.linear_indices())
+    higher = [i for i in range(total) if i not in linear]
+    n_extra = kept_term_count(total, len(linear), keep_fraction) - len(linear)
+    picked = np.random.default_rng(seed).choice(len(higher), size=n_extra, replace=False)
+    keep = linear | {higher[i] for i in picked}
+    return TermSet(tuple(terms[i] for i in sorted(keep)), terms.width, terms.groups, terms.spec)
 
 
 def numeric_terms(p, degree, max_interact=None):
@@ -200,9 +213,8 @@ class TestCountTerms:
     @settings(max_examples=200, deadline=None)
     @given(layouts(), st.floats(0.0, 1.0, exclude_min=True), st.integers(0, 9))
     def test_kept_count_is_what_dropping_keeps(self, layout, fraction, seed):
-        ts = enumerate_terms(*layout)
-        assert len(drop_random_columns(ts, fraction, seed)) == \
-            kept_term_count(len(ts), layout[0], fraction)
+        assert len(thinned_terms(*layout, fraction, seed)) == \
+            kept_term_count(count_terms(*layout), layout[0], fraction)
 
 
 class TestCountBound:
@@ -314,29 +326,43 @@ class TestExpandLayout:
         np.testing.assert_array_equal(out, reference_expand(design, terms), strict=True)
 
 
-class TestDropRandomColumns:
+class TestThinnedTerms:
+    @settings(max_examples=300, deadline=None)
+    @given(layouts(), st.floats(0.0, 1.0, exclude_min=True), st.integers(0, 9))
+    def test_keeps_what_thinning_the_full_set_keeps(self, layout, fraction, seed):
+        kept = thinned_terms(*layout, fraction, seed)
+        assert kept == reference_thinning(enumerate_terms(*layout), fraction, seed)
+
     def test_keep_all_is_identity(self):
         ts = numeric_terms(3, 3)
-        assert drop_random_columns(ts, 1.0, seed=0).terms == ts.terms
+        assert thinned_terms(3, ts.groups, ts.spec, 1.0, seed=0).terms == ts.terms
 
     def test_linear_terms_survive(self):
-        ts = numeric_terms(3, 2)  # 9 terms, 3 linear
-        extra = Monomial(((0, 1), (1, 1), (2, 1)))
-        ts10 = TermSet(ts.terms + (extra,), 3, ts.groups, PolySpec(3))
-        kept = drop_random_columns(ts10, 0.5, seed=1)
-        assert len(kept) == 5
-        assert set(kept.linear_indices()) == {0, 1, 2}
+        kept = thinned_terms(3, DummyGroups.all_numeric(3), PolySpec(3), 0.3, seed=1)
+        assert len(kept) == 6  # ceil(0.3 * 19)
+        assert kept.linear_indices() == (0, 1, 2)
 
     def test_deterministic(self):
-        ts = numeric_terms(4, 3)
-        a = drop_random_columns(ts, 0.4, seed=9)
-        b = drop_random_columns(ts, 0.4, seed=9)
-        assert a.terms == b.terms
+        groups, spec = DummyGroups.all_numeric(4), PolySpec(3)
+        assert thinned_terms(4, groups, spec, 0.4, seed=9) == \
+            thinned_terms(4, groups, spec, 0.4, seed=9)
 
     def test_bad_fraction(self):
-        ts = numeric_terms(2, 2)
         with pytest.raises(ValueError):
-            drop_random_columns(ts, 0.0, seed=0)
+            thinned_terms(2, DummyGroups.all_numeric(2), PolySpec(2), 0.0, seed=0)
+
+    def test_builds_only_the_kept_terms(self):
+        # 200 columns at degree 3 enumerate 1,373,700 terms; building them all
+        # and then thinning to 2% peaked at 381 MB traced
+        groups, spec = DummyGroups.all_numeric(200), PolySpec(3)
+        tracemalloc.start()
+        try:
+            kept = thinned_terms(200, groups, spec, 0.02, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(kept) == 27_474
+        assert peak < 60 * 2**20
 
 
 class TestExponents:
