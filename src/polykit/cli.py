@@ -186,8 +186,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     probe.add_argument("--classify", action="store_true",
                        help="force the response to be treated as class labels")
     probe.add_argument("--weights", help="probe an imported weights container instead of training")
-    probe.add_argument("--widths", type=_listed(AT_LEAST_ONE), default=(10, 10, 10),
-                       help="dense layer widths, output last (default 10,10,10)")
+    probe.add_argument("--widths", type=_listed(AT_LEAST_ONE),
+                       help="dense layer widths, output last (default 10,10,<classes or 1>)")
     probe.add_argument("--activations", type=_listed(_one_of(mlpmod.HIDDEN_ACTIVATIONS)),
                        default=(),
                        help="hidden activations (default: relu for each)")
@@ -232,7 +232,7 @@ def _fit_usage(args) -> str | None:
 
 def _vif_probe_usage(args) -> str | None:
     """The first cross-option rule the ``vif-probe`` arguments break, if any."""
-    hidden = len(args.widths) - 1
+    hidden = 2 if args.widths is None else len(args.widths) - 1
     for name, given in (("--activations", args.activations), ("--dropout", args.dropout)):
         if args.weights is None and given and len(given) != hidden:
             return f"{name} needs one entry per hidden layer of --widths ({hidden})"
@@ -391,16 +391,13 @@ def cmd_vif_probe(args) -> int:
         if ds.schema.is_classification:
             targets, _classes = mlpmod.one_hot(ds.response_values())
             output_kind = "softmax"
-            out_width = targets.shape[1]
         else:
             targets = ds.response_values()[:, None]
             output_kind = "linear"
-            out_width = 1
-        widths = tuple(args.widths)
-        if widths[-1] != out_width:
-            raise DataError(
-                f"output width {widths[-1]} does not match the response ({out_width})"
-            )
+        widths = (10, 10, targets.shape[1]) if args.widths is None else tuple(args.widths)
+        if widths[-1] != targets.shape[1]:
+            raise DataError(f"output width {widths[-1]} does not match the response"
+                            f" ({targets.shape[1]})")
         config = mlpmod.MLPConfig(
             layer_widths=widths,
             activations=tuple(args.activations),

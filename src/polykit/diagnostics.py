@@ -2,12 +2,14 @@
 
 VIF_j = 1 / (1 - R^2_j), where R^2_j comes from regressing column j on all
 the other columns (with intercept). It is the j-th diagonal of the inverse
-correlation matrix: the squared norm of row j of R^-1 after one pivoted QR
-(``fitcore.pivoted_qr``) of the centred, unit-norm columns (Belsley, Kuh &
-Welsch, 1980). Exactly collinear or constant columns would be infinite, so
-they are capped at ``VIF_CAP`` and still enter the summary mean; the
-probe's last-layer averages are dominated by such capped values whenever
-the layer outputs are linearly dependent (e.g. softmax outputs summing to one).
+correlation matrix: the squared norm of row j of R^-1, where R is the
+pivoted R factor of the centred, unit-norm columns (Belsley, Kuh & Welsch,
+1980), from the two stages every least-squares solve shares
+(``fitcore.centred_r`` and ``fitcore.pivoted_r``). Exactly collinear or
+constant columns would be infinite, so they are capped at ``VIF_CAP`` and
+still enter the summary mean; the probe's last-layer averages are dominated
+by such capped values whenever the layer outputs are linearly dependent
+(e.g. softmax outputs summing to one).
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 import scipy.linalg
 
 from . import mlp as mlpmod
-from .fitcore import centre_columns, column_norms, pivoted_qr, pivoted_rank
+from .fitcore import centred_r, column_norms, pivoted_r
 # not called here; perfbench's tracer test expects fit_ols bound in two modules
 from .fitcore import fit_ols  # noqa: F401
 
@@ -46,24 +48,21 @@ def vif(X: np.ndarray) -> np.ndarray:
     """VIF of every column of X; needs at least two columns.
 
     Constant columns, and columns in the support of the numerical null
-    space of the rest, get ``VIF_CAP``. X is centred straight into one
-    Fortran-ordered buffer, whose live columns are factored in place.
+    space of the rest, get ``VIF_CAP``. X is centred and factored in one
+    buffer (``fitcore.centred_r``); the live columns of its R are then
+    scaled to unit norm and pivoted (``fitcore.pivoted_r``).
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] < 2:
         raise ValueError("VIF needs a matrix with at least two columns")
-    Z = np.empty(X.shape, order="F")
-    _, _, constant = centre_columns(X, out=Z)
+    R, _, constant = centred_r(X, None)
     values = np.full(X.shape[1], VIF_CAP)
     live = np.flatnonzero(~constant)
     if live.size == 0:
         return values
-    for j, col in enumerate(live):  # the live columns to the front, in place
-        Z[:, j] = Z[:, col]
-    Z = Z[:, :live.size]
+    Z = R[:, live]
     Z /= column_norms(Z)
-    r, piv, _ = pivoted_qr(Z, live.size)
-    rank, tol = pivoted_rank(r, X.shape[0])
+    r, piv, rank, tol, _ = pivoted_r(Z, live.size, X.shape[0])
     r_inv = scipy.linalg.solve_triangular(r[:rank, :rank], np.eye(rank))
     inflation = np.sum(r_inv**2, axis=1)
     # Row j of R11^-1 R12 holds column j's coefficients in the null vectors.

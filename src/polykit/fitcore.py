@@ -1,13 +1,15 @@
-"""Model fitting: pivoted-QR least squares, ridge, penalized one-vs-all
-logistic, PCA preprocessing, prediction, and the evaluation metrics.
+"""Model fitting: least squares, ridge, penalized one-vs-all logistic, PCA
+preprocessing, prediction, and the evaluation metrics.
 
 All fitters add their own intercept; design matrices never carry a column
-of ones. Least squares and the VIFs of ``diagnostics`` share one
-factorization, :func:`pivoted_qr`: an in-place Householder QR of the tall
-design, then column pivoting on its small triangle only, with no Q formed.
-Ridge and logistic z-scale the columns internally and report coefficients
-back on the original scale, so prediction is always ``expand -> dot``, in
-row blocks of ``PREDICT_BLOCK_CELLS`` cells.
+of ones. Every least-squares solve reads one factorization, in two stages:
+:func:`centred_r` centres the design (and the response) into one buffer and
+Householder-factors it in place, with no Q formed, and :func:`pivoted_r`
+column-pivots the small R only. OLS is the two stages; ridge solves one
+small QR of R's z-scaled columns stacked on ``sqrt(lam) I``; the VIFs of
+``diagnostics`` pivot R's unit-norm columns. Ridge and logistic report
+coefficients on the original column scale, so prediction is always
+``expand -> dot``, in row blocks of ``PREDICT_BLOCK_CELLS`` cells.
 """
 
 from __future__ import annotations
@@ -72,67 +74,88 @@ def standardize_columns(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return Z, means, scales
 
 
-def pivoted_rank(r: np.ndarray, n: int) -> tuple[int, float]:
-    """Rank of a pivoted R factor of n rows: diagonal entries above tol = max(n, l)*eps*|r_11|."""
-    diag = np.abs(np.diag(r))
-    tol = diag[0] * max(n, r.shape[1]) * np.finfo(np.float64).eps
-    return int(np.sum(diag > tol)), tol
+def _lapack(name: str, *args, **kwargs) -> list:
+    """Outputs of SciPy's LAPACK routine ``d<name>`` but its work array and
+    info, run with the optimal workspace of a query first, as
+    ``scipy.linalg.qr`` runs it."""
+    routine = getattr(scipy.linalg.lapack, "d" + name)
+    return routine(*args, lwork=int(routine(*args, lwork=-1, **kwargs)[-2][0]), **kwargs)[:-2]
 
 
-def pivoted_qr(A: np.ndarray, l: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Column-pivoted QR ``A[:, :l] = Q R P'`` in two stages, overwriting A.
+def centred_r(X: np.ndarray, y: np.ndarray | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stage 1 of every least-squares solve: the R factor of ``[Xc | yc]``.
 
-    An unpivoted blocked Householder QR (``geqrf``) factors A in place
-    (a copy when A is not Fortran-ordered), ``A[:, :l] = Q1 R1``; only the
-    small min(n, l) x l triangle R1 is then factored with column pivoting,
-    ``R1 = Q2 R P'`` (Chan 1987; Golub & Van Loan, Matrix Computations,
-    section 5.4), so ``Q = Q1 Q2``. Q1 preserves column norms, so the
-    pivots, and with them :func:`pivoted_rank`, are those of a pivoted QR of
-    ``A[:, :l]`` itself up to roundoff. No Q is formed: the columns of A
-    after the l-th come back as ``C = Q' A[:, l:]``, min(n, l) rows, from
-    the reflectors of both stages.
+    X, of at least one row, and y unless it is None, are centred straight
+    into one Fortran-ordered buffer, which an unpivoted blocked Householder
+    QR (``geqrf``) factors in place; no Q is formed.
 
-    Returns (R, piv, C), where R is min(n, l) x l.
+    Returns (R, means, constant). R is the upper trapezoid of min(n, k)
+    rows over the k columns of ``[Xc | yc]``, a view of the buffer's top
+    rows; with y its last column holds ``Q'yc``. ``means`` and ``constant``
+    are those of :func:`centre_columns` for X's columns; a constant column
+    is exactly zero in R. Q preserves column norms, so R's are the centred
+    ones.
     """
-    _, R = scipy.linalg.qr(A, mode="raw", overwrite_a=True, check_finite=False)
-    m = min(A.shape[0], l)
-    ct, r, piv = scipy.linalg.qr_multiply(R[:m, :l], R[:m, l:].T, mode="right", pivoting=True)
-    return r, piv, ct.T
+    n, l = X.shape
+    if n < 1:
+        raise ValueError("need at least one row")
+    A = np.empty((n, l + (y is not None)), order="F")
+    _, means, constant = centre_columns(X, out=A[:, :l])
+    if y is not None:
+        A[:, l] = y - y.mean()
+    R = _lapack("geqrf", A, overwrite_a=True)[0][:min(A.shape)]
+    for j in range(min(R.shape) - 1):  # the reflectors below the diagonal
+        R[j + 1:, j] = 0.0
+    return R, means, constant
+
+
+def pivoted_r(R: np.ndarray, l: int, n: int) -> tuple:
+    """Stage 2: column-pivoted QR of R's first l columns, ``R[:, :l] = Q2 R2 P'``,
+    where R is the stage-1 factor of a design of n rows.
+
+    ``geqp3`` factors the small triangle from stage 1 in place when its
+    columns are contiguous (a copy otherwise). Q1 preserves column norms,
+    so the pivots, and with them the rank, are those of a pivoted QR of the
+    centred design itself up to roundoff (Chan 1987; Golub & Van Loan,
+    Matrix Computations, section 5.4). The rank counts the diagonal entries
+    of R2 above tol = max(n, l) * eps * |r_11|. The columns after the l-th
+    come back as ``C = Q2' R[:, l:]`` from Q2's reflectors.
+
+    Returns (R2, piv, rank, tol, C); below its diagonal R2 holds those
+    reflectors.
+    """
+    r, piv, tau = _lapack("geqp3", R[:, :l], overwrite_a=True)
+    tol = abs(r[0, 0]) * max(n, l) * np.finfo(np.float64).eps
+    C = R[:, l:]
+    if C.shape[1]:
+        C = _lapack("ormqr", "R", "N", r[:, :min(r.shape)], tau, C.T)[0].T
+    return r, piv - 1, int(np.sum(np.abs(np.diag(r)) > tol)), tol, C
 
 
 def fit_ols(X: np.ndarray, y: np.ndarray) -> LinearFit:
     """Least squares via column-pivoted QR on the centred design.
 
-    X and y are centred straight into one Fortran-ordered n x (l+1) buffer
-    ``[Xc | yc]``, which :func:`pivoted_qr` factors in place: the response
-    rides along as ``Q'yc``, no thin Q is formed, and the buffer is the one
-    design-sized array the fit holds besides X. Constant columns, and
-    columns that the pivoted factorization finds numerically dependent, are
-    aliased: they receive coefficient zero and are listed in the result.
+    :func:`centred_r` factors ``[Xc | yc]`` and :func:`pivoted_r` pivots the
+    R of its first l columns, carrying ``Q'yc``, so the fit holds one
+    design-sized array besides X. Constant columns, and columns that the
+    pivoted factorization finds numerically dependent, are aliased: they
+    receive coefficient zero and are listed in the result.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     _check_finite(X, y)
     n, l = X.shape
-    if n < 1:
-        raise ValueError("need at least one row")
+    R, xm, _ = centred_r(X, y)
     ym = y.mean()
     if l == 0:
         return LinearFit(float(ym), np.zeros(0), ())
-
-    A = np.empty((n, l + 1), order="F")
-    _, xm, _ = centre_columns(X, out=A[:, :l])
-    A[:, l] = y - ym
-    r, piv, qty = pivoted_qr(A, l)
-    rank, _ = pivoted_rank(r, n)
-
+    r, piv, rank, _, qty = pivoted_r(R[:min(n, l)], l, n)
     coef = np.zeros(l)
     if rank > 0:
-        sol = scipy.linalg.solve_triangular(r[:rank, :rank], qty[:rank, 0])
-        coef[piv[:rank]] = sol
-    aliased = tuple(sorted(int(j) for j in piv[rank:]))
-    intercept = float(ym - xm @ coef)
-    return LinearFit(intercept, coef, aliased)
+        # a row-major copy, which SciPy solves by rows: the order of the
+        # reference two-stage solve, so the coefficients match it bit for bit
+        coef[piv[:rank]] = scipy.linalg.solve_triangular(r[:rank, :rank].copy(), qty[:rank, 0])
+    return LinearFit(float(ym - xm @ coef), coef, tuple(sorted(int(j) for j in piv[rank:])))
 
 
 def _check_ridge_penalty(lam) -> None:
@@ -141,23 +164,33 @@ def _check_ridge_penalty(lam) -> None:
 
 
 def fit_ridge(X: np.ndarray, y: np.ndarray, lam: float) -> LinearFit:
-    """Ridge regression: penalized normal equations on z-scaled columns,
-    intercept unpenalized, coefficients reported on the original scale."""
+    """Ridge regression on z-scaled columns from the R of :func:`centred_r`,
+    intercept unpenalized, coefficients reported on the original scale.
+
+    The column scales S are R's column norms / sqrt(n), the standard
+    deviations. The z-scaled slopes b solve the small least-squares problem
+    ``[R S^-1 ; sqrt(lam) I] b = [Q'yc ; 0]`` by one more Householder QR
+    (LAPACK ``gels``, in place), so no normal equations square the design's
+    condition number. Constant columns, exactly zero in R, take scale 1 and
+    coefficient zero.
+    """
     _check_ridge_penalty(lam)
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     _check_finite(X, y)
     n, l = X.shape
+    R, means, constant = centred_r(X, y)
     ym = y.mean()
     if l == 0:
         return LinearFit(float(ym), np.zeros(0), ())
-    Z, means, scales = standardize_columns(X)
-    gram = Z.T @ Z
-    gram[np.diag_indices(l)] += lam
-    beta = scipy.linalg.solve(gram, Z.T @ (y - ym), assume_a="pos")
-    coef = beta / scales
-    intercept = float(ym - means @ coef)
-    return LinearFit(intercept, coef, ())
+    scales = np.where(constant, 1.0, column_norms(R[:, :l]) / np.sqrt(n))
+    A = np.zeros((len(R) + l, l), order="F")  # [R S^-1 ; sqrt(lam) I] b = [Q'yc ; 0]
+    np.divide(R[:, :l], scales, out=A[:len(R)])
+    np.fill_diagonal(A[len(R):], np.sqrt(lam))
+    b = scipy.linalg.lapack.dgels(A, np.r_[R[:, l], np.zeros(l)], overwrite_a=True,
+                                  lwork=int(scipy.linalg.lapack.dgels_lwork(*A.shape, 1)[0]))[1]
+    coef = np.where(constant, 0.0, b[:l] / scales)
+    return LinearFit(float(ym - means @ coef), coef, ())
 
 
 @dataclass(frozen=True)

@@ -534,6 +534,20 @@ class TestVifProbe:
         assert main(["vif-probe", "--data", str(data), "--widths", "4,2"]) == EXIT_DATA
         assert "output width 2" in capsys.readouterr().err
 
+    def test_default_widths_follow_the_response(self, tmp_path, capsys):
+        # without --widths: hidden widths 10,10 and an output layer as wide as
+        # the response, 3 classes here (the old default 10,10,10 exited 3)
+        rc = main(["vif-probe", "--data", str(TestFit._blobs_csv(tmp_path)), "--classify",
+                   "--epochs", "1"])
+        assert rc == EXIT_OK
+        rows = capsys.readouterr().out.splitlines()
+        assert [r.split()[0] for r in rows[1:]] == ["dense_1", "dense_2", "dense_3"]
+        X = np.random.default_rng(3).normal(size=(40, 2))
+        data = write_csv(tmp_path / "num.csv", X, X[:, 0] - X[:, 1])
+        assert main(["vif-probe", "--data", str(data), "--epochs", "1",
+                     "--activations", "tanh,tanh"]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[-1].split()[1:] == ["undefined"] * 2
+
     def test_weights_width_must_match_design(self, tmp_path, capsys):
         data = write_csv(tmp_path / "d.csv", np.eye(4), np.zeros(4), names=("a", "b", "c", "d"))
         wpath = tmp_path / "w.txt"

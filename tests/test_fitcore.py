@@ -137,6 +137,14 @@ class TestOLS:
             fc.fit_ols(np.array([[np.nan]]), np.array([1.0]))
 
 
+def reference_rank(r, n):
+    """The rank rule of the pivoted R factor of an n-row design: diagonal
+    entries above tol = max(n, l) * eps * |r_11|. Returns (rank, tol)."""
+    diag = np.abs(np.diag(r))
+    tol = diag[0] * max(n, r.shape[1]) * np.finfo(np.float64).eps
+    return int(np.sum(diag > tol)), tol
+
+
 def reference_ols(X, y):
     """Oracle: the one-stage least squares that fit_ols replaced. One
     column-pivoted QR of the whole centred design, its thin Q formed and
@@ -147,13 +155,53 @@ def reference_ols(X, y):
     ym = y.mean()
     Xc, xm, _ = fc.centre_columns(X)
     q, r, piv = scipy.linalg.qr(Xc, mode="economic", pivoting=True)
-    rank, _ = fc.pivoted_rank(r, n)
+    rank, _ = reference_rank(r, n)
     coef = np.zeros(l)
     if rank > 0:
         rhs = q.T[:rank] @ (y - ym)
         coef[piv[:rank]] = scipy.linalg.solve_triangular(r[:rank, :rank], rhs)
     aliased = tuple(sorted(int(j) for j in piv[rank:]))
     return fc.LinearFit(float(ym - xm @ coef), coef, aliased)
+
+
+def reference_pivoted_qr(A, l):
+    """Oracle: the two-stage column-pivoted QR that fit_ols and vif read
+    before the stages were split, ``A[:, :l] = Q R P'``, overwriting A.
+    SciPy's unpivoted QR of all of A, then a pivoted QR of its small
+    min(n, l) x l triangle, with the columns after the l-th carried along as
+    ``C = Q' A[:, l:]``. Returns (R, piv, C)."""
+    _, R = scipy.linalg.qr(A, mode="raw", overwrite_a=True, check_finite=False)
+    m = min(A.shape[0], l)
+    ct, r, piv = scipy.linalg.qr_multiply(R[:m, :l], R[:m, l:].T, mode="right", pivoting=True)
+    return r, piv, ct.T
+
+
+def reference_two_stage_ols(X, y):
+    """Oracle: fit_ols as it was on :func:`reference_pivoted_qr`."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    n, l = X.shape
+    ym = y.mean()
+    A = np.empty((n, l + 1), order="F")
+    _, xm, _ = fc.centre_columns(X, out=A[:, :l])
+    A[:, l] = y - ym
+    r, piv, qty = reference_pivoted_qr(A, l)
+    rank, _ = reference_rank(r, n)
+    coef = np.zeros(l)
+    if rank > 0:
+        coef[piv[:rank]] = scipy.linalg.solve_triangular(r[:rank, :rank], qty[:rank, 0])
+    aliased = tuple(sorted(int(j) for j in piv[rank:]))
+    return fc.LinearFit(float(ym - xm @ coef), coef, aliased)
+
+
+def traced_peak(call, *args):
+    """Peak bytes that tracemalloc sees allocated during ``call(*args)``."""
+    tracemalloc.start()
+    try:
+        call(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def _ols_case(X, tie=False, seed=0):
@@ -206,6 +254,18 @@ class TestOLSOracle:
                                    rtol=0, atol=1e-10 * np.abs(want).max())
 
     @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("case", sorted(OLS_ORACLE_CASES))
+    def test_bit_identical_to_the_reference_two_stage_qr(self, case, order):
+        # the stages call the LAPACK routines SciPy's qr and qr_multiply call,
+        # with the same workspaces, in place instead of on copies
+        X, y, _ = OLS_ORACLE_CASES[case]()
+        X = np.asarray(X, order=order)
+        fit, ref = fc.fit_ols(X, y), reference_two_stage_ols(X, y)
+        assert fit.aliased == ref.aliased
+        assert fit.intercept == ref.intercept
+        np.testing.assert_array_equal(fit.coef, ref.coef)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
     def test_peak_memory_is_bounded(self, order):
         # the one-stage path held the centred design, LAPACK's Fortran copy
         # of it and the thin Q (3x the input); the in-place factorization held
@@ -220,6 +280,22 @@ class TestOLSOracle:
         finally:
             tracemalloc.stop()
         assert peak <= 1.5 * X.nbytes, peak / X.nbytes
+
+    def test_wide_peak_memory_is_bounded(self):
+        # SciPy's qr returned an np.triu copy of the whole n x (l+1) trapezoid
+        # and qr_multiply copied the triangle again (4.1x the input); the
+        # stages now zero the reflectors in place and pivot R where it lies
+        X, y, _ = _ols_case(np.random.default_rng(9).normal(size=(800, 5000)))
+        peak = traced_peak(fc.fit_ols, X, y)
+        assert peak <= 2.5 * X.nbytes, peak / X.nbytes
+
+    def test_wide_expansion_peak_memory_is_bounded(self):
+        # an 800-row, 3,928-term thinned degree-3 expansion: 5.1x it before
+        design = np.random.default_rng(10).uniform(-1, 1, size=(800, 30))
+        terms = polyterms.thinned_terms(30, DummyGroups.all_numeric(30), PolySpec(3), 0.72, 0)
+        y = np.random.default_rng(11).normal(size=800)
+        peak = traced_peak(fc.fit_poly_model, design, y, terms)
+        assert peak <= 3 * 800 * len(terms) * 8, peak / (800 * len(terms) * 8)
 
 
 class TestCentring:
@@ -249,7 +325,71 @@ class TestCentring:
         np.testing.assert_allclose(Z * scales + means, X, rtol=0, atol=1e-13 * np.abs(X).max())
 
 
+def reference_gram_ridge(X, y, lam):
+    """Oracle: fit_ridge as it was, on the penalized normal equations
+    ``(Z'Z + lam I) b = Z'yc`` of the z-scaled design Z."""
+    X = np.asarray(X, dtype=np.float64)
+    Z, means, scales = fc.standardize_columns(X)
+    gram = Z.T @ Z
+    gram[np.diag_indices(X.shape[1])] += lam
+    coef = scipy.linalg.solve(gram, Z.T @ (y - y.mean()), assume_a="pos") / scales
+    return fc.LinearFit(float(y.mean() - means @ coef), coef, ())
+
+
+def lstsq_ridge(X, y, lam):
+    """Oracle: the augmented z-scaled system ``[Z ; sqrt(lam) I] b = [yc ; 0]``
+    solved by SVD (``np.linalg.lstsq``); returns the original-scale slopes."""
+    Z, _, scales = fc.standardize_columns(np.asarray(X, dtype=np.float64))
+    l = Z.shape[1]
+    A = np.vstack([Z, np.sqrt(lam) * np.eye(l)])
+    return np.linalg.lstsq(A, np.r_[y - y.mean(), np.zeros(l)], rcond=None)[0] / scales
+
+
+def relative_gap(a, b):
+    return np.abs(a - b).max() / np.abs(b).max()
+
+
 class TestRidge:
+    def test_well_conditioned_matches_the_normal_equations(self):
+        rng = np.random.default_rng(12)
+        X = rng.normal(2.0, 3.0, size=(500, 20))
+        y = X @ rng.normal(size=20) + rng.normal(size=500)
+        fit, ref = fc.fit_ridge(X, y, 0.5), reference_gram_ridge(X, y, 0.5)
+        assert relative_gap(fit.coef, ref.coef) <= 1e-8
+        assert fit.intercept == pytest.approx(ref.intercept, rel=1e-8)
+        assert relative_gap(fit.coef, lstsq_ridge(X, y, 0.5)) <= 1e-12
+
+    def test_near_duplicate_column_is_no_further_from_lstsq(self):
+        # x3 = x1 + 1e-9 noise: the normal equations square the condition
+        # number of the z-scaled design, the QR of its R does not
+        rng = np.random.default_rng(13)
+        X = rng.normal(size=(5000, 230))
+        X[:, 3] = X[:, 1] + 1e-9 * rng.normal(size=5000)
+        X[:, 7] = 0.1  # constant, with an inexact mean
+        y = X @ rng.normal(size=230) + rng.normal(size=5000)
+        want = lstsq_ridge(X, y, 0.1)
+        fit = fc.fit_ridge(X, y, 0.1)
+        assert fit.coef[7] == 0.0
+        gap, old_gap = relative_gap(fit.coef, want), relative_gap(
+            reference_gram_ridge(X, y, 0.1).coef, want)
+        assert gap <= old_gap, (gap, old_gap)
+
+    def test_wide_design(self):
+        rng = np.random.default_rng(14)
+        X = rng.normal(size=(30, 80))
+        y = rng.normal(size=30)
+        fit = fc.fit_ridge(X, y, 1.0)
+        assert relative_gap(fit.coef, lstsq_ridge(X, y, 1.0)) <= 1e-12
+        assert relative_gap(fit.coef, reference_gram_ridge(X, y, 1.0).coef) <= 1e-8
+
+    def test_peak_memory_is_bounded(self):
+        # the z-scaled copy and its Gram are gone: the design is centred
+        # into the one buffer that stage 1 factors in place
+        X = np.random.default_rng(8).normal(size=(4000, 150))
+        y = np.random.default_rng(9).normal(size=4000)
+        peak = traced_peak(fc.fit_ridge, X, y, 1.0)
+        assert peak <= 1.5 * X.nbytes, peak / X.nbytes
+
     def test_small_lambda_matches_ols(self):
         rng = np.random.default_rng(0)
         X = rng.normal(size=(200, 4))
@@ -283,6 +423,11 @@ class TestRidge:
             np.linalg.norm(fc.fit_ridge(X, y, lam).coef) for lam in (0.1, 1.0, 10.0, 100.0)
         ]
         assert all(a >= b - 1e-12 for a, b in zip(norms, norms[1:]))
+
+    def test_zero_rows_rejected(self):
+        # stage 1 refuses them, as fit_ols did; the normal equations gave NaN
+        with pytest.raises(ValueError, match="need at least one row"):
+            fc.fit_ridge(np.zeros((0, 3)), np.zeros(0), 1.0)
 
     @pytest.mark.parametrize("lam", [0.0, -1.0, np.nan, np.inf])
     def test_lambda_must_be_positive_and_finite(self, lam):
