@@ -11,6 +11,7 @@ indicator degeneracy rules.
 from __future__ import annotations
 
 import csv
+import io
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -103,11 +104,6 @@ class _Column:
             bad = next(v for v in self.strings() if _floats([v]) is None)
             raise DataError(f"{path}: non-numeric value {bad!r} in numeric column {spec.name!r}")
         return self.floats
-
-
-def _transpose(rows: list[list[str]], fields: int) -> list[tuple[str, ...]]:
-    """The cells of the ``rows`` (``fields`` each) column by column, in one pass."""
-    return list(zip(*rows)) if rows else [()] * fields
 
 
 @dataclass(frozen=True)
@@ -280,20 +276,51 @@ def parse_schema_sidecar(path) -> dict[str, str]:
     return hints
 
 
-def _read_rows(path) -> tuple[list[str], list[list[str]]]:
+def _read_table(path) -> tuple[list[str], list[int], list[Sequence[str]]]:
+    """The stripped header, the field count of each data row, and the cells
+    of the data rows of full length, column by column.
+
+    The file is read whole. When its text, each ``\\r\\n`` made ``\\n``,
+    holds no ``"``, no other ``\\r``, no NUL (which ``csv.reader`` refused
+    before Python 3.11) and no line longer than ``csv.field_size_limit()``,
+    the excel dialect of ``csv.reader`` splits it at exactly each ``\\n`` and
+    each ``,``: so does ``str.split``, once over the joined lines of full
+    length, and column j is every ``fields``-th cell from the j-th. Any
+    other text is read by ``csv.reader``, as from the file. Both give an
+    empty line no field.
+    """
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise DataError(f"{path}: empty file") from None
-            if not header:
-                raise DataError(f"{path}: the header row (line 1) has no field")
-            rows = list(reader)
+            text = fh.read()
+        flat = text.replace("\r\n", "\n")
+        lines = flat.split("\n")
+        if not lines[-1]:
+            lines.pop()  # the end of the last line, or an empty file
+        limit = csv.field_size_limit()
+        plain = not ('"' in flat or "\r" in flat or "\0" in flat
+                     or (len(flat) > limit and max(map(len, lines)) > limit))
+        if plain:
+            counts = [line.count(",") + 1 if line else 0 for line in lines]
+        else:
+            rows = list(csv.reader(io.StringIO(text, newline="")))
+            counts = list(map(len, rows))
+        if not counts:
+            raise DataError(f"{path}: empty file")
+        fields = counts[0]
+        if not fields:
+            raise DataError(f"{path}: the header row (line 1) has no field")
+        if plain:
+            header = lines[0].split(",")
+            full = [line for line, k in zip(lines[1:], counts[1:]) if k == fields]
+            cells = ",".join(full).split(",") if full else []
+            columns = [cells[j::fields] for j in range(fields)]
+        else:
+            header = rows[0]
+            full = [row for row in rows[1:] if len(row) == fields]
+            columns = list(zip(*full)) if full else [()] * fields
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    return [h.strip() for h in header], rows
+    return [h.strip() for h in header], counts[1:], columns
 
 
 def load_csv(
@@ -318,13 +345,14 @@ def load_csv(
     count is reported as a warning and on ``Dataset.dropped_rows``. New rows
     are read against a saved schema by :func:`load_design_for_predict`.
 
-    Ingest is column-wise: the rows of full length are transposed once, and
-    each column is converted to float64 in one call, which settles both
-    whether it is numeric and, from its NaN cells, which of its cells are
-    missing. Only a column the conversion rejects is stripped and checked
-    for missing tokens, and only in its cells no longer than a token.
+    Ingest is column-wise: :func:`_read_table` gives the cells of the rows
+    of full length column by column, and each column is converted to
+    float64 in one call, which settles both whether it is numeric and, from
+    its NaN cells, which of its cells are missing. Only a column the
+    conversion rejects is stripped and checked for missing tokens, and only
+    in its cells no longer than a token.
     """
-    header, raw_rows = _read_rows(path)
+    header, counts, cells = _read_table(path)
     hints = kind_hints or {}
     unknown = [name for name in hints if name not in header]
     if unknown:
@@ -339,17 +367,15 @@ def load_csv(
     if classify:
         hints = {**hints, resp_name: "response_class"}
 
-    fields = len(header)
-    rows = [row for row in raw_rows if len(row) == fields]
-    read = [_Column.read(cells) for cells in _transpose(rows, fields)]
+    read = [_Column.read(column) for column in cells]
     keep = ~np.logical_or.reduce([holes for _, holes in read])
     kept = int(np.count_nonzero(keep))
     if not kept:
         raise DataError(f"{path}: no usable rows after dropping incomplete ones")
-    dropped = len(raw_rows) - kept
+    dropped = len(counts) - kept
     if dropped:
         warnings.warn(f"{path}: {dropped} row(s) dropped (missing or malformed cells)")
-    cols = [col if kept == len(rows) else col.take(keep) for col, _ in read]
+    cols = [col if kept == len(keep) else col.take(keep) for col, _ in read]
 
     specs = []
     for name, col in zip(header, cols):
@@ -469,14 +495,13 @@ def load_design_for_predict(path, schema: Schema) -> np.ndarray:
     the first feature column, in schema order, with a missing cell. Each
     column is read only up to the earliest missing cell found so far.
     """
-    header, raw_rows = _read_rows(path)
+    header, counts, cells = _read_table(path)
     feats = schema.features
     missing = [c.name for c in feats if c.name not in header]
     if missing:
         raise DataError(f"{path}: feature columns {missing} are absent")
     fields = len(header)
-    short = next((i for i, row in enumerate(raw_rows) if len(row) != fields), len(raw_rows))
-    cells = _transpose(raw_rows[:short], fields)
+    short = next((i for i, k in enumerate(counts) if k != fields), len(counts))
     read, hole = [], short
     for spec in feats:
         col, holes = _Column.read(cells[header.index(spec.name)][:hole])
@@ -485,10 +510,10 @@ def load_design_for_predict(path, schema: Schema) -> np.ndarray:
         read.append(col)
     if hole < short:
         raise DataError(f"{path}:{hole + 2}: missing value in column {name!r}")
-    if short < len(raw_rows):
+    if short < len(counts):
         raise DataError(f"{path}:{short + 2}: wrong field count")
 
-    n = len(raw_rows)
+    n = len(counts)
     width = sum(
         1 if c.kind == "numeric" else max(0, len(c.levels) - 1) for c in feats
     )

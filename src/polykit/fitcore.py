@@ -163,6 +163,17 @@ def _check_ridge_penalty(lam) -> None:
         raise ValueError(f"ridge penalty must be positive and finite, got {lam}")
 
 
+def _ridge_lstsq(M: np.ndarray, c: np.ndarray, lam: float) -> np.ndarray:
+    """The k-vector b that solves ``[M ; sqrt(lam) I] b = [c ; 0]`` in the
+    least-squares sense, M of k columns, by one Householder QR (``gels``)."""
+    k = M.shape[1]
+    A = np.zeros((len(M) + k, k), order="F")
+    A[:len(M)] = M
+    np.fill_diagonal(A[len(M):], np.sqrt(lam))
+    return scipy.linalg.lapack.dgels(A, np.r_[c, np.zeros(k)], overwrite_a=True,
+                                     lwork=int(scipy.linalg.lapack.dgels_lwork(*A.shape, 1)[0]))[1][:k]
+
+
 def fit_ridge(X: np.ndarray, y: np.ndarray, lam: float) -> LinearFit:
     """Ridge regression on z-scaled columns from the R of :func:`centred_r`,
     intercept unpenalized, coefficients reported on the original scale.
@@ -171,8 +182,11 @@ def fit_ridge(X: np.ndarray, y: np.ndarray, lam: float) -> LinearFit:
     deviations. The z-scaled slopes b solve the small least-squares problem
     ``[R S^-1 ; sqrt(lam) I] b = [Q'yc ; 0]`` by one more Householder QR
     (LAPACK ``gels``, in place), so no normal equations square the design's
-    condition number. Constant columns, exactly zero in R, take scale 1 and
-    coefficient zero.
+    condition number. When R has fewer rows than columns (m < l), b lies in
+    the row space of ``R S^-1 = L Q2'`` (an LQ factorization, from ``geqrf``
+    of its transpose): b = Q2 w, where w solves the 2m x m problem
+    ``[L ; sqrt(lam) I] w = [Q'yc ; 0]``, so no l x l block is formed.
+    Constant columns, exactly zero in R, take scale 1 and coefficient zero.
     """
     _check_ridge_penalty(lam)
     X = np.asarray(X, dtype=np.float64)
@@ -184,12 +198,16 @@ def fit_ridge(X: np.ndarray, y: np.ndarray, lam: float) -> LinearFit:
     if l == 0:
         return LinearFit(float(ym), np.zeros(0), ())
     scales = np.where(constant, 1.0, column_norms(R[:, :l]) / np.sqrt(n))
-    A = np.zeros((len(R) + l, l), order="F")  # [R S^-1 ; sqrt(lam) I] b = [Q'yc ; 0]
-    np.divide(R[:, :l], scales, out=A[:len(R)])
-    np.fill_diagonal(A[len(R):], np.sqrt(lam))
-    b = scipy.linalg.lapack.dgels(A, np.r_[R[:, l], np.zeros(l)], overwrite_a=True,
-                                  lwork=int(scipy.linalg.lapack.dgels_lwork(*A.shape, 1)[0]))[1]
-    coef = np.where(constant, 0.0, b[:l] / scales)
+    m = len(R)
+    if m < l:
+        At = np.empty((l, m), order="F")  # (R S^-1)' = Q2 L'
+        np.divide(R[:, :l].T, scales[:, None], out=At)
+        qr, tau = _lapack("geqrf", At, overwrite_a=True)
+        w = _ridge_lstsq(np.triu(qr[:m]).T, R[:, l], lam)
+        b = _lapack("ormqr", "L", "N", qr, tau, np.r_[w, np.zeros(l - m)][:, None])[0][:, 0]
+    else:
+        b = _ridge_lstsq(np.divide(R[:, :l], scales), R[:, l], lam)
+    coef = np.where(constant, 0.0, b / scales)
     return LinearFit(float(ym - means @ coef), coef, ())
 
 

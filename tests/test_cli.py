@@ -294,8 +294,9 @@ class TestFit:
         data = self._blobs_csv(tmp_path)
         sidecar = tmp_path / "schema.txt"
         sidecar.write_text("y = response_class\n", encoding="utf-8")
-        read_rows, reads = dataset._read_rows, []
-        monkeypatch.setattr(dataset, "_read_rows", lambda path: reads.append(path) or read_rows(path))
+        read_table, reads = dataset._read_table, []
+        monkeypatch.setattr(dataset, "_read_table",
+                            lambda path: reads.append(path) or read_table(path))
         outputs = []
         for how in (["--classify"], ["--schema", str(sidecar)]):
             out = tmp_path / how[0].lstrip("-")
@@ -914,14 +915,20 @@ def test_threads_is_not_an_option(command):
     assert main([command, "--threads", "2"]) == EXIT_USAGE
 
 
+@pytest.fixture(params=['"', ""], ids=["quoted", "unquoted"])
+def quote(request):
+    """The quote around the oversized cell of ``TestOversizedCell``."""
+    return request.param
+
+
 class TestOversizedCell:
-    """A cell beyond the csv module's field limit is unreadable data (exit 3)
-    for every command that reads a CSV."""
+    """A cell beyond the csv module's field limit, quoted or not, is
+    unreadable data (exit 3) for every command that reads a CSV."""
 
     @staticmethod
-    def _csv(tmp_path, names):
+    def _csv(tmp_path, names, quote):
         rows = "".join(",".join(["1"] * len(names)) + "\n" for _ in range(30))
-        cells = ['"' + "x" * 200_000 + '"'] + ["1"] * (len(names) - 1)
+        cells = [quote + "x" * 200_000 + quote] + ["1"] * (len(names) - 1)
         path = tmp_path / "huge.csv"
         path.write_text(",".join(names) + "\n" + rows + ",".join(cells) + "\n",
                         encoding="utf-8")
@@ -930,18 +937,18 @@ class TestOversizedCell:
     @pytest.mark.parametrize("command, extra", [
         ("fit", []), ("vif-probe", ["--widths", "4,1", "--epochs", "1"]),
     ])
-    def test_fit_and_vif_probe(self, tmp_path, capsys, command, extra):
-        rc = main([command, "--data", str(self._csv(tmp_path, ("u", "v", "y"))), *extra])
+    def test_fit_and_vif_probe(self, tmp_path, capsys, command, extra, quote):
+        rc = main([command, "--data", str(self._csv(tmp_path, ("u", "v", "y"), quote)), *extra])
         assert rc == EXIT_DATA
         err = capsys.readouterr().err
         assert "error: cannot read" in err and "huge.csv" in err and "Traceback" not in err
 
-    def test_predict(self, tmp_path, quad_csv, capsys):
+    def test_predict(self, tmp_path, quad_csv, capsys, quote):
         assert main(["fit", "--data", str(quad_csv), "--degree", "1",
                      "--out-dir", str(tmp_path / "out")]) == EXIT_OK
         capsys.readouterr()
         rc = main(["predict", "--model", str(tmp_path / "out" / "model.json"),
-                   "--data", str(self._csv(tmp_path, ("u", "v")))])
+                   "--data", str(self._csv(tmp_path, ("u", "v"), quote))])
         assert rc == EXIT_DATA
         err = capsys.readouterr().err
         assert "error: cannot read" in err and "huge.csv" in err and "Traceback" not in err

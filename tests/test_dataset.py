@@ -3,10 +3,11 @@
 import csv
 import tracemalloc
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polykit import dataset
@@ -519,9 +520,28 @@ class TestDummyGroups:
 
 
 # --------------------------------------------------------------------------
-# Row-wise reference readers: the cell-by-cell ingest the column-wise readers
-# replaced, kept as the oracle they must match exactly
+# Row-wise reference readers: the csv.reader tokenizer and the cell-by-cell
+# ingest that the column-wise readers replaced, kept as the oracle they must
+# match exactly
 # --------------------------------------------------------------------------
+
+def reference_read_rows(path):
+    """The header (stripped) and every data row as ``csv.reader`` reads the
+    file, streamed in ``newline=""`` mode."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise DataError(f"{path}: empty file") from None
+            if not header:
+                raise DataError(f"{path}: the header row (line 1) has no field")
+            rows = list(reader)
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    return [h.strip() for h in header], rows
+
 
 def _reference_floats(values):
     try:
@@ -547,7 +567,7 @@ def _reference_typed_columns(path, specs, values, parsed):
 
 def reference_load_csv(path, *, kind_hints=None, response=None,
                        categorical_threshold=CATEGORICAL_THRESHOLD, classify=False):
-    header, raw_rows = dataset._read_rows(path)
+    header, raw_rows = reference_read_rows(path)
     hints = kind_hints or {}
     unknown = [name for name in hints if name not in header]
     if unknown:
@@ -603,7 +623,7 @@ def reference_load_csv(path, *, kind_hints=None, response=None,
 
 
 def reference_load_design_for_predict(path, schema):
-    header, raw_rows = dataset._read_rows(path)
+    header, raw_rows = reference_read_rows(path)
     feats = schema.features
     missing = [c.name for c in feats if c.name not in header]
     if missing:
@@ -663,11 +683,13 @@ ODD_NUMBERS = ("-nan", "+nan", "inf", "-Infinity", "1e400", "\xa07", "\x1c2", "7
                "1_0", "0x10", "١")
 PADDING = ("", " ", "  ", "\t", "\xa0", "\x1c", "　")
 CELL_KINDS = ("missing", "odd", "int", "float", "word")
+WORDS = ("a", "b", "B", "c d", "x,y")  # csv.writer quotes "x,y"
 
 
 @st.composite
-def cells(draw, kinds=CELL_KINDS):
-    """One cell of a kind in ``kinds``, padded on either side."""
+def cells(draw, kinds=CELL_KINDS, words=WORDS):
+    """One cell of a kind in ``kinds``, padded on either side; a word is one
+    of ``words``."""
     kind = draw(st.sampled_from(kinds))
     if kind == "missing":
         token = "".join(
@@ -680,16 +702,18 @@ def cells(draw, kinds=CELL_KINDS):
     elif kind == "float":
         token = draw(st.sampled_from(("1.0", "2.0", "1e0", "-3", "0.5")))
     else:
-        token = draw(st.sampled_from(("a", "b", "B", "c d", "x,y")))
+        token = draw(st.sampled_from(words))
     return draw(st.sampled_from(PADDING)) + token + draw(st.sampled_from(PADDING))
 
 
 @st.composite
 def csv_rows(draw, header):
     """Rows for ``header``: each column draws from a few cells, some rows are
-    short or long, and there may be none."""
+    short or long, and there may be none. Half the tables draw no word that
+    csv.writer quotes."""
     numeric = ("missing", "int", "float", "int", "float")  # a few values, several spellings
-    pools = [draw(st.lists(cells(numeric if draw(st.booleans()) else CELL_KINDS),
+    words = WORDS if draw(st.booleans()) else WORDS[:-1]
+    pools = [draw(st.lists(cells(numeric if draw(st.booleans()) else CELL_KINDS, words),
                            min_size=1, max_size=6)) for _ in header]
     rows = []
     for _ in range(draw(st.integers(0, 9))):
@@ -703,65 +727,184 @@ def csv_rows(draw, header):
     return rows
 
 
-def write_rows(path, header, rows):
+#: How ``write_rows`` writes a table: its line terminator, and whether
+#: csv.writer quotes only the cells that need it or every cell.
+WRITER_STYLES = st.tuples(st.sampled_from(("\n", "\r\n")),
+                          st.sampled_from((csv.QUOTE_MINIMAL, csv.QUOTE_ALL)))
+
+
+def write_rows(path, header, rows, style):
+    terminator, quoting = style
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh).writerows([header, *rows])
+        csv.writer(fh, lineterminator=terminator, quoting=quoting).writerows([header, *rows])
+
+
+class CountingCsv:
+    """The csv module, counting the calls of ``csv.reader``: patched in for
+    ``dataset.csv``, it tells which of ``_read_table``'s tokenizers ran."""
+
+    def __init__(self):
+        self.readers = 0
+
+    def __getattr__(self, name):
+        return getattr(csv, name)
+
+    def reader(self, *args, **kwargs):
+        self.readers += 1
+        return csv.reader(*args, **kwargs)
+
+
+@pytest.fixture
+def tokenizer(monkeypatch):
+    """Calls a reader and names the tokenizer it ran: "csv" or "split"."""
+    spy = CountingCsv()
+    monkeypatch.setattr(dataset, "csv", spy)
+
+    def ran(call, *args, **kwargs):
+        before = spy.readers
+        result = call(*args, **kwargs)
+        return result, "csv" if spy.readers > before else "split"
+    return ran
+
+
+def assert_both_tokenizers_ran(ran, examples):
+    """Each tokenizer read at least a fifth of the generated files."""
+    assert sum(ran.values()) == examples
+    assert min(ran["csv"], ran["split"]) >= examples // 5, dict(ran)
 
 
 class TestReaderOracle:
     """The column-wise readers give what the row-wise references give on
-    small generated files: schema, columns, drops, warnings and errors."""
+    small generated files: schema, columns, drops, warnings and errors.
+    Files end lines in LF or CRLF; half quote every cell, and of the others
+    half draw no cell that needs quotes, so both of ``_read_table``'s
+    tokenizers are checked."""
 
-    @settings(max_examples=400, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(data=st.data())
-    def test_load_csv_matches_the_reference(self, tmp_path, categorical_threshold, data):
-        header = [f"c{j}" for j in range(data.draw(st.integers(1, 4)))]
-        rows = data.draw(csv_rows(header))
-        path = tmp_path / "t.csv"
-        write_rows(path, header, rows)
-        hint = data.draw(st.sampled_from((None, *COLUMN_KINDS)))
-        threshold = data.draw(st.integers(0, 4))
-        categorical_threshold(threshold)
-        kwargs = {
-            "classify": data.draw(st.booleans()),
-            "kind_hints": {data.draw(st.sampled_from(header)): hint} if hint else None,
-        }
-        got, got_warned, got_error = outcome(load_csv, path, **kwargs)
-        want, want_warned, want_error = outcome(reference_load_csv, path,
-                                                categorical_threshold=threshold, **kwargs)
-        assert got_error == want_error
-        assert got_warned == want_warned
-        if want is not None:
-            assert_same_dataset(got, want)
+    EXAMPLES = 400
 
-    @settings(max_examples=400, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(data=st.data())
-    def test_load_design_for_predict_matches_the_reference(self, tmp_path, data):
-        specs = []
-        for j in range(data.draw(st.integers(0, 3))):
-            levels = data.draw(st.lists(cells().map(str.strip), min_size=1, max_size=4,
-                                        unique=True))
+    def test_load_csv_matches_the_reference(self, tmp_path, categorical_threshold, tokenizer):
+        ran = Counter()
+
+        @settings(max_examples=self.EXAMPLES, deadline=None)
+        @given(data=st.data())
+        def check(data):
+            header = [f"c{j}" for j in range(data.draw(st.integers(1, 4)))]
+            rows = data.draw(csv_rows(header))
+            path = tmp_path / "t.csv"
+            write_rows(path, header, rows, data.draw(WRITER_STYLES))
+            hint = data.draw(st.sampled_from((None, *COLUMN_KINDS)))
+            threshold = data.draw(st.integers(0, 4))
+            categorical_threshold(threshold)
+            kwargs = {
+                "classify": data.draw(st.booleans()),
+                "kind_hints": {data.draw(st.sampled_from(header)): hint} if hint else None,
+            }
+            (got, got_warned, got_error), how = tokenizer(outcome, load_csv, path, **kwargs)
+            ran[how] += 1
+            want, want_warned, want_error = outcome(reference_load_csv, path,
+                                                    categorical_threshold=threshold, **kwargs)
+            assert got_error == want_error
+            assert got_warned == want_warned
+            if want is not None:
+                assert_same_dataset(got, want)
+
+        check()
+        assert_both_tokenizers_ran(ran, self.EXAMPLES)
+
+    def test_load_design_for_predict_matches_the_reference(self, tmp_path, tokenizer):
+        ran = Counter()
+
+        @settings(max_examples=self.EXAMPLES, deadline=None)
+        @given(data=st.data())
+        def check(data):
+            specs = []
+            for j in range(data.draw(st.integers(0, 3))):
+                levels = data.draw(st.lists(cells().map(str.strip), min_size=1, max_size=4,
+                                            unique=True))
+                if data.draw(st.booleans()):
+                    specs.append(ColumnSpec(f"f{j}", "categorical", tuple(sorted(levels))))
+                else:
+                    specs.append(ColumnSpec(f"f{j}", "numeric"))
+            specs.append(ColumnSpec("y", data.draw(st.sampled_from(RESPONSE_KINDS))))
+            schema = Schema(tuple(specs))
+            header = [s.name for s in specs[:-1]]
             if data.draw(st.booleans()):
-                specs.append(ColumnSpec(f"f{j}", "categorical", tuple(sorted(levels))))
-            else:
-                specs.append(ColumnSpec(f"f{j}", "numeric"))
-        specs.append(ColumnSpec("y", data.draw(st.sampled_from(RESPONSE_KINDS))))
-        schema = Schema(tuple(specs))
-        header = [s.name for s in specs[:-1]]
-        if data.draw(st.booleans()):
-            header.append("y")
-        if data.draw(st.booleans()) and header:
-            header.pop(data.draw(st.integers(0, len(header) - 1)))
-        header = data.draw(st.permutations(header)) or ["y"]
-        rows = data.draw(csv_rows(header))
+                header.append("y")
+            if data.draw(st.booleans()) and header:
+                header.pop(data.draw(st.integers(0, len(header) - 1)))
+            header = data.draw(st.permutations(header)) or ["y"]
+            rows = data.draw(csv_rows(header))
+            path = tmp_path / "t.csv"
+            write_rows(path, header, rows, data.draw(WRITER_STYLES))
+            (got, got_warned, got_error), how = tokenizer(
+                outcome, load_design_for_predict, path, schema)
+            ran[how] += 1
+            want, want_warned, want_error = outcome(reference_load_design_for_predict,
+                                                    path, schema)
+            assert got_error == want_error
+            assert got_warned == want_warned
+            if want is not None:
+                assert got.dtype == want.dtype and got.shape == want.shape
+                np.testing.assert_array_equal(got, want)
+
+        check()
+        assert_both_tokenizers_ran(ran, self.EXAMPLES)
+
+
+class TestReaderCases:
+    """Named files that each tokenizer must read as ``csv.reader`` does: the
+    same dataset, warnings and error as the row-wise references."""
+
+    SCHEMA = Schema((ColumnSpec("u", "numeric"), ColumnSpec("v", "categorical", ("a", "c")),
+                     ColumnSpec("y", "response_numeric")))
+    LONG_ROW = ",".join(["1"] * 70_000)  # past the field limit as a line, not as a cell
+
+    @pytest.mark.parametrize("text, how", [
+        ("u,v,y\n1,a,3\n\n4,c,6\n", "split"),
+        ("u,v,y\n1,a,3\n4,c,6\n\n", "split"),
+        ("u,v,y\n1,a,3\n4,c,6\n\n\n", "split"),
+        ("u,v,y\n1,a,3\n4,c,6", "split"),
+        ("u,v,y\n", "split"),
+        ("u,v,y", "split"),
+        ("u,v,y\n1,a,3,\n4,c,6\n", "split"),
+        ("u,v,y,\n1,a,3,\n4,c,6,\n", "split"),
+        ("u,v,y\r\n1,a,3\r\n\r\n4,c,6\r\n", "split"),
+        ("u,v,y\n1,a\u2028b,3\n4,c\x1c\x85,6\n", "split"),
+        (" u , v ,y\n 1 , a ,3\n", "split"),
+        ("\n1,a,3\n", "split"),
+        ("", "split"),
+        ("u,v,y\r1,a,3\r4,c,6\r", "csv"),
+        ("u,v,y\n1,a,3\r4,c,6\n", "csv"),
+        ("u,v,y\r\n1,a,3\r\r\n4,c,6\r\n", "csv"),
+        ("u,v,y\n1,a\x00b,3\n4,c,6\n", "csv"),
+        ('u,v,y\r\n1,"a\r\nb",3\r\n4,c,6\r\n', "csv"),
+        ('u,"v",y\n1,a,3\n4,c,6\n', "csv"),
+        (f"u,v,y\n1,a,3\n{LONG_ROW}\n4,c,6\n", "csv"),
+        ("u,v,y\n1,a,3\n4," + "c" * 200_000 + ",6\n", "csv"),
+    ], ids=["blank-line-mid-file", "blank-line-at-the-end", "two-blank-lines-at-the-end",
+            "no-final-newline", "header-only", "header-only-no-newline", "trailing-comma",
+            "trailing-comma-in-every-line", "blank-CRLF-line", "line-separators-in-cells",
+            "padded-cells", "blank-header", "empty-file", "bare-CRs", "one-bare-CR",
+            "CR-before-CRLF", "NUL-in-a-cell", "CRLF-in-a-quoted-cell", "quoted-header-cell",
+            "line-past-the-field-limit", "unquoted-cell-past-the-field-limit"])
+    def test_same_as_the_reference(self, tmp_path, tokenizer, text, how):
         path = tmp_path / "t.csv"
-        write_rows(path, header, rows)
-        got, got_warned, got_error = outcome(load_design_for_predict, path, schema)
-        want, want_warned, want_error = outcome(reference_load_design_for_predict, path, schema)
-        assert got_error == want_error
-        assert got_warned == want_warned
-        if want is not None:
-            assert got.dtype == want.dtype and got.shape == want.shape
-            np.testing.assert_array_equal(got, want)
+        path.write_bytes(text.encode("utf-8"))
+        got, ran = tokenizer(outcome, load_csv, path)
+        assert ran == how
+        want = outcome(reference_load_csv, path)
+        assert got[1:] == want[1:]
+        if want[0] is not None:
+            assert_same_dataset(got[0], want[0])
+        got, ran = tokenizer(outcome, load_design_for_predict, path, self.SCHEMA)
+        assert ran == how
+        want = outcome(reference_load_design_for_predict, path, self.SCHEMA)
+        assert got[1:] == want[1:]
+        if want[0] is not None:
+            np.testing.assert_array_equal(got[0], want[0])
+
+    def test_a_bare_cr_ends_a_row_as_in_the_csv_module(self, tmp_path):
+        # csv.reader over a file opened with newline="" ends a record at a lone CR
+        path = write(tmp_path, "t.csv", "u,v,y\n1,a,3\r4,c,6\n")
+        X = load_design_for_predict(path, self.SCHEMA)
+        np.testing.assert_array_equal(X, [[1.0, 0.0], [4.0, 1.0]])

@@ -336,6 +336,32 @@ def reference_gram_ridge(X, y, lam):
     return fc.LinearFit(float(y.mean() - means @ coef), coef, ())
 
 
+def reference_stacked_ridge(X, y, lam):
+    """Oracle: fit_ridge as it was before its wide path, one ``gels`` of the
+    (m + l) x l system ``[R S^-1 ; sqrt(lam) I] b = [Q'yc ; 0]`` on the m x l
+    R of ``centred_r``, however few rows R has."""
+    X = np.asarray(X, dtype=np.float64)
+    n, l = X.shape
+    R, means, constant = fc.centred_r(X, y)
+    scales = np.where(constant, 1.0, fc.column_norms(R[:, :l]) / np.sqrt(n))
+    A = np.zeros((len(R) + l, l), order="F")
+    np.divide(R[:, :l], scales, out=A[:len(R)])
+    np.fill_diagonal(A[len(R):], np.sqrt(lam))
+    b = scipy.linalg.lapack.dgels(A, np.r_[R[:, l], np.zeros(l)], overwrite_a=True,
+                                  lwork=int(scipy.linalg.lapack.dgels_lwork(*A.shape, 1)[0]))[1]
+    coef = np.where(constant, 0.0, b[:l] / scales)
+    return fc.LinearFit(float(y.mean() - means @ coef), coef, ())
+
+
+def _ridge_case(n, l, seed, constant=None):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(1.0, 2.0, size=(n, l))
+    if constant is not None:
+        X[:, constant] = 0.1  # an inexact mean
+    k = min(l, 5)
+    return X, X[:, :k] @ rng.normal(size=k) + rng.normal(size=n)
+
+
 def lstsq_ridge(X, y, lam):
     """Oracle: the augmented z-scaled system ``[Z ; sqrt(lam) I] b = [yc ; 0]``
     solved by SVD (``np.linalg.lstsq``); returns the original-scale slopes."""
@@ -381,6 +407,31 @@ class TestRidge:
         fit = fc.fit_ridge(X, y, 1.0)
         assert relative_gap(fit.coef, lstsq_ridge(X, y, 1.0)) <= 1e-12
         assert relative_gap(fit.coef, reference_gram_ridge(X, y, 1.0).coef) <= 1e-8
+
+    @pytest.mark.parametrize("n, l, constant, lam", [
+        (30, 80, None, 1.0), (30, 80, 7, 1.0), (10, 200, 0, 0.01), (50, 51, None, 3.0),
+        (2, 6, None, 1.0), (120, 1000, 999, 0.5),
+    ])
+    def test_wide_matches_the_stacked_system(self, n, l, constant, lam):
+        X, y = _ridge_case(n, l, seed=n + l, constant=constant)
+        fit, want = fc.fit_ridge(X, y, lam), reference_stacked_ridge(X, y, lam)
+        assert relative_gap(fit.coef, want.coef) <= 1e-10
+        assert fit.intercept == pytest.approx(want.intercept, rel=1e-10, abs=1e-12)
+        if constant is not None:
+            assert fit.coef[constant] == 0.0
+
+    @pytest.mark.parametrize("n, l", [(500, 20), (81, 80), (200, 3)])
+    def test_tall_path_is_the_stacked_system_bit_for_bit(self, n, l):
+        X, y = _ridge_case(n, l, seed=n, constant=1)
+        fit, want = fc.fit_ridge(X, y, 0.5), reference_stacked_ridge(X, y, 0.5)
+        assert np.array_equal(fit.coef, want.coef) and fit.intercept == want.intercept
+
+    def test_wide_peak_memory_is_bounded(self):
+        # an LQ of the 400 x 2,500 R S^-1 leaves a 800 x 400 system; the
+        # stacked (400 + 2,500) x 2,500 one peaked at 8.3x the input
+        X, y = _ridge_case(400, 2500, seed=15)
+        peak = traced_peak(fc.fit_ridge, X, y, 1.0)
+        assert peak <= 3.5 * X.nbytes, peak / X.nbytes
 
     def test_peak_memory_is_bounded(self):
         # the z-scaled copy and its Gram are gone: the design is centred
