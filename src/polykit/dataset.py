@@ -13,8 +13,9 @@ from __future__ import annotations
 import csv
 import io
 import warnings
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from functools import partial
 from itertools import compress
 
 import numpy as np
@@ -50,22 +51,37 @@ def _strip(cells: Sequence[str]) -> list[str]:
 class _Column:
     """One CSV column: its raw cells, their float64 values (None when a cell
     is not a number even once stripped, or is missing in a column the raw
-    conversion rejected) and, on demand, the stripped cells."""
+    conversion rejected) and, on demand, the stripped cells. The cells may
+    be given as a function that gives them, called when first asked for: a
+    numeric column needs its text only to count or keep its spellings."""
 
-    def __init__(self, cells: Sequence[str], floats: np.ndarray | None,
-                 stripped: list[str] | None):
-        self.cells = cells
+    def __init__(self, cells: Sequence[str] | Callable[[], Sequence[str]],
+                 floats: np.ndarray | None, stripped: list[str] | None):
+        self._cells = cells
         self.floats = floats
         self._stripped = stripped
 
+    @property
+    def cells(self) -> Sequence[str]:
+        if callable(self._cells):
+            self._cells = self._cells()
+        return self._cells
+
     @classmethod
-    def read(cls, cells: Sequence[str]) -> tuple[_Column, np.ndarray]:
-        """The column and its missing-cell mask. The raw cells are converted
-        once; of the missing tokens only ``nan`` converts, so only the NaN
-        cells of a converted column are looked up. A column the conversion
-        rejects is stripped, and only its cells no longer than a missing token
-        are looked up; it is converted again only when no cell is missing, as
-        :meth:`take` converts the kept ones."""
+    def read(cls, cells: Sequence[str] | _Column,
+             stop: int | None = None) -> tuple[_Column, np.ndarray]:
+        """The column of its first ``stop`` cells and its missing-cell mask.
+        The raw cells are converted once; of the missing tokens only ``nan``
+        converts, so only the NaN cells of a converted column are looked up.
+        A column the conversion rejects is stripped, and only its cells no
+        longer than a missing token are looked up; it is converted again only
+        when no cell is missing, as :meth:`take` converts the kept ones. A
+        column :func:`_read_table` gave already parsed has no missing cell
+        and comes back whole."""
+        if isinstance(cells, _Column):
+            return cells, np.zeros(len(cells.floats), bool)
+        if stop is not None:
+            cells = cells[:stop]
         floats = _floats(cells)
         if floats is not None:
             missing = np.isnan(floats)
@@ -89,10 +105,11 @@ class _Column:
 
     def take(self, keep: np.ndarray) -> _Column:
         """The cells where ``keep`` holds. A column that did not convert is
-        converted again, as the cells that stopped it may be gone."""
+        converted again, as the cells that stopped it may be gone; a column
+        that did takes its cells only if they are asked for."""
         flags = keep.tolist()
         if self.floats is not None:
-            return _Column(list(compress(self.cells, flags)), self.floats[keep], None)
+            return _Column(lambda: list(compress(self.cells, flags)), self.floats[keep], None)
         stripped = list(compress(self.strings(), flags))
         return _Column(stripped, _floats(stripped), stripped)
 
@@ -276,9 +293,12 @@ def parse_schema_sidecar(path) -> dict[str, str]:
     return hints
 
 
-def _read_table(path) -> tuple[list[str], list[int], list[Sequence[str]]]:
-    """The stripped header, the field count of each data row, and the cells
-    of the data rows of full length, column by column.
+def _read_table(path) -> tuple[list[str], Callable]:
+    """The stripped header and ``rows(numeric)``, which gives the field
+    count of each data row and the data rows of full length column by
+    column: each column its cells, or a ``_Column`` already read.
+    ``numeric(first)`` says from the cells of the first data row which
+    columns to parse as numbers.
 
     The file is read whole. When its text, each ``\\r\\n`` made ``\\n``,
     holds no ``"``, no other ``\\r``, no NUL (which ``csv.reader`` refused
@@ -288,6 +308,13 @@ def _read_table(path) -> tuple[list[str], list[int], list[Sequence[str]]]:
     length, and column j is every ``fields``-th cell from the j-th. Any
     other text is read by ``csv.reader``, as from the file. Both give an
     empty line no field.
+
+    A plain text with a data row, no empty line and no row of the wrong
+    field count is a complete table, which :func:`_load_complete` parses
+    with no Python string per numeric cell where it can. ``str.split``
+    stays the reader of the other plain tables, and of those whose numbers
+    ``np.loadtxt`` does not take: it keeps every cell, so the readers can
+    drop the bad rows or name the bad cell.
     """
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -299,28 +326,76 @@ def _read_table(path) -> tuple[list[str], list[int], list[Sequence[str]]]:
         limit = csv.field_size_limit()
         plain = not ('"' in flat or "\r" in flat or "\0" in flat
                      or (len(flat) > limit and max(map(len, lines)) > limit))
-        if plain:
-            counts = [line.count(",") + 1 if line else 0 for line in lines]
-        else:
-            rows = list(csv.reader(io.StringIO(text, newline="")))
-            counts = list(map(len, rows))
-        if not counts:
+        records = lines if plain else list(csv.reader(io.StringIO(text, newline="")))
+        if not records:
             raise DataError(f"{path}: empty file")
-        fields = counts[0]
+        header = (lines[0].split(",") if lines[0] else []) if plain else records[0]
+        fields = len(header)
         if not fields:
             raise DataError(f"{path}: the header row (line 1) has no field")
-        if plain:
-            header = lines[0].split(",")
-            full = [line for line, k in zip(lines[1:], counts[1:]) if k == fields]
-            cells = ",".join(full).split(",") if full else []
-            columns = [cells[j::fields] for j in range(fields)]
-        else:
-            header = rows[0]
-            full = [row for row in rows[1:] if len(row) == fields]
-            columns = list(zip(*full)) if full else [()] * fields
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    return [h.strip() for h in header], counts[1:], columns
+
+    def rows(numeric: Callable[[list[str]], list[bool]]) -> tuple[list[int], list]:
+        data = records[1:]
+        if not plain:
+            full = [row for row in data if len(row) == fields]
+            return list(map(len, data)), list(zip(*full)) if full else [()] * fields
+        numbers = numeric(data[0].split(",")) if data else []
+        # np.loadtxt refuses a row of another field count, so the comma total
+        # is enough to keep the tables with bad rows from it
+        if any(numbers) and "" not in data and flat.count(",") == (fields - 1) * len(lines):
+            parsed = _load_complete(data, numbers)
+            if parsed is not None:
+                return [fields] * len(data), parsed
+        counts = [line.count(",") + 1 if line else 0 for line in data]
+        full = [line for line, k in zip(data, counts) if k == fields]
+        cells = ",".join(full).split(",") if full else []
+        return counts, [cells[j::fields] for j in range(fields)]
+
+    return [h.strip() for h in header], rows
+
+
+def _field(lines: list[str], j: int) -> list[str]:
+    """The j-th comma-separated cell of each line."""
+    return [line.split(",", j + 1)[j] for line in lines]
+
+
+def _load_complete(lines: list[str], numeric: list[bool]) -> list | None:
+    """The columns of a complete plain table, its data ``lines``, from one
+    ``np.loadtxt`` call; None where ``str.split`` must read it.
+
+    A numeric column is a float64 field. ``np.loadtxt`` takes a subset of
+    the spellings ``float`` takes of a stripped cell (not ``1_0`` nor
+    ``١``), to the same values, and of the missing tokens only ``nan``.
+    Such a column comes back as a ``_Column`` whose text is split from the
+    lines only if asked for; any other column is an object field of its raw
+    cells. Every column of the table is a field, so a row of the wrong
+    field count raises. The table goes to ``str.split`` on a ``ValueError``
+    (a cell that is no number, a missing one among them), when the row
+    count is not the line count, and when a numeric column holds a NaN
+    (``nan`` is a missing token, ``-nan`` is not). A table with no numeric
+    column never comes here: the object fields of an all-text table cost
+    about what ``str.split`` does.
+    """
+    dtype = np.dtype([(f"f{j}", "f8" if number else "O") for j, number in enumerate(numeric)])
+    try:
+        # the lines as a list: a StringIO of the text would copy it to 4 bytes a character
+        table = np.loadtxt(lines, delimiter=",", comments=None, dtype=dtype, ndmin=1)
+    except ValueError:
+        return None
+    if len(table) != len(lines):
+        return None
+    columns = []
+    for j, number in enumerate(numeric):
+        cells = table[f"f{j}"]
+        if number:
+            floats = np.ascontiguousarray(cells)
+            if np.isnan(floats).any():
+                return None
+            cells = _Column(partial(_field, lines, j), floats, None)
+        columns.append(cells)
+    return columns
 
 
 def load_csv(
@@ -350,9 +425,15 @@ def load_csv(
     float64 in one call, which settles both whether it is numeric and, from
     its NaN cells, which of its cells are missing. Only a column the
     conversion rejects is stripped and checked for missing tokens, and only
-    in its cells no longer than a token.
+    in its cells no longer than a token. A complete plain table is parsed
+    in one ``np.loadtxt`` call instead, each column whose first cell is a
+    number and that no hint or ``classify`` makes text straight to float64;
+    such a column is split from the lines again only for its spellings,
+    when it has at most ``CATEGORICAL_THRESHOLD`` values. A table with
+    bad rows, or with a numeric column ``np.loadtxt`` does not take whole
+    (a hole among its cells), is split as above.
     """
-    header, counts, cells = _read_table(path)
+    header, rows = _read_table(path)
     hints = kind_hints or {}
     unknown = [name for name in hints if name not in header]
     if unknown:
@@ -367,6 +448,9 @@ def load_csv(
     if classify:
         hints = {**hints, resp_name: "response_class"}
 
+    text = [hints.get(name) in ("categorical", "response_class") for name in header]
+    counts, cells = rows(lambda first: [not is_text and _floats([cell]) is not None
+                                        for is_text, cell in zip(text, first)])
     read = [_Column.read(column) for column in cells]
     keep = ~np.logical_or.reduce([holes for _, holes in read])
     kept = int(np.count_nonzero(keep))
@@ -493,18 +577,23 @@ def load_design_for_predict(path, schema: Schema) -> np.ndarray:
     Only the feature columns are read, column-wise as in :func:`load_csv`.
     The first bad row in file order is named: a wrong field count, or else
     the first feature column, in schema order, with a missing cell. Each
-    column is read only up to the earliest missing cell found so far.
+    column is read only up to the earliest missing cell found so far. A
+    complete plain table is parsed in one ``np.loadtxt`` call, the numeric
+    features straight to float64; a numeric cell it refuses, a missing one
+    among them, sends the table to ``str.split``, which names the cell.
     """
-    header, counts, cells = _read_table(path)
+    header, rows = _read_table(path)
     feats = schema.features
     missing = [c.name for c in feats if c.name not in header]
     if missing:
         raise DataError(f"{path}: feature columns {missing} are absent")
+    numeric = {c.name for c in feats if c.kind == "numeric"}
+    counts, cells = rows(lambda first: [name in numeric for name in header])
     fields = len(header)
     short = next((i for i, k in enumerate(counts) if k != fields), len(counts))
     read, hole = [], short
     for spec in feats:
-        col, holes = _Column.read(cells[header.index(spec.name)][:hole])
+        col, holes = _Column.read(cells[header.index(spec.name)], hole)
         if holes.any():
             hole, name = int(np.argmax(holes)), spec.name
         read.append(col)

@@ -56,11 +56,18 @@ def centre_columns(
     """Centred copy of X (written into ``out`` when given), its column means,
     and which columns are constant: a centred norm at most max(n, k) * eps
     times the raw norm is the roundoff of an inexact mean, and such a column
-    is returned as exact zeros."""
+    is returned as exact zeros. X is copied into ``out`` first, and the raw
+    norms, the means and the centred values are all taken from ``out``: the
+    order of a sum follows the layout it reads, so with a Fortran-ordered
+    ``out`` they do not depend on how X is laid out."""
+    if out is not None:
+        out[...] = X
+        X = out
+    raw = column_norms(X)
     means = X.mean(axis=0)
     Xc = np.subtract(X, means, out=out)
     eps = np.finfo(np.float64).eps
-    constant = column_norms(Xc) <= max(X.shape) * eps * column_norms(X)
+    constant = column_norms(Xc) <= max(X.shape) * eps * raw
     Xc[:, constant] = 0.0
     return Xc, means, constant
 
@@ -103,9 +110,10 @@ def _geqrt(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def centred_r(X: np.ndarray, y: np.ndarray | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Stage 1 of every least-squares solve: the R factor of ``[Xc | yc]``.
 
-    X, of at least one row, and y unless it is None, are centred straight
-    into one Fortran-ordered buffer, which an unpivoted Householder QR
-    factors in place; no Q is formed. The QR is LAPACK ``geqrt`` in blocks
+    X, of at least one row, and y unless it is None, are copied into one
+    Fortran-ordered buffer and centred there, so a fit does not depend on
+    X's memory layout; an unpivoted Householder QR factors the buffer in
+    place; no Q is formed. The QR is LAPACK ``geqrt`` in blocks
     of ``QR_BLOCK`` columns, each block factored recursively with level-3
     BLAS (Elmroth & Gustavson 2000), where ``geqrf`` factors its panels
     column by column with level-2 BLAS: on 2 OpenBLAS threads a full QR of
@@ -126,7 +134,8 @@ def centred_r(X: np.ndarray, y: np.ndarray | None) -> tuple[np.ndarray, np.ndarr
     A = np.empty((n, l + (y is not None)), order="F")
     _, means, constant = centre_columns(X, out=A[:, :l])
     if y is not None:
-        A[:, l] = y - y.mean()
+        A[:, l] = y
+        A[:, l] -= A[:, l].mean()
     if min(A.shape):
         A = _geqrt(A)[0]
     R = A[:min(A.shape)]

@@ -727,10 +727,45 @@ def csv_rows(draw, header):
     return rows
 
 
-#: How ``write_rows`` writes a table: its line terminator, and whether
-#: csv.writer quotes only the cells that need it or every cell.
-WRITER_STYLES = st.tuples(st.sampled_from(("\n", "\r\n")),
-                          st.sampled_from((csv.QUOTE_MINIMAL, csv.QUOTE_ALL)))
+@st.composite
+def complete_rows(draw, header, numbers=()):
+    """At least one row for ``header``, every one of full length. A column
+    named in ``numbers`` draws only plain numbers; any other column plain
+    numbers (one in two), words (one in four), words and missing cells, or
+    cells of every kind (one in eight each). No word is one csv.writer
+    quotes."""
+    pools = []
+    for name in header:
+        kinds = ("int", "float") if name in numbers else draw(st.sampled_from(
+            (("int", "float"),) * 4 + (("word",),) * 2 + (("word", "missing"), CELL_KINDS)))
+        pools.append(draw(st.lists(cells(kinds, WORDS[:-1]), min_size=1, max_size=6)))
+    return [[draw(st.sampled_from(pool)) for pool in pools]
+            for _ in range(draw(st.integers(1, 9)))]
+
+
+#: The line terminators ``write_rows`` may end lines with.
+TERMINATORS = st.sampled_from(("\n", "\r\n"))
+
+#: Each form of generated table and its share of an oracle's examples:
+#: complete tables, unquoted; tables of ``csv_rows`` with every cell quoted;
+#: and such tables with only the cells that need it quoted.
+TABLE_FORMS = (("complete", 0.4), ("quoted", 0.3), ("plain", 0.3))
+
+#: How csv.writer quotes the tables of each form.
+QUOTING = {"complete": csv.QUOTE_MINIMAL, "quoted": csv.QUOTE_ALL, "plain": csv.QUOTE_MINIMAL}
+
+
+def run_forms(check, examples):
+    """Runs ``check(data, form)`` on ``examples`` Hypothesis examples, split
+    among the ``TABLE_FORMS`` by their shares. Each form has its own run,
+    not a drawn form: Hypothesis generates examples in clusters, and a drawn
+    form left one reader under a fifth of the examples in some runs."""
+    for form, share in TABLE_FORMS:
+        @settings(max_examples=round(examples * share), deadline=None)
+        @given(data=st.data())
+        def run(data):
+            check(data, form)
+        run()
 
 
 def write_rows(path, header, rows, style):
@@ -741,7 +776,7 @@ def write_rows(path, header, rows, style):
 
 class CountingCsv:
     """The csv module, counting the calls of ``csv.reader``: patched in for
-    ``dataset.csv``, it tells which of ``_read_table``'s tokenizers ran."""
+    ``dataset.csv``, it tells whether ``_read_table`` ran ``csv.reader``."""
 
     def __init__(self):
         self.readers = 0
@@ -756,42 +791,54 @@ class CountingCsv:
 
 @pytest.fixture
 def tokenizer(monkeypatch):
-    """Calls a reader and names the tokenizer it ran: "csv" or "split"."""
+    """Calls a reader and names the tokenizer whose columns it read: "csv",
+    "loadtxt" (``_load_complete`` gave the columns) or "split"."""
     spy = CountingCsv()
     monkeypatch.setattr(dataset, "csv", spy)
+    load_complete, parsed = dataset._load_complete, []
+
+    def counting_load_complete(*args):
+        columns = load_complete(*args)
+        parsed.append(columns is not None)
+        return columns
+    monkeypatch.setattr(dataset, "_load_complete", counting_load_complete)
 
     def ran(call, *args, **kwargs):
-        before = spy.readers
+        before, tries = spy.readers, len(parsed)
         result = call(*args, **kwargs)
-        return result, "csv" if spy.readers > before else "split"
+        if spy.readers > before:
+            return result, "csv"
+        return result, "loadtxt" if any(parsed[tries:]) else "split"
     return ran
 
 
 def assert_both_tokenizers_ran(ran, examples):
-    """Each tokenizer read at least a fifth of the generated files."""
+    """Each of the three readers read at least a fifth of the generated files."""
     assert sum(ran.values()) == examples
-    assert min(ran["csv"], ran["split"]) >= examples // 5, dict(ran)
+    assert min(ran["csv"], ran["loadtxt"], ran["split"]) >= examples // 5, dict(ran)
 
 
 class TestReaderOracle:
     """The column-wise readers give what the row-wise references give on
     small generated files: schema, columns, drops, warnings and errors.
-    Files end lines in LF or CRLF; half quote every cell, and of the others
-    half draw no cell that needs quotes, so both of ``_read_table``'s
-    tokenizers are checked."""
+    Files end lines in LF or CRLF. Two in five are complete tables with a
+    numeric column, unquoted, which ``np.loadtxt`` parses unless a cell
+    sends them to ``str.split``; the others quote every cell (``csv.reader``)
+    or only the cells that need it, and of those half draw no cell that
+    needs quotes, so each of ``_read_table``'s three readers is checked."""
 
     EXAMPLES = 400
 
     def test_load_csv_matches_the_reference(self, tmp_path, categorical_threshold, tokenizer):
         ran = Counter()
 
-        @settings(max_examples=self.EXAMPLES, deadline=None)
-        @given(data=st.data())
-        def check(data):
-            header = [f"c{j}" for j in range(data.draw(st.integers(1, 4)))]
-            rows = data.draw(csv_rows(header))
+        def check(data, form):
+            # two columns or more, so that classify leaves c0 numeric
+            complete = form == "complete"
+            header = [f"c{j}" for j in range(data.draw(st.integers(1 + complete, 4)))]
+            rows = data.draw(complete_rows(header, header[:1]) if complete else csv_rows(header))
             path = tmp_path / "t.csv"
-            write_rows(path, header, rows, data.draw(WRITER_STYLES))
+            write_rows(path, header, rows, (data.draw(TERMINATORS), QUOTING[form]))
             hint = data.draw(st.sampled_from((None, *COLUMN_KINDS)))
             threshold = data.draw(st.integers(0, 4))
             categorical_threshold(threshold)
@@ -808,20 +855,20 @@ class TestReaderOracle:
             if want is not None:
                 assert_same_dataset(got, want)
 
-        check()
+        run_forms(check, self.EXAMPLES)
         assert_both_tokenizers_ran(ran, self.EXAMPLES)
 
     def test_load_design_for_predict_matches_the_reference(self, tmp_path, tokenizer):
         ran = Counter()
 
-        @settings(max_examples=self.EXAMPLES, deadline=None)
-        @given(data=st.data())
-        def check(data):
+        def check(data, form):
+            # a complete table has every feature, the first of them numeric
+            complete = form == "complete"
             specs = []
-            for j in range(data.draw(st.integers(0, 3))):
+            for j in range(data.draw(st.integers(int(complete), 3))):
                 levels = data.draw(st.lists(cells().map(str.strip), min_size=1, max_size=4,
                                             unique=True))
-                if data.draw(st.booleans()):
+                if data.draw(st.booleans()) and not (complete and j == 0):
                     specs.append(ColumnSpec(f"f{j}", "categorical", tuple(sorted(levels))))
                 else:
                     specs.append(ColumnSpec(f"f{j}", "numeric"))
@@ -830,12 +877,13 @@ class TestReaderOracle:
             header = [s.name for s in specs[:-1]]
             if data.draw(st.booleans()):
                 header.append("y")
-            if data.draw(st.booleans()) and header:
+            if data.draw(st.booleans()) and header and not complete:
                 header.pop(data.draw(st.integers(0, len(header) - 1)))
             header = data.draw(st.permutations(header)) or ["y"]
-            rows = data.draw(csv_rows(header))
+            numbers = [s.name for s in specs if s.kind == "numeric"]
+            rows = data.draw(complete_rows(header, numbers) if complete else csv_rows(header))
             path = tmp_path / "t.csv"
-            write_rows(path, header, rows, data.draw(WRITER_STYLES))
+            write_rows(path, header, rows, (data.draw(TERMINATORS), QUOTING[form]))
             (got, got_warned, got_error), how = tokenizer(
                 outcome, load_design_for_predict, path, schema)
             ran[how] += 1
@@ -847,13 +895,44 @@ class TestReaderOracle:
                 assert got.dtype == want.dtype and got.shape == want.shape
                 np.testing.assert_array_equal(got, want)
 
-        check()
+        run_forms(check, self.EXAMPLES)
         assert_both_tokenizers_ran(ran, self.EXAMPLES)
+
+
+#: Characters of number spellings, and of what ``float`` and ``np.loadtxt``
+#: tell apart: signs, exponents, underscores, words, Unicode digits and spaces.
+NUMBER_PIECES = (*"0123456789" * 2, *"+-.eE_x ", "inf", "nan", "Infinity", "\t", "\x0b",
+                 "\x0c", "\x1c", "\x1f", "\x85", "\xa0", "\u3000", "\u0661", "\uff11")
+
+
+class TestNumberSpellings:
+    """``np.loadtxt`` parses a numeric column only where it takes every cell
+    to the value ``float`` gives the stripped cell: any other spelling sends
+    the table to ``str.split``, so both readers give the reference's result."""
+
+    SCHEMA = Schema((ColumnSpec("u", "numeric"), ColumnSpec("y", "response_numeric")))
+
+    @settings(max_examples=300, deadline=None)
+    @given(cell=st.lists(st.sampled_from(NUMBER_PIECES), min_size=1, max_size=6).map("".join))
+    def test_same_as_the_reference(self, tmp_path_factory, cell):
+        path = tmp_path_factory.getbasetemp() / "spelling.csv"
+        path.write_text(f"u,y\n1,1\n{cell},2\n", encoding="utf-8")
+        got = outcome(load_design_for_predict, path, self.SCHEMA)
+        want = outcome(reference_load_design_for_predict, path, self.SCHEMA)
+        assert got[1:] == want[1:]
+        if want[0] is not None:
+            assert got[0].tobytes() == want[0].tobytes()
+        got, want = outcome(load_csv, path), outcome(reference_load_csv, path)
+        assert got[1:] == want[1:]
+        if want[0] is not None:
+            assert_same_dataset(got[0], want[0])
 
 
 class TestReaderCases:
     """Named files that each tokenizer must read as ``csv.reader`` does: the
-    same dataset, warnings and error as the row-wise references."""
+    same dataset, warnings and error as the row-wise references. ``how``
+    names the reader that gave the columns, one name for both readers or a
+    pair (``load_csv``'s, ``load_design_for_predict``'s)."""
 
     SCHEMA = Schema((ColumnSpec("u", "numeric"), ColumnSpec("v", "categorical", ("a", "c")),
                      ColumnSpec("y", "response_numeric")))
@@ -863,14 +942,14 @@ class TestReaderCases:
         ("u,v,y\n1,a,3\n\n4,c,6\n", "split"),
         ("u,v,y\n1,a,3\n4,c,6\n\n", "split"),
         ("u,v,y\n1,a,3\n4,c,6\n\n\n", "split"),
-        ("u,v,y\n1,a,3\n4,c,6", "split"),
+        ("u,v,y\n1,a,3\n4,c,6", "loadtxt"),
         ("u,v,y\n", "split"),
         ("u,v,y", "split"),
         ("u,v,y\n1,a,3,\n4,c,6\n", "split"),
-        ("u,v,y,\n1,a,3,\n4,c,6,\n", "split"),
+        ("u,v,y,\n1,a,3,\n4,c,6,\n", "loadtxt"),
         ("u,v,y\r\n1,a,3\r\n\r\n4,c,6\r\n", "split"),
-        ("u,v,y\n1,a\u2028b,3\n4,c\x1c\x85,6\n", "split"),
-        (" u , v ,y\n 1 , a ,3\n", "split"),
+        ("u,v,y\n1,a\u2028b,3\n4,c\x1c\x85,6\n", "loadtxt"),
+        (" u , v ,y\n 1 , a ,3\n", "loadtxt"),
         ("\n1,a,3\n", "split"),
         ("", "split"),
         ("u,v,y\r1,a,3\r4,c,6\r", "csv"),
@@ -881,27 +960,58 @@ class TestReaderCases:
         ('u,"v",y\n1,a,3\n4,c,6\n', "csv"),
         (f"u,v,y\n1,a,3\n{LONG_ROW}\n4,c,6\n", "csv"),
         ("u,v,y\n1,a,3\n4," + "c" * 200_000 + ",6\n", "csv"),
+        ("u,v,y\n1,a,3\n \t\n4,c,6\n", "split"),
+        ("u,v,y\n1,a,3\n1_0,c,6\n", "split"),
+        ("u,v,y\n1,a,3\n\u0661,c,6\n", "split"),
+        ("u,v,y\n1,a,3\n-nan,c,6\n", "split"),
+        ("u,v,y\n1,a,3\nnan,c,6\n", "split"),
+        ("u,v,y\n1,a,3\ninf,c,6\n", "loadtxt"),
+        ("u,v,y\n1,a,3\n4,,6\n", "loadtxt"),
+        ("u,v,y\n1,a,3\n4,NA,6\n", "loadtxt"),
+        ("u,v,y\n1,a,3\n1.0,c,6\n01,a,7\n", "loadtxt"),
+        ("u,v,y\n" + "".join(f"{i % 13},{'ac'[i % 2]},{i}\n" for i in range(40)), "loadtxt"),
+        ("\ufeffu,v,y\n1,a,3\n4,c,6\n", ("loadtxt", "split")),
+        ("v,w\na,b\nc,d\n", "split"),
+        ("u,v,y\n1,a\n4,c,6,7\n", "split"),
     ], ids=["blank-line-mid-file", "blank-line-at-the-end", "two-blank-lines-at-the-end",
             "no-final-newline", "header-only", "header-only-no-newline", "trailing-comma",
             "trailing-comma-in-every-line", "blank-CRLF-line", "line-separators-in-cells",
             "padded-cells", "blank-header", "empty-file", "bare-CRs", "one-bare-CR",
             "CR-before-CRLF", "NUL-in-a-cell", "CRLF-in-a-quoted-cell", "quoted-header-cell",
-            "line-past-the-field-limit", "unquoted-cell-past-the-field-limit"])
+            "line-past-the-field-limit", "unquoted-cell-past-the-field-limit",
+            "whitespace-only-line", "underscore-number", "arabic-indic-digit", "minus-nan",
+            "nan", "inf", "empty-text-cell", "NA-text-cell", "few-values-many-spellings",
+            "thirteen-values", "utf8-bom", "all-text", "a-short-row-and-a-long-one"])
     def test_same_as_the_reference(self, tmp_path, tokenizer, text, how):
+        csv_how, predict_how = (how, how) if isinstance(how, str) else how
         path = tmp_path / "t.csv"
         path.write_bytes(text.encode("utf-8"))
         got, ran = tokenizer(outcome, load_csv, path)
-        assert ran == how
+        assert ran == csv_how
         want = outcome(reference_load_csv, path)
         assert got[1:] == want[1:]
         if want[0] is not None:
             assert_same_dataset(got[0], want[0])
         got, ran = tokenizer(outcome, load_design_for_predict, path, self.SCHEMA)
-        assert ran == how
+        assert ran == predict_how
         want = outcome(reference_load_design_for_predict, path, self.SCHEMA)
         assert got[1:] == want[1:]
         if want[0] is not None:
             np.testing.assert_array_equal(got[0], want[0])
+
+    @pytest.mark.parametrize("kwargs, kinds", [
+        ({"kind_hints": {"u": "categorical"}}, ("categorical", "categorical", "response_numeric")),
+        ({"kind_hints": {"u": "numeric"}}, ("numeric", "categorical", "response_numeric")),
+        ({"classify": True}, ("categorical", "categorical", "response_class")),
+    ], ids=["hinted-categorical-numbers", "hinted-numeric-few-values", "classify"])
+    def test_options_same_as_the_reference(self, tmp_path, tokenizer, kwargs, kinds):
+        path = write(tmp_path, "t.csv", "u,v,y\n1,a,3\n4,c,6\n1.0,a,3\n")
+        (got, got_warned, got_error), ran = tokenizer(outcome, load_csv, path, **kwargs)
+        assert ran == "loadtxt"
+        want, want_warned, want_error = outcome(reference_load_csv, path, **kwargs)
+        assert (got_warned, got_error) == (want_warned, want_error) == ([], None)
+        assert_same_dataset(got, want)
+        assert tuple(c.kind for c in got.schema.columns) == kinds
 
     def test_a_bare_cr_ends_a_row_as_in_the_csv_module(self, tmp_path):
         # csv.reader over a file opened with newline="" ends a record at a lone CR

@@ -269,6 +269,17 @@ class TestOLSOracle:
         np.testing.assert_allclose(X @ fit.coef + fit.intercept, want,
                                    rtol=0, atol=1e-10 * np.abs(want).max())
 
+    @pytest.mark.parametrize("case", sorted(OLS_ORACLE_CASES))
+    def test_the_layout_of_x_changes_no_bit(self, case):
+        # centred_r takes the means and norms from its Fortran buffer, so the
+        # sums run in one order whatever X's layout; x7_minus_x9 once aliased
+        # x9 in C order and x7 in Fortran order
+        X, y, _ = OLS_ORACLE_CASES[case]()
+        c, f = (fc.fit_ols(np.asarray(X, order=order), y) for order in "CF")
+        assert c.intercept == f.intercept
+        assert np.array_equal(c.coef, f.coef)
+        assert c.aliased == f.aliased
+
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_peak_memory_is_bounded(self, order):
         # the one-stage path held the centred design, LAPACK's Fortran copy
