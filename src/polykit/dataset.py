@@ -11,12 +11,12 @@ indicator degeneracy rules.
 from __future__ import annotations
 
 import csv
-import io
+import re
 import warnings
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from functools import partial
-from itertools import compress
+from itertools import chain, compress
 
 import numpy as np
 
@@ -320,13 +320,13 @@ def _read_table(path) -> tuple[list[str], Callable]:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             text = fh.read()
         flat = text.replace("\r\n", "\n")
-        lines = flat.split("\n")
-        if not lines[-1]:
+        plain = not ('"' in flat or "\r" in flat or "\0" in flat)
+        lines = flat.split("\n") if plain else []
+        if lines and not lines[-1]:
             lines.pop()  # the end of the last line, or an empty file
         limit = csv.field_size_limit()
-        plain = not ('"' in flat or "\r" in flat or "\0" in flat
-                     or (len(flat) > limit and max(map(len, lines)) > limit))
-        records = lines if plain else list(csv.reader(io.StringIO(text, newline="")))
+        plain = plain and not (len(flat) > limit and max(map(len, lines)) > limit)
+        records = lines if plain else list(csv.reader(_file_lines(text)))
         if not records:
             raise DataError(f"{path}: empty file")
         header = (lines[0].split(",") if lines[0] else []) if plain else records[0]
@@ -354,6 +354,20 @@ def _read_table(path) -> tuple[list[str], Callable]:
         return counts, [cells[j::fields] for j in range(fields)]
 
     return [h.strip() for h in header], rows
+
+
+def _file_lines(text: str) -> Iterable[str]:
+    """The lines of ``text`` as a file opened with ``newline=""`` yields
+    them, each with its end: split after each ``\r\n``, lone ``\r`` and
+    ``\n``. (``str.splitlines`` also splits at ``\x1c``, ``\x85``,
+    ``\u2028`` and more; a ``StringIO`` holds the text at 4 bytes a
+    character.) With no lone ``\r``, that is after each ``\n``, a
+    ``str.split`` with the ends put back one line at a time.
+    """
+    if text.count("\r") != text.count("\r\n"):
+        return re.findall(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+", text)
+    *lines, last = text.split("\n")
+    return chain((line + "\n" for line in lines), [last] if last else [])
 
 
 def _field(lines: list[str], j: int) -> list[str]:

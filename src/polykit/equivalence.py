@@ -101,19 +101,30 @@ def _product(
     terms_a: TermSet, a: np.ndarray, terms_b: TermSet, b: np.ndarray
 ) -> tuple[TermSet, np.ndarray]:
     """Row r of the result is polynomial ``a[r]`` times ``b[r]``, over the
-    term set of the summed degrees. Each column of ``a`` times all of ``b``
-    is added in at the graded positions of the summed exponents, so no
-    temporary outgrows one row of ``b`` or of the result.
+    term set of the summed degrees. A block of columns of ``a`` times all
+    of ``b`` is added in at the graded positions of the summed exponents;
+    the block holds at most one result row of products, so no temporary
+    outgrows two rows of the result.
+
+    For one column the summed exponents are distinct, so each position
+    takes at most one product. A block's ``bincount`` starts each position
+    from the running row and adds the products column by column, which
+    sums them in the order, and to the bits, of one column at a time.
     """
     zero = np.zeros((1, terms_a.width), dtype=np.int64)
     exps_a = np.vstack([zero, exponent_matrix(terms_a, terms_a.width)])
     exps_b = np.vstack([zero, exponent_matrix(terms_b, terms_b.width)])
     terms = _numeric_terms(terms_a.width, terms_a.spec.degree + terms_b.spec.degree)
     out = np.zeros((a.shape[0], len(terms) + 1))
-    for column, exps in zip(a.T, exps_a):
-        index = graded_position(exps + exps_b)
-        for row, left, right in zip(out, column, b):
-            row += np.bincount(index, left * right, minlength=out.shape[1])
+    size = out.shape[1]
+    step = max(1, size // len(exps_b))
+    for start in range(0, len(exps_a), step):
+        block = slice(start, start + step)
+        index = graded_position(exps_a[block, None] + exps_b).ravel()
+        bins = np.concatenate([np.arange(size), index])
+        for row, left, right in zip(out, a[:, block], b):
+            row[:] = np.bincount(bins, np.concatenate([row, np.outer(left, right).ravel()]),
+                                 minlength=size)
     return terms, _prune(out)
 
 

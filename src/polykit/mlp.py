@@ -9,10 +9,13 @@ general-purpose deep learning stack.
 
 from __future__ import annotations
 
+import math
 from contextlib import nullcontext
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
+from scipy.linalg.blas import dgemm
 
 from . import blas
 from .errors import ModelFormatError, TrainingDiverged
@@ -27,12 +30,12 @@ ACTIVATIONS = {
 }
 HIDDEN_ACTIVATIONS = tuple(ACTIVATIONS)
 
-#: Minibatches smaller than this train with OpenBLAS on one thread. At
-#: 784-100-50-10 on a 2-core host, one thread took 0.65-0.70x of the
-#: threaded time at batch 16, 0.78-0.94x at 32, 0.91-1.09x at 64 and 0.92x
-#: at 96, but 1.16-1.17x at 128 and 1.13-1.26x at 256
-#: (BENCH_17_sgd_one_thread.json).
-SINGLE_THREAD_BATCH = 128
+#: Minibatches smaller than this train with OpenBLAS on one thread. The
+#: weight update is SciPy's ``dgemm`` and the other products are NumPy's;
+#: each has its own OpenBLAS, and on threads their pools spin against each
+#: other. At 784-100-50-10 on a 2-core host one thread won at every batch
+#: size measured, 16 to 8,192 (BENCH_22_fused_sgd.json).
+SINGLE_THREAD_BATCH = 16384
 
 WEIGHTS_HEADER = "polykit-mlp 2"
 WEIGHTS_V1_HEADER = "polykit-mlp 1"  # no layer count; still loads
@@ -90,6 +93,13 @@ class MLPConfig:
             raise ValueError("dropout rates must lie in [0, 1)")
         if self.output_kind not in ("linear", "softmax"):
             raise ValueError("output_kind must be 'linear' or 'softmax'")
+        for name, low in (("epochs", 0), ("batch_size", 1)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        rate = self.learning_rate
+        if isinstance(rate, bool) or not isinstance(rate, Real) or not 0.0 < rate < math.inf:
+            raise ValueError(f"learning_rate must be finite and > 0, got {rate!r}")
         object.__setattr__(self, "activations", acts)
         object.__setattr__(self, "dropout_rates", drops)
 
@@ -178,10 +188,17 @@ def layer_labels(mlp: MLP) -> list[str]:
 
 
 def _loss_and_grads(mlp: MLP, X: np.ndarray, Y: np.ndarray, rng=None):
-    """One forward/backward pass. With a training ``rng`` each dropout layer
-    draws its inverted-dropout mask from it where the mask is applied;
-    without one, dropout is the identity (inference mode). Grads align
-    with the dense layers in order."""
+    """One forward pass, then the backward pass, lazily.
+
+    With a training ``rng`` each dropout layer draws its inverted-dropout
+    mask from it where the mask is applied; without one, dropout is the
+    identity (inference mode). Returns ``(loss, steps)``: ``steps`` yields
+    ``(layer, layer_input, delta)`` for each dense layer from the output
+    down, where ``delta`` is the loss gradient at the layer's
+    pre-activation. Each yield comes after the next layer's ``delta`` has
+    been formed from this layer's weights, so the consumer may update
+    them in place.
+    """
     n = X.shape[0]
     caches = []  # (layer, layer_input, pre_activation) for dense; (layer, mask) for dropout
     out = X
@@ -203,25 +220,26 @@ def _loss_and_grads(mlp: MLP, X: np.ndarray, Y: np.ndarray, rng=None):
         loss = float(-np.sum(Y * np.log(probs)) / n)
     else:
         loss = float(0.5 * np.sum((out - Y) ** 2) / n)
-    # for both squared error + identity and cross-entropy + softmax the
-    # gradient at the output pre-activation is (prediction - target) / n
-    delta = (out - Y) / n
 
-    n_dense = sum(isinstance(layer, DenseLayer) for layer in mlp.layers)
-    grads: list[tuple[np.ndarray, np.ndarray]] = []
-    for layer, cached_in, z in reversed(caches):
-        if isinstance(layer, DropoutLayer):
-            if cached_in is not None:
-                delta *= cached_in
-            continue
-        if layer is not output_layer:
-            delta *= activation_grad(layer.activation, z)
-        grads.append((cached_in.T @ delta, delta.sum(axis=0)))
-        if len(grads) == n_dense:
-            break  # no dense layer below reads the input gradient
-        delta = delta @ layer.weights.T
-    grads.reverse()
-    return loss, grads
+    def steps():
+        # for both squared error + identity and cross-entropy + softmax the
+        # gradient at the output pre-activation is (prediction - target) / n
+        delta = (out - Y) / n
+        below = sum(isinstance(layer, DenseLayer) for layer in mlp.layers)
+        for layer, cached_in, z in reversed(caches):
+            if isinstance(layer, DropoutLayer):
+                if cached_in is not None:
+                    delta *= cached_in
+                continue
+            if layer is not output_layer:
+                delta *= activation_grad(layer.activation, z)
+            below -= 1
+            # no dense layer below reads the input gradient of the first
+            following = delta @ layer.weights.T if below else None
+            yield layer, cached_in, delta
+            delta = following
+
+    return loss, steps()
 
 
 def loss_and_gradients(mlp: MLP, X: np.ndarray, Y: np.ndarray):
@@ -232,7 +250,10 @@ def loss_and_gradients(mlp: MLP, X: np.ndarray, Y: np.ndarray):
     """
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
-    return _loss_and_grads(mlp, X, Y)
+    loss, steps = _loss_and_grads(mlp, X, Y)
+    grads = [(cached_in.T @ delta, delta.sum(axis=0)) for _, cached_in, delta in steps]
+    grads.reverse()
+    return loss, grads
 
 
 def train_mlp(design: np.ndarray, targets: np.ndarray, config: MLPConfig) -> MLP:
@@ -241,9 +262,9 @@ def train_mlp(design: np.ndarray, targets: np.ndarray, config: MLPConfig) -> MLP
     training, with inverted scaling, so inference needs no correction.
 
     Batches smaller than ``SINGLE_THREAD_BATCH`` train inside
-    :func:`blas.one_thread`: their products are too small to gain from
-    BLAS threads, which cost them more than they save. Every OpenBLAS
-    thread count is restored when the call returns or raises.
+    :func:`blas.one_thread`: BLAS threads cost them more than they save.
+    Every OpenBLAS thread count is restored when the call returns or
+    raises.
     """
     X = np.asarray(design, dtype=np.float64)
     Y = np.asarray(targets, dtype=np.float64)
@@ -255,7 +276,13 @@ def train_mlp(design: np.ndarray, targets: np.ndarray, config: MLPConfig) -> MLP
         raise ValueError("target width must match the output layer width")
 
     mlp = build_mlp(X.shape[1], config)
-    dense = [layer for layer in mlp.layers if isinstance(layer, DenseLayer)]
+    # each weight update is one dgemm that writes W - lr * input' delta into
+    # the Fortran view W.T; on any other layout than C-ordered float64 it
+    # would update a copy and leave the weights as they were
+    for layer in mlp.layers:
+        if isinstance(layer, DenseLayer):
+            layer.weights = np.ascontiguousarray(layer.weights, dtype=np.float64)
+    lr = config.learning_rate
     rng = np.random.default_rng([config.seed, 1])
     n = X.shape[0]
     pinned = config.batch_size < SINGLE_THREAD_BATCH
@@ -267,16 +294,17 @@ def train_mlp(design: np.ndarray, targets: np.ndarray, config: MLPConfig) -> MLP
             perm = rng.permutation(n)
             for start in range(0, n, config.batch_size):
                 idx = perm[start : start + config.batch_size]
-                loss, grads = _loss_and_grads(mlp, X[idx], Y[idx], rng)
+                loss, steps = _loss_and_grads(mlp, X[idx], Y[idx], rng)
                 if not np.isfinite(loss):
                     raise TrainingDiverged(
                         f"non-finite loss at epoch {epoch}, batch offset {start};"
                         f" try a smaller learning rate than {config.learning_rate}"
                     )
-                for layer, (dw, db) in zip(dense, grads):
-                    dw *= config.learning_rate
-                    db *= config.learning_rate
-                    layer.weights -= dw
+                for layer, cached_in, delta in steps:
+                    dgemm(-lr, delta.T, cached_in.T, beta=1.0, c=layer.weights.T,
+                          trans_b=1, overwrite_c=1)
+                    db = delta.sum(axis=0)
+                    db *= lr
                     layer.bias -= db
     return mlp
 

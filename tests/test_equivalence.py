@@ -12,7 +12,7 @@ from polykit import mlp as m
 from polykit.dataset import DummyGroups
 from polykit.errors import MemoryBudgetError
 from polykit.fitcore import fit_ols
-from polykit.polyterms import PolySpec, enumerate_terms, expand, exponent_matrix
+from polykit.polyterms import PolySpec, enumerate_terms, expand, exponent_matrix, graded_position
 
 
 def numeric_terms(nvars, degree):
@@ -268,6 +268,44 @@ class TestExtraction:
                 assert got.keys() == ref.keys()
                 for exps, c in ref.items():
                     assert abs(got[exps] - c) <= 1e-12 * max(1.0, abs(c))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_blocked_product_has_the_bits_of_the_column_loop(self, seed):
+        net = eq.random_polynomial_network(4, 4, 4, seed)
+        terms, rows = numeric_terms(4, 1), np.hstack([np.zeros((4, 1)), np.eye(4)])
+        for layer in net.layers:
+            rows = layer.weights.T @ rows
+            rows[:, 0] += layer.bias
+            got = eq._product(terms, rows, terms, rows)
+            want = column_loop_product(terms, rows, terms, rows)
+            assert got[0].spec.degree == want[0].spec.degree
+            assert np.array_equal(got[1], want[1])
+            terms, rows = got
+        assert terms.spec.degree == 16
+
+    def test_blocked_product_of_two_degrees_has_the_bits_of_the_column_loop(self):
+        rng = np.random.default_rng(4)
+        terms_a, terms_b = numeric_terms(4, 3), numeric_terms(4, 5)
+        a = rng.normal(size=(3, len(terms_a) + 1))
+        b = rng.normal(size=(3, len(terms_b) + 1))
+        got = eq._product(terms_a, a, terms_b, b)
+        want = column_loop_product(terms_a, a, terms_b, b)
+        assert np.array_equal(got[1], want[1])
+
+
+def column_loop_product(terms_a, a, terms_b, b):
+    """``equivalence._product`` one column of ``a`` at a time: one
+    ``graded_position`` call and one ``bincount`` per column and row."""
+    zero = np.zeros((1, terms_a.width), dtype=np.int64)
+    exps_a = np.vstack([zero, exponent_matrix(terms_a, terms_a.width)])
+    exps_b = np.vstack([zero, exponent_matrix(terms_b, terms_b.width)])
+    terms = numeric_terms(terms_a.width, terms_a.spec.degree + terms_b.spec.degree)
+    out = np.zeros((a.shape[0], len(terms) + 1))
+    for column, exps in zip(a.T, exps_a):
+        index = graded_position(exps + exps_b)
+        for row, left, right in zip(out, column, b):
+            row += np.bincount(index, left * right, minlength=out.shape[1])
+    return terms, eq._prune(out)
 
 
 def loop_deviation(net, extracted, n_points, seed):

@@ -56,6 +56,34 @@ def train_with_masks_list(X, Y, config):
     return net
 
 
+def masks_list_gradients(net, X, Y):
+    """The oracle's forward/backward pass without dropout, as one
+    function: the loss gradient ``(dW, db)`` of every dense layer."""
+    caches, out = [], X
+    for layer in net.layers:
+        if isinstance(layer, m.DenseLayer):
+            z = out @ layer.weights + layer.bias
+            caches.append((layer, out, z))
+            out = m.apply_activation(layer.activation, z)
+    delta, grads = (out - Y) / len(X), []
+    for layer, cached, z in reversed(caches):
+        if layer is not net.layers[-1]:
+            delta = delta * m.activation_grad(layer.activation, z)
+        grads.append((cached.T @ delta, delta.sum(axis=0)))
+        delta = delta @ layer.weights.T
+    return grads[::-1]
+
+
+def assert_trained_alike(net, oracle):
+    """Every weight and bias within 1e-12 of the largest in its array. The
+    fused update rounds ``W - lr * dW`` once where the oracle rounds twice;
+    a wrong mask or draw order is off by O(lr)."""
+    for got, want in zip(net.layers, oracle.layers):
+        if isinstance(got, m.DenseLayer):
+            for a, b in ((got.weights, want.weights), (got.bias, want.bias)):
+                assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
+
 class TestConfig:
     def test_defaults_normalized(self):
         cfg = m.MLPConfig((8, 4, 2))
@@ -77,6 +105,26 @@ class TestConfig:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             m.MLPConfig((4, 4, 2), activations=("relu",))
+
+    @pytest.mark.parametrize("value", [0, -3, 2.5, "32", True])
+    def test_batch_size_checked(self, value):
+        with pytest.raises(ValueError, match="batch_size"):
+            m.MLPConfig((4, 2), batch_size=value)
+
+    @pytest.mark.parametrize("value", [-1, 1.5, None])
+    def test_epochs_checked(self, value):
+        with pytest.raises(ValueError, match="epochs"):
+            m.MLPConfig((4, 2), epochs=value)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0, 0.0, "0.1"])
+    def test_learning_rate_checked(self, value):
+        with pytest.raises(ValueError, match="learning_rate"):
+            m.MLPConfig((4, 2), learning_rate=value)
+
+    def test_numpy_scalars_accepted(self):
+        cfg = m.MLPConfig((4, 2), epochs=np.int64(0), batch_size=np.int32(8),
+                          learning_rate=np.float64(0.1))
+        assert cfg.batch_size == 8
 
 
 class TestForward:
@@ -162,6 +210,68 @@ class TestGradients:
                     assert abs(numeric - g[idx]) / denom < 1e-5
 
 
+class TestFusedUpdate:
+    @pytest.mark.parametrize("widths, acts, drops, output_kind", [
+        ((1,), (), (), "linear"),
+        ((6, 4, 2), ("tanh", "square"), (), "linear"),
+        ((12, 8, 3), ("relu", "identity"), (0.3, 0.5), "softmax"),
+    ], ids=["one-layer", "tanh-square", "dropout-softmax"])
+    def test_gradients_have_the_bits_of_the_oracle(self, widths, acts, drops, output_kind):
+        rng = np.random.default_rng(5)
+        X = rng.normal(size=(40, 7))
+        if output_kind == "softmax":
+            Y, _ = m.one_hot(rng.integers(0, widths[-1], 40))
+        else:
+            Y = rng.normal(size=(40, widths[-1]))
+        net = m.build_mlp(7, m.MLPConfig(widths, acts, drops, output_kind=output_kind, seed=2))
+        _, grads = m.loss_and_gradients(net, X, Y)
+        want = masks_list_gradients(net, X, Y)
+        assert len(grads) == len(want)
+        for (dw, db), (ow, ob) in zip(grads, want):
+            np.testing.assert_array_equal(dw, ow)
+            np.testing.assert_array_equal(db, ob)
+
+    def test_one_full_batch_step_is_w_minus_lr_dw(self):
+        rng = np.random.default_rng(8)
+        X = rng.normal(size=(64, 9))
+        Y = rng.normal(size=(64, 2))
+        cfg = m.MLPConfig((16, 2), ("tanh",), epochs=1, batch_size=64,
+                          learning_rate=0.05, seed=4)
+        start = m.build_mlp(9, cfg)
+        perm = np.random.default_rng([cfg.seed, 1]).permutation(64)
+        _, grads = m.loss_and_gradients(start, X[perm], Y[perm])
+        net = m.train_mlp(X, Y, cfg)
+        dense = [l for l in net.layers if isinstance(l, m.DenseLayer)]
+        for layer, before, (dw, db) in zip(dense, start.layers, grads):
+            want = before.weights - cfg.learning_rate * dw
+            assert np.all(np.abs(layer.weights - want) <= 2 * np.spacing(np.abs(want)))
+            np.testing.assert_array_equal(layer.bias, before.bias - cfg.learning_rate * db)
+
+    def test_fortran_ordered_and_loaded_weights_are_updated(self, monkeypatch, tmp_path):
+        # dgemm hands back an updated copy, and leaves the weights as they
+        # were, when they are not C-ordered float64
+        rng = np.random.default_rng(6)
+        X = rng.normal(size=(50, 5))
+        Y, _ = m.one_hot(rng.integers(0, 3, 50))
+        cfg = m.MLPConfig((6, 3), ("relu",), (0.2,), output_kind="softmax",
+                          epochs=2, batch_size=16, learning_rate=0.1, seed=1)
+        start = m.build_mlp(5, cfg)
+        want = m.train_mlp(X, Y, cfg)
+        m.save_weights(start, tmp_path / "w.txt")
+        fortran = m.build_mlp(5, cfg)
+        for layer in fortran.layers:
+            if isinstance(layer, m.DenseLayer):
+                layer.weights = np.asfortranarray(layer.weights)
+        for net in fortran, m.load_weights(tmp_path / "w.txt"):
+            monkeypatch.setattr(m, "build_mlp", lambda *_: net)
+            got = m.train_mlp(X, Y, cfg)
+            for trained, fresh, ref in zip(got.layers, start.layers, want.layers):
+                if isinstance(trained, m.DenseLayer):
+                    assert not np.array_equal(trained.weights, fresh.weights)
+                    np.testing.assert_array_equal(trained.weights, ref.weights)
+                    np.testing.assert_array_equal(trained.bias, ref.bias)
+
+
 class TestTraining:
     def test_linear_target_learned(self):
         rng = np.random.default_rng(0)
@@ -221,11 +331,7 @@ class TestTraining:
         Y, _ = m.one_hot(rng.integers(0, 10, 250))
         cfg = m.MLPConfig((100, 50, 10), ("relu", "relu"), (0.2, 0.2),
                           output_kind="softmax", epochs=3, learning_rate=0.1, seed=7)
-        net, oracle = m.train_mlp(X, Y, cfg), train_with_masks_list(X, Y, cfg)
-        for got, want in zip(net.layers, oracle.layers):
-            if isinstance(got, m.DenseLayer):
-                np.testing.assert_array_equal(got.weights, want.weights)
-                np.testing.assert_array_equal(got.bias, want.bias)
+        assert_trained_alike(m.train_mlp(X, Y, cfg), train_with_masks_list(X, Y, cfg))
 
     @pytest.mark.parametrize("widths, acts, drops, output_kind", [
         ((1,), (), (), "linear"),
@@ -235,7 +341,7 @@ class TestTraining:
     def test_backward_pass_stopped_at_the_first_layer_changes_no_weight(
             self, widths, acts, drops, output_kind):
         # the input gradient of the first dense layer is never formed; the
-        # oracle forms it, and every weight must still agree bit for bit
+        # oracle forms it, and every weight must still agree
         rng = np.random.default_rng(11)
         X = rng.normal(size=(90, 7))
         if output_kind == "softmax":
@@ -244,11 +350,7 @@ class TestTraining:
             Y = rng.normal(size=(90, 1))
         cfg = m.MLPConfig(widths, acts, drops, output_kind=output_kind, epochs=3,
                           batch_size=16, learning_rate=0.05, seed=3)
-        net, oracle = m.train_mlp(X, Y, cfg), train_with_masks_list(X, Y, cfg)
-        for got, want in zip(net.layers, oracle.layers):
-            if isinstance(got, m.DenseLayer):
-                assert np.array_equal(got.weights, want.weights)
-                assert np.array_equal(got.bias, want.bias)
+        assert_trained_alike(m.train_mlp(X, Y, cfg), train_with_masks_list(X, Y, cfg))
 
     def test_zero_input_width_rejected(self):
         with pytest.raises(ValueError, match="input width"):
