@@ -13,10 +13,10 @@ from __future__ import annotations
 import csv
 import re
 import warnings
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, compress
+from itertools import compress
 
 import numpy as np
 
@@ -319,8 +319,8 @@ def _read_table(path) -> tuple[list[str], Callable]:
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             text = fh.read()
-        flat = text.replace("\r\n", "\n")
-        plain = not ('"' in flat or "\r" in flat or "\0" in flat)
+        plain = not ('"' in text or "\0" in text) and text.count("\r") == text.count("\r\n")
+        flat = text.replace("\r\n", "\n") if plain else ""
         lines = flat.split("\n") if plain else []
         if lines and not lines[-1]:
             lines.pop()  # the end of the last line, or an empty file
@@ -356,18 +356,14 @@ def _read_table(path) -> tuple[list[str], Callable]:
     return [h.strip() for h in header], rows
 
 
-def _file_lines(text: str) -> Iterable[str]:
-    """The lines of ``text`` as a file opened with ``newline=""`` yields
+def _file_lines(text: str) -> list[str]:
+    r"""The lines of ``text`` as a file opened with ``newline=""`` yields
     them, each with its end: split after each ``\r\n``, lone ``\r`` and
     ``\n``. (``str.splitlines`` also splits at ``\x1c``, ``\x85``,
     ``\u2028`` and more; a ``StringIO`` holds the text at 4 bytes a
-    character.) With no lone ``\r``, that is after each ``\n``, a
-    ``str.split`` with the ends put back one line at a time.
+    character.)
     """
-    if text.count("\r") != text.count("\r\n"):
-        return re.findall(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+", text)
-    *lines, last = text.split("\n")
-    return chain((line + "\n" for line in lines), [last] if last else [])
+    return re.findall(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+", text)
 
 
 def _field(lines: list[str], j: int) -> list[str]:

@@ -30,12 +30,15 @@ ACTIVATIONS = {
 }
 HIDDEN_ACTIVATIONS = tuple(ACTIVATIONS)
 
-#: Minibatches smaller than this train with OpenBLAS on one thread. The
-#: weight update is SciPy's ``dgemm`` and the other products are NumPy's;
-#: each has its own OpenBLAS, and on threads their pools spin against each
-#: other. At 784-100-50-10 on a 2-core host one thread won at every batch
-#: size measured, 16 to 8,192 (BENCH_22_fused_sgd.json).
-SINGLE_THREAD_BATCH = 16384
+#: Minibatches smaller than this train with OpenBLAS on one thread and
+#: update each weight matrix by one in-place SciPy ``dgemm``; larger ones
+#: keep the threads and update through NumPy's products. NumPy and SciPy
+#: each have their own OpenBLAS, and on threads the idle workers of one
+#: pool spin while the other works: threaded, the ``dgemm`` update trained
+#: 1.3-50x slower than pinned at batch 16 to 8,192. At 784-100-50-10 on a 2-core host the pinned ``dgemm``
+#: update won at batch 96 to 192 and NumPy's threaded update at 256 to
+#: 1,024 (BENCH_22_fused_sgd.json).
+SINGLE_THREAD_BATCH = 256
 
 WEIGHTS_HEADER = "polykit-mlp 2"
 WEIGHTS_V1_HEADER = "polykit-mlp 1"  # no layer count; still loads
@@ -262,9 +265,11 @@ def train_mlp(design: np.ndarray, targets: np.ndarray, config: MLPConfig) -> MLP
     training, with inverted scaling, so inference needs no correction.
 
     Batches smaller than ``SINGLE_THREAD_BATCH`` train inside
-    :func:`blas.one_thread`: BLAS threads cost them more than they save.
-    Every OpenBLAS thread count is restored when the call returns or
-    raises.
+    :func:`blas.one_thread`, where BLAS threads cost them more than they
+    save, and write ``W - lr * input' delta`` into the weights with one
+    ``dgemm``; larger batches keep the threads and form the gradient with
+    NumPy. Every OpenBLAS thread count is restored when the call returns
+    or raises.
     """
     X = np.asarray(design, dtype=np.float64)
     Y = np.asarray(targets, dtype=np.float64)
@@ -301,8 +306,14 @@ def train_mlp(design: np.ndarray, targets: np.ndarray, config: MLPConfig) -> MLP
                         f" try a smaller learning rate than {config.learning_rate}"
                     )
                 for layer, cached_in, delta in steps:
-                    dgemm(-lr, delta.T, cached_in.T, beta=1.0, c=layer.weights.T,
-                          trans_b=1, overwrite_c=1)
+                    if pinned:
+                        dgemm(-lr, delta.T, cached_in.T, beta=1.0, c=layer.weights.T,
+                              trans_b=1, overwrite_c=1)
+                    else:
+                        # SciPy's OpenBLAS threads would spin against NumPy's
+                        dw = cached_in.T @ delta
+                        dw *= lr
+                        layer.weights -= dw
                     db = delta.sum(axis=0)
                     db *= lr
                     layer.bias -= db
