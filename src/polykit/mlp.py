@@ -35,10 +35,12 @@ HIDDEN_ACTIVATIONS = tuple(ACTIVATIONS)
 #: keep the threads and update through NumPy's products. NumPy and SciPy
 #: each have their own OpenBLAS, and on threads the idle workers of one
 #: pool spin while the other works: threaded, the ``dgemm`` update trained
-#: 1.3-50x slower than pinned at batch 16 to 8,192. At 784-100-50-10 on a 2-core host the pinned ``dgemm``
-#: update won at batch 96 to 192 and NumPy's threaded update at 256 to
-#: 1,024 (BENCH_22_fused_sgd.json).
-SINGLE_THREAD_BATCH = 256
+#: 1.3-50x slower than pinned at batch 16 to 8,192. At 784-100-50-10 on a
+#: 2-core host the pinned ``dgemm`` update beat NumPy's threaded update at
+#: batch 32 to 96, lost most pairs at 128, and from 192 on threads won or
+#: tied (BENCH_22_fused_sgd.json): the crossover stayed where
+#: BENCH_17_sgd_one_thread.json found it before the ``dgemm`` update.
+SINGLE_THREAD_BATCH = 128
 
 WEIGHTS_HEADER = "polykit-mlp 2"
 WEIGHTS_V1_HEADER = "polykit-mlp 1"  # no layer count; still loads
@@ -305,17 +307,23 @@ def train_mlp(design: np.ndarray, targets: np.ndarray, config: MLPConfig) -> MLP
                         f"non-finite loss at epoch {epoch}, batch offset {start};"
                         f" try a smaller learning rate than {config.learning_rate}"
                     )
-                for layer, cached_in, delta in steps:
-                    if pinned:
+                if pinned:
+                    for layer, cached_in, delta in steps:
                         dgemm(-lr, delta.T, cached_in.T, beta=1.0, c=layer.weights.T,
                               trans_b=1, overwrite_c=1)
-                    else:
-                        # SciPy's OpenBLAS threads would spin against NumPy's
-                        dw = cached_in.T @ delta
-                        dw *= lr
-                        layer.weights -= dw
-                    db = delta.sum(axis=0)
+                        db = delta.sum(axis=0)
+                        db *= lr
+                        layer.bias -= db
+                    continue
+                # on threads SciPy's OpenBLAS pool would spin against NumPy's;
+                # forming every gradient before the first update ran about 5%
+                # faster at batch 1,024 than updating layer by layer
+                grads = [(layer, cached_in.T @ delta, delta.sum(axis=0))
+                         for layer, cached_in, delta in steps]
+                for layer, dw, db in grads:
+                    dw *= lr
                     db *= lr
+                    layer.weights -= dw
                     layer.bias -= db
     return mlp
 
