@@ -1,4 +1,4 @@
-"""A scoped OpenBLAS thread count.
+"""OpenBLAS thread counts, and the product that runs next to LAPACK.
 
 NumPy and SciPy each map their own OpenBLAS into the process, and each
 starts a thread pool sized to the machine. :func:`one_thread` sets every
@@ -8,6 +8,19 @@ exception alike. The count is process-wide: while the block runs, BLAS
 calls from other Python threads run on one thread too. Without
 ``/proc/self/maps``, or without an OpenBLAS that exports a thread-count
 pair, it does nothing.
+
+One pool next to LAPACK. LAPACK exists only on SciPy's OpenBLAS, so the
+dense products around it run there too, through :func:`matmul`. After a
+SciPy call returns, its idle worker spins for about 0.1 s (OpenBLAS's
+thread timeout), and a threaded NumPy product issued in that window shares
+the cores with it: on a 2-core host ``fitcore.fit_logistic_ova`` on the
+``digits_ova`` design took 0.113 s alone and 0.172 s right after
+``fitcore.pca_fit`` with NumPy's products, 0.095-0.103 s either way with
+SciPy's. Two products stay on NumPy: ``fitcore.predict``'s
+``expand(...) @ coef``, which runs after the ingest rather than next to
+LAPACK and whose rounding pattern the benchmark's bit-for-bit reload checks
+depend on, and the MLP training loop (``mlp.train_mlp``), whose threaded
+minibatches were measured on NumPy's update.
 """
 
 from __future__ import annotations
@@ -17,6 +30,9 @@ import functools
 import threading
 from contextlib import contextmanager
 from typing import Callable, Iterator, NamedTuple
+
+import numpy as np
+from scipy.linalg.blas import dgemm
 
 #: Lists the shared libraries mapped into this process (Linux).
 MAPS = "/proc/self/maps"
@@ -101,3 +117,30 @@ def one_thread() -> Iterator[None]:
             if _depth == 0:
                 for c, count in zip(controls(), _saved):
                     c.set(count)
+
+
+def _fortran(m: np.ndarray) -> tuple[np.ndarray, int]:
+    """m as a Fortran-ordered array and dgemm's transpose flag for it: m
+    itself, or the Fortran view of a C-ordered m's transpose; a copy only
+    when m is neither."""
+    if m.flags.f_contiguous:
+        return m, 0
+    if not m.flags.c_contiguous:
+        m = np.ascontiguousarray(m)
+    return m.T, 1
+
+
+def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` of two 2-D float64 matrices, C-ordered, by SciPy's ``dgemm``.
+
+    It forms ``(a @ b)' = b' a'`` column-major, which is ``a @ b``
+    row-major, as NumPy does: a C- or Fortran-ordered operand is read in
+    place through its transpose flag, with no copy. A zero inner dimension
+    gives exact zeros (BLAS with beta 0).
+    """
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+        raise ValueError(f"cannot multiply shapes {a.shape} and {b.shape}")
+    (x, tx), (y, ty) = _fortran(b.T), _fortran(a.T)
+    return dgemm(1.0, x, y, trans_a=tx, trans_b=ty).T

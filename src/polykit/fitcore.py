@@ -23,7 +23,7 @@ import numpy as np
 import scipy.linalg
 from scipy.special import expit
 
-from . import polyterms
+from . import blas, polyterms
 from .dataset import DummyGroups, Schema
 from .errors import DataError
 from .polyterms import TermSet
@@ -258,7 +258,7 @@ class LogisticFit:
     converged: tuple[bool, ...]
 
     def scores(self, X: np.ndarray) -> np.ndarray:
-        return X @ self.coefs + self.intercepts
+        return blas.matmul(X, self.coefs) + self.intercepts
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         idx = np.argmax(self.scores(X), axis=1)
@@ -283,7 +283,9 @@ def fit_logistic_ova(
     Weng & Keerthi 2008, JMLR 9:627). A class stops once its largest absolute
     gradient entry is at most ``tol``; ``converged`` says which did within
     ``max_iter`` Newton steps. Coefficients are on the original column scale.
-    Labels of fewer than two classes are a :class:`DataError`.
+    Labels of fewer than two classes are a :class:`DataError`. Every dense
+    product runs on SciPy's OpenBLAS (:func:`blas.matmul`), the library of
+    the LAPACK calls before it (the one-pool rule of :mod:`polykit.blas`).
     """
     X = np.asarray(X, dtype=np.float64)
     labels = np.asarray(labels)
@@ -292,8 +294,9 @@ def fit_logistic_ova(
     if len(classes) < 2:
         raise DataError(f"need at least two classes, got {len(classes)}")
     n, l = X.shape
-    # row-major, whatever the layout of X: on a 2,400 x 231 design a
-    # column-major A made the products below slower (0.10 -> 0.11 s, 2 cores)
+    # row-major, whatever the layout of X: on the 2,400 x 231 digits_ova
+    # design a column-major A made the dgemm products below slower (medians
+    # of 7 fits in 3 processes: 0.093-0.111 -> 0.109-0.120 s, 2 cores)
     A = np.empty((n, l + 1))
     A[:, 1:], means, scales = standardize_columns(X)
     A[:, 0] = 1.0  # after Z: written first, this strided column pages in all of A at peak memory
@@ -306,7 +309,7 @@ def fit_logistic_ova(
     B, S = np.zeros((l + 1, len(classes))), np.zeros((n, len(classes)))
     for it in range(max(max_iter, 0) + 1):
         P = expit(S)
-        G = A.T @ (P - Y) + lam * B
+        G = blas.matmul(A.T, P - Y) + lam * B
         converged = np.max(np.abs(G), axis=0) <= tol
         if it >= max_iter or converged.all():
             break
@@ -321,7 +324,7 @@ def fit_logistic_ova(
             if len(j) == 0:
                 break
             Vj = V[:, j]
-            HV = A.T @ (W[:, j] * (A @ Vj)) + lam * Vj
+            HV = blas.matmul(A.T, W[:, j] * blas.matmul(A, Vj)) + lam * Vj
             alpha = rr[j] / np.einsum("ij,ij->j", Vj, HV)
             D[:, j] += alpha * Vj
             R[:, j] -= alpha * HV
@@ -329,7 +332,7 @@ def fit_logistic_ova(
             V[:, j] = R[:, j] + rr[j] / rr_old * Vj
         # Armijo backtracking per class, with a slack for roundoff: near the
         # optimum a Newton step decreases F by far less than eps * |F|
-        F, AD, t = objective(S, B), A @ D, np.ones(len(classes))
+        F, AD, t = objective(S, B), blas.matmul(A, D), np.ones(len(classes))
         bound = F + 64 * np.finfo(np.float64).eps * np.abs(F)
         slope = 1e-4 * np.einsum("ij,ij->j", G, D)
         for _ in range(50):
@@ -338,7 +341,7 @@ def fit_logistic_ova(
                 break
             t[~ok] /= 2
         B += t * D
-        S = A @ B
+        S = blas.matmul(A, B)
     coefs = B[1:] / scales[:, None]
     intercepts = B[0] - means @ coefs
     return LogisticFit(tuple(classes.tolist()), intercepts, coefs, tuple(converged.tolist()))
@@ -428,7 +431,7 @@ def pca_transform(basis: PCABasis, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.shape[1] != basis.components.shape[0]:
         raise ValueError("matrix width does not match the PCA basis")
-    return (X - basis.means) @ basis.components
+    return blas.matmul(X - basis.means, basis.components)
 
 
 def pca_inverse(basis: PCABasis, scores: np.ndarray) -> np.ndarray:
@@ -543,6 +546,8 @@ def predict(model: PolyModel, new_design: np.ndarray) -> np.ndarray:
     step = max(1, PREDICT_BLOCK_CELLS // max(1, len(model.terms)))
     scores = np.empty((len(Z),) + model.coef.shape[1:])
     for lo in range(0, len(Z), step):
+        # NumPy's product: it follows the ingest, not LAPACK, and a reloaded
+        # model's bit-for-bit agreement rests on its rounding pattern
         scores[lo : lo + step] = polyterms.expand(Z[lo : lo + step], model.terms) @ model.coef
     scores += model.intercept
     if model.method == "logistic":

@@ -160,7 +160,7 @@ def apply_layer(layer, X: np.ndarray) -> np.ndarray:
     """Inference-mode application of one layer (dropout is the identity)."""
     if isinstance(layer, DropoutLayer):
         return X
-    return apply_activation(layer.activation, X @ layer.weights + layer.bias)
+    return apply_activation(layer.activation, blas.matmul(X, layer.weights) + layer.bias)
 
 
 def forward(mlp: MLP, X: np.ndarray) -> np.ndarray:

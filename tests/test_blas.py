@@ -178,3 +178,43 @@ class TestNoControls:
         assert blas.controls() == ()
         with blas.one_thread():
             pass
+
+
+def operands():
+    """(name, a, b) pairs in every layout the solvers hand to matmul."""
+    rng = np.random.default_rng(23)
+    a, b = rng.normal(size=(60, 17)), rng.normal(size=(17, 9))
+    wide = rng.normal(size=(60, 40))
+    layouts = {
+        "C": lambda M: M,
+        "F": np.asfortranarray,
+        "strided": lambda M: np.repeat(M, 2, axis=1)[:, ::2],
+        "fancy": lambda M: M[:, np.arange(M.shape[1])[::-1]][:, ::-1],
+        "transposed": lambda M: np.ascontiguousarray(M.T).T,
+    }
+    for (na, fa), (nb, fb) in ((x, y) for x in layouts.items() for y in layouts.items()):
+        yield f"{na}-{nb}", fa(a), fb(b)
+    yield "column-subset", wide[:, [3, 1, 30, 7]], b[:4]
+    yield "row-view", a[5:50], b
+
+
+@pytest.mark.parametrize("name,a,b", list(operands()), ids=lambda v: v if isinstance(v, str) else "")
+def test_matmul_matches_numpy(name, a, b):
+    got, want = blas.matmul(a, b), a @ b
+    assert got.shape == want.shape and got.flags.c_contiguous
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("m,k,n", [(0, 3, 4), (3, 4, 0), (0, 0, 0), (3, 0, 4), (0, 0, 5)])
+def test_matmul_of_empty_shapes(m, k, n):
+    rng = np.random.default_rng(0)
+    got = blas.matmul(rng.normal(size=(m, k)), rng.normal(size=(k, n)))
+    assert got.shape == (m, n)
+    np.testing.assert_array_equal(got, np.zeros((m, n)))  # exact zeros for k = 0
+
+
+def test_matmul_rejects_mismatched_shapes():
+    with pytest.raises(ValueError, match="cannot multiply"):
+        blas.matmul(np.ones((3, 4)), np.ones((3, 4)))
+    with pytest.raises(ValueError, match="cannot multiply"):
+        blas.matmul(np.ones(3), np.ones((3, 4)))

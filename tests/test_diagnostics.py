@@ -355,6 +355,28 @@ class TestProbe:
         assert wins >= 3
 
 
+def test_probe_matches_vifs_of_numpy_activations():
+    # net_probe's shape: 784-100-50-10, relu, dropout 0.2, softmax
+    X, labels = synthdata.synthetic_digits(2000, seed=3, noise=1.2)
+    targets, _ = m.one_hot(labels)
+    cfg = m.MLPConfig((100, 50, targets.shape[1]), ("relu", "relu"), (0.2, 0.2),
+                      output_kind="softmax", epochs=2, learning_rate=0.05, seed=3)
+    net = m.train_mlp(X, targets, cfg)
+    probe = X[::2]
+    reports = dg.probe_layers(net, probe)
+    outputs, finite = probe, 0
+    for layer, rep in zip(net.layers, reports):
+        if isinstance(layer, m.DenseLayer):  # a dropout layer passes its input on
+            outputs = m.apply_activation(layer.activation, outputs @ layer.weights + layer.bias)
+        got, want = np.asarray(rep.vifs), dg.vif(outputs)
+        capped = want >= dg.VIF_CAP
+        np.testing.assert_array_equal(got >= dg.VIF_CAP, capped)
+        assert np.all(np.abs(got - want)[~capped] <= 1e-12 * want[~capped])
+        finite += int(np.sum(~capped))
+    assert finite > 0
+    assert reports[-1].mean_vif == dg.VIF_CAP  # softmax rows sum to one
+
+
 class TestFormatting:
     def test_table_layout(self):
         reports = [

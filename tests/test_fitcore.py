@@ -660,6 +660,79 @@ LOGISTIC_CASES = {
 }
 
 
+def reference_numpy_logistic(X, labels, max_iter=fc.NEWTON_MAX_ITER, tol=fc.NEWTON_TOL):
+    """Oracle: fit_logistic_ova's joint Newton-CG with every dense product
+    taken by NumPy's ``@``, as the fit ran before its products moved to
+    ``blas.matmul``."""
+    X = np.asarray(X, dtype=np.float64)
+    labels = np.asarray(labels)
+    classes = np.unique(labels)
+    n, l = X.shape
+    A = np.empty((n, l + 1))
+    A[:, 1:], means, scales = fc.standardize_columns(X)
+    A[:, 0] = 1.0
+    Y = (labels[:, None] == classes).astype(np.float64)
+    lam = np.r_[0.0, np.full(l, fc.LOGISTIC_PENALTY)][:, None]
+
+    def objective(S, B):
+        return (np.logaddexp(0.0, S) - Y * S).sum(axis=0) + 0.5 * (lam * B * B).sum(axis=0)
+
+    B, S = np.zeros((l + 1, len(classes))), np.zeros((n, len(classes)))
+    for it in range(max(max_iter, 0) + 1):
+        P = expit(S)
+        G = A.T @ (P - Y) + lam * B
+        converged = np.max(np.abs(G), axis=0) <= tol
+        if it >= max_iter or converged.all():
+            break
+        G[:, converged] = 0.0
+        W, D, R = P * (1.0 - P), np.zeros_like(G), -G
+        V, rr = R.copy(), np.einsum("ij,ij->j", G, G)
+        stop = np.minimum(0.01, np.sqrt(rr)) * rr
+        for _ in range(l + 1):
+            j = np.flatnonzero(rr > stop)
+            if len(j) == 0:
+                break
+            Vj = V[:, j]
+            HV = A.T @ (W[:, j] * (A @ Vj)) + lam * Vj
+            alpha = rr[j] / np.einsum("ij,ij->j", Vj, HV)
+            D[:, j] += alpha * Vj
+            R[:, j] -= alpha * HV
+            rr_old, rr[j] = rr[j], np.einsum("ij,ij->j", R[:, j], R[:, j])
+            V[:, j] = R[:, j] + rr[j] / rr_old * Vj
+        F, AD, t = objective(S, B), A @ D, np.ones(len(classes))
+        bound = F + 64 * np.finfo(np.float64).eps * np.abs(F)
+        slope = 1e-4 * np.einsum("ij,ij->j", G, D)
+        for _ in range(50):
+            ok = objective(S + t * AD, B + t * D) <= bound + t * slope
+            if ok.all():
+                break
+            t[~ok] /= 2
+        B += t * D
+        S = A @ B
+    coefs = B[1:] / scales[:, None]
+    intercepts = B[0] - means @ coefs
+    return fc.LogisticFit(tuple(classes.tolist()), intercepts, coefs, tuple(converged.tolist()))
+
+
+def _digits_ova_design():
+    """The design of the digits_ova benchmark: 3,000 noisy digits, PCA to 20
+    scores, 230 degree-2 terms, 8 Newton steps at tol 0."""
+    X, labels = synthetic_digits(3000, seed=5, noise=1.2)
+    scores = fc.pca_transform(fc.pca_fit(X, n_components=20), X)
+    return expand(scores, numeric_terms(20, 2)), labels, {"max_iter": 8, "tol": 0.0}
+
+
+@pytest.mark.parametrize("case", sorted(LOGISTIC_CASES) + ["digits_ova"])
+def test_logistic_matches_the_numpy_product_oracle(case):
+    X, labels, kw = (_digits_ova_design if case == "digits_ova" else LOGISTIC_CASES[case])()
+    fit, ref = fc.fit_logistic_ova(X, labels, **kw), reference_numpy_logistic(X, labels, **kw)
+    assert fit.classes == ref.classes and fit.converged == ref.converged
+    assert relative_gap(fit.coefs, ref.coefs) <= 1e-10
+    assert relative_gap(fit.intercepts, ref.intercepts) <= 1e-10
+    numpy_scores = X @ ref.coefs + ref.intercepts
+    np.testing.assert_array_equal(fit.predict(X), np.asarray(ref.classes)[numpy_scores.argmax(axis=1)])
+
+
 def fit_recording_warnings(fitter, X, labels, kw):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -894,6 +967,16 @@ class TestPCA:
         basis = fc.pca_fit(_duplicated_column(), n_components=5)
         np.testing.assert_allclose(basis.components[:, 4], [0, 0.5**0.5, 0, 0, -0.5**0.5],
                                    rtol=0, atol=1e-8)
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "rows", "empty"])
+def test_pca_transform_matches_the_numpy_product(layout, digits_2400):
+    basis = fc.pca_fit(digits_2400, n_components=20)
+    X = {"C": digits_2400, "F": np.asfortranarray(digits_2400),
+         "rows": digits_2400[::3], "empty": digits_2400[:0]}[layout]
+    got, want = fc.pca_transform(basis, X), (X - basis.means) @ basis.components
+    assert got.shape == want.shape == (len(X), 20)
+    assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want).max(initial=0.0))
 
 
 class TestPredict:
