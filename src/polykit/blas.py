@@ -14,9 +14,10 @@ dense products around it run there too, through :func:`matmul`. After a
 SciPy call returns, its idle worker spins for about 0.1 s (OpenBLAS's
 thread timeout), and a threaded NumPy product issued in that window shares
 the cores with it: on a 2-core host ``fitcore.fit_logistic_ova`` on the
-``digits_ova`` design took 0.113 s alone and 0.172 s right after
-``fitcore.pca_fit`` with NumPy's products, 0.095-0.103 s either way with
-SciPy's. Two products stay on NumPy: ``fitcore.predict``'s
+``digits_ova`` design took 0.117 s alone and 0.173 s right after
+``fitcore.pca_fit`` with NumPy's products, and 0.112-0.119 s alone, right
+after it or 0.1-0.2 s later with SciPy's (medians of 27 calls,
+``BENCH_23_one_pool.json``). Two products stay on NumPy: ``fitcore.predict``'s
 ``expand(...) @ coef``, which runs after the ingest rather than next to
 LAPACK and whose rounding pattern the benchmark's bit-for-bit reload checks
 depend on, and the MLP training loop (``mlp.train_mlp``), whose threaded
@@ -134,9 +135,10 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``a @ b`` of two 2-D float64 matrices, C-ordered, by SciPy's ``dgemm``.
 
     It forms ``(a @ b)' = b' a'`` column-major, which is ``a @ b``
-    row-major, as NumPy does: a C- or Fortran-ordered operand is read in
-    place through its transpose flag, with no copy. A zero inner dimension
-    gives exact zeros (BLAS with beta 0).
+    row-major, as NumPy does. A C- or Fortran-ordered operand is read in
+    place, as itself or as its transpose under dgemm's transpose flag; any
+    other operand is copied to C order first. A zero inner dimension gives
+    exact zeros (BLAS with beta 0).
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)

@@ -189,8 +189,8 @@ def operands():
         "C": lambda M: M,
         "F": np.asfortranarray,
         "strided": lambda M: np.repeat(M, 2, axis=1)[:, ::2],
-        "fancy": lambda M: M[:, np.arange(M.shape[1])[::-1]][:, ::-1],
-        "transposed": lambda M: np.ascontiguousarray(M.T).T,
+        "fancy": lambda M: M[:, np.arange(M.shape[1])],
+        "reversed": lambda M: M[::-1, ::-1],
     }
     for (na, fa), (nb, fb) in ((x, y) for x in layouts.items() for y in layouts.items()):
         yield f"{na}-{nb}", fa(a), fb(b)

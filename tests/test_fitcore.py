@@ -715,8 +715,8 @@ def reference_numpy_logistic(X, labels, max_iter=fc.NEWTON_MAX_ITER, tol=fc.NEWT
 
 
 def _digits_ova_design():
-    """The design of the digits_ova benchmark: 3,000 noisy digits, PCA to 20
-    scores, 230 degree-2 terms, 8 Newton steps at tol 0."""
+    """A design of digits_ova's shape: 3,000 noisy digits, PCA to 20 scores,
+    230 degree-2 terms, 8 Newton steps at tol 0."""
     X, labels = synthetic_digits(3000, seed=5, noise=1.2)
     scores = fc.pca_transform(fc.pca_fit(X, n_components=20), X)
     return expand(scores, numeric_terms(20, 2)), labels, {"max_iter": 8, "tol": 0.0}
