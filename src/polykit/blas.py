@@ -17,10 +17,15 @@ the cores with it: on a 2-core host ``fitcore.fit_logistic_ova`` on the
 ``digits_ova`` design took 0.117 s alone and 0.173 s right after
 ``fitcore.pca_fit`` with NumPy's products, and 0.112-0.119 s alone, right
 after it or 0.1-0.2 s later with SciPy's (medians of 27 calls,
-``BENCH_23_one_pool.json``). Two products stay on NumPy: ``fitcore.predict``'s
-``expand(...) @ coef``, which runs after the ingest rather than next to
-LAPACK and whose rounding pattern the benchmark's bit-for-bit reload checks
-depend on, and the MLP training loop (``mlp.train_mlp``), whose threaded
+``BENCH_23_one_pool.json``). ``fitcore.predict``'s ``expand(...) @ coef``
+runs here for a PCA model, right after its ``pca_transform``: on NumPy's
+pool, asleep by then, the 600-row ``digits_ova`` predict took 9.7-11.7 ms
+where it had taken 3.4-4.0 ms; right after the fit it takes 3.0 ms here
+against 6.7 ms there (medians of 30 calls, ``BENCH_24_direct_encode.json``).
+A model without PCA runs no LAPACK before
+its product, which follows the ingest and stays NumPy's: the benchmark's
+bit-for-bit reload checks compare its rounding. Past that, one product
+stays on NumPy: the MLP training loop (``mlp.train_mlp``), whose threaded
 minibatches were measured on NumPy's update.
 """
 

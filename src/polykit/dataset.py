@@ -16,7 +16,7 @@ import warnings
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import partial
-from itertools import compress
+from itertools import compress, repeat
 
 import numpy as np
 
@@ -123,6 +123,35 @@ class _Column:
         return self.floats
 
 
+def _level_codes(cells: Sequence[str], levels: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The index in ``levels`` of each stripped cell (-1 for a value outside
+    them) and the missing-cell mask.
+
+    Each raw cell is looked up once. The lookup holds only the levels a
+    stripped, present cell can equal: those that equal their own ``strip()``
+    and are no missing token. So a hit is a present cell of that level, and
+    only a miss is stripped, checked against ``MISSING_TOKENS`` and looked
+    up again.
+    """
+    lookup = {level: k for k, level in enumerate(levels)
+              if level == level.strip() and level.lower() not in MISSING_TOKENS}
+    codes = np.fromiter(map(lookup.get, cells, repeat(-1)), np.intp, len(cells))
+    missing = np.zeros(len(cells), bool)
+    for i in np.flatnonzero(codes < 0).tolist():
+        cell = cells[i].strip()
+        if cell.lower() in MISSING_TOKENS:
+            missing[i] = True
+        else:
+            codes[i] = lookup.get(cell, -1)
+    return codes, missing
+
+
+def _check_finite(name: str, values: np.ndarray) -> None:
+    """A ``DataError`` unless every value of numeric column ``name`` is finite."""
+    if not np.all(np.isfinite(values)):
+        raise DataError(f"non-finite values in numeric column {name!r}")
+
+
 @dataclass(frozen=True)
 class ColumnSpec:
     """Name, kind and (for categoricals) the observed level set of a column."""
@@ -193,10 +222,8 @@ class Dataset:
                 raise DataError(f"dataset missing column {spec.name!r}")
             arr = self.columns[spec.name]
             lengths.add(len(arr))
-            if spec.kind in ("numeric", "response_numeric") and not np.all(
-                np.isfinite(np.asarray(arr, dtype=np.float64))
-            ):
-                raise DataError(f"non-finite values in numeric column {spec.name!r}")
+            if spec.kind in ("numeric", "response_numeric"):
+                _check_finite(spec.name, np.asarray(arr, dtype=np.float64))
         if len(lengths) != 1:
             raise DataError("dataset columns have unequal lengths")
         if self.n < 1:
@@ -319,8 +346,11 @@ def _read_table(path) -> tuple[list[str], Callable]:
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             text = fh.read()
-        plain = not ('"' in text or "\0" in text) and text.count("\r") == text.count("\r\n")
-        flat = text.replace("\r\n", "\n") if plain else ""
+        # a text with no CR needs neither the two CR counts nor the CRLF replace
+        cr = "\r" in text
+        plain = not ('"' in text or "\0" in text) and (
+            not cr or text.count("\r") == text.count("\r\n"))
+        flat = (text.replace("\r\n", "\n") if cr else text) if plain else ""
         lines = flat.split("\n") if plain else []
         if lines and not lines[-1]:
             lines.pop()  # the end of the last line, or an empty file
@@ -507,45 +537,55 @@ def encode_design(ds: Dataset, schema: Schema | None = None) -> tuple[np.ndarray
     absent = [c.name for c in enc.features if c.name not in ds.columns]
     if absent:
         raise DataError(f"dataset lacks feature columns {absent} named by the schema")
-    # (feature, level) of each design column; the level is None for a numeric one
-    sources: list[tuple[str, str | None]] = [
-        (spec.name, None) for spec in enc.features if spec.kind == "numeric"
-    ]
-    groups: list[tuple[str, tuple[int, ...]]] = []
-    unseen = 0
-    for spec in enc.features:
+    unseen = sum(int(np.sum(~np.isin(ds.columns[spec.name], spec.levels)))
+                 for spec in enc.features if len(spec.levels) > 1)
+    return _encode(enc.features, ds.columns, ds.n, unseen,
+                   lambda spec, k: ds.columns[spec.name] == spec.levels[k])
+
+
+def _encode(features: Sequence[ColumnSpec], columns: dict[str, np.ndarray], n: int,
+            unseen: int, indicator: Callable[[ColumnSpec, int], np.ndarray],
+            ) -> tuple[np.ndarray, DummyGroups]:
+    """The column-major design of ``n`` rows and its layout: each numeric
+    feature in schema order, its values ``columns[name]``, then one block
+    per categorical feature in schema order, a column ``indicator(spec, k)``
+    for each of its levels k but the first.
+
+    A single-level categorical gives no column and a warning, in schema
+    order; ``unseen``, the count of values outside the level sets of the
+    other categoricals, gives one warning after them. A design with no
+    column is a ``DataError`` that names the features that gave none.
+    """
+    numerics = [spec for spec in features if spec.kind == "numeric"]
+    names = [spec.name for spec in numerics]
+    blocks: list[tuple[ColumnSpec, tuple[int, ...]]] = []
+    for spec in features:
         if spec.kind != "categorical":
             continue
         if len(spec.levels) == 1:
             warnings.warn(
                 f"categorical column {spec.name!r} has a single level; contributes no columns"
             )
-            groups.append((spec.name, ()))
-            continue
-        values = ds.columns[spec.name]
-        unseen += int(np.sum(~np.isin(values, spec.levels)))
-        idxs = []
-        for level in spec.levels[1:]:
-            idxs.append(len(sources))
-            sources.append((spec.name, level))
-        groups.append((spec.name, tuple(idxs)))
+        blocks.append((spec, tuple(range(len(names), len(names) + len(spec.levels) - 1))))
+        names += [f"{spec.name}={level}" for level in spec.levels[1:]]
 
     if unseen:
         warnings.warn(f"{unseen} value(s) outside the schema level sets mapped to reference")
 
-    if not sources:
-        empty = [name for name, idxs in groups if not idxs]
+    if not names:
+        empty = [spec.name for spec, _ in blocks]
         why = f"single-level categorical column(s) {empty} give none" if empty else "no features"
         raise DataError(f"the design has no columns: {why}")
-    design = np.empty((ds.n, len(sources)), order="F")
-    for j, (name, level) in enumerate(sources):
-        values = ds.columns[name]
-        design[:, j] = values if level is None else values == level
+    design = np.empty((n, len(names)), order="F")
+    for j, spec in enumerate(numerics):
+        design[:, j] = columns[spec.name]
+    for spec, idxs in blocks:
+        for k, j in enumerate(idxs, 1):
+            design[:, j] = indicator(spec, k)
     info = DummyGroups(
-        groups=tuple(groups),
-        numeric_indices=tuple(j for j, (_, level) in enumerate(sources) if level is None),
-        column_names=tuple(name if level is None else f"{name}={level}"
-                           for name, level in sources),
+        groups=tuple((spec.name, idxs) for spec, idxs in blocks),
+        numeric_indices=tuple(range(len(numerics))),
+        column_names=tuple(names),
     )
     return design, info
 
@@ -591,6 +631,14 @@ def load_design_for_predict(path, schema: Schema) -> np.ndarray:
     complete plain table is parsed in one ``np.loadtxt`` call, the numeric
     features straight to float64; a numeric cell it refuses, a missing one
     among them, sends the table to ``str.split``, which names the cell.
+
+    The design is written straight from the parsed columns, with the
+    layout, warnings and errors of :func:`encode_design`: a numeric feature
+    from its float64 values, a categorical one from the level code of each
+    cell, found by one lookup of the raw cell (:func:`_level_codes`); the
+    cells are not kept as strings and no ``Dataset`` is built. After the
+    missing cells and field counts, a non-numeric cell of a numeric feature
+    is named before a non-finite value, and both before any warning.
     """
     header, rows = _read_table(path)
     feats = schema.features
@@ -600,10 +648,16 @@ def load_design_for_predict(path, schema: Schema) -> np.ndarray:
     numeric = {c.name for c in feats if c.kind == "numeric"}
     counts, cells = rows(lambda first: [name in numeric for name in header])
     fields = len(header)
-    short = next((i for i, k in enumerate(counts) if k != fields), len(counts))
+    short = len(counts)
+    if counts.count(fields) != short:
+        short = next(i for i, k in enumerate(counts) if k != fields)
     read, hole = [], short
     for spec in feats:
-        col, holes = _Column.read(cells[header.index(spec.name)], hole)
+        column = cells[header.index(spec.name)]
+        if spec.kind == "numeric":
+            col, holes = _Column.read(column, hole)
+        else:
+            col, holes = _level_codes(column[:hole], spec.levels)
         if holes.any():
             hole, name = int(np.argmax(holes)), spec.name
         read.append(col)
@@ -619,13 +673,13 @@ def load_design_for_predict(path, schema: Schema) -> np.ndarray:
     if n == 0:
         return np.empty((0, width))
 
-    columns = {c.name: col.typed(path, c) for c, col in zip(feats, read)}
-    resp = schema.response
-    columns[resp.name] = (
-        np.zeros(n) if resp.kind == "response_numeric" else np.array(["?"] * n, dtype=str)
-    )
-    ds = Dataset(schema, columns)
-    design, _ = encode_design(ds, schema)
+    columns = {c.name: col.typed(path, c) if c.kind == "numeric" else col
+               for c, col in zip(feats, read)}
+    for c in feats:
+        if c.kind == "numeric":
+            _check_finite(c.name, columns[c.name])
+    unseen = sum(int(np.count_nonzero(columns[c.name] < 0)) for c in feats if len(c.levels) > 1)
+    design, _ = _encode(feats, columns, n, unseen, lambda spec, k: columns[spec.name] == k)
     return design
 
 

@@ -545,10 +545,19 @@ def predict(model: PolyModel, new_design: np.ndarray) -> np.ndarray:
     Z = pca_transform(model.pca, X) if model.pca is not None else X
     step = max(1, PREDICT_BLOCK_CELLS // max(1, len(model.terms)))
     scores = np.empty((len(Z),) + model.coef.shape[1:])
-    for lo in range(0, len(Z), step):
+    if model.pca is None:
         # NumPy's product: it follows the ingest, not LAPACK, and a reloaded
         # model's bit-for-bit agreement rests on its rounding pattern
-        scores[lo : lo + step] = polyterms.expand(Z[lo : lo + step], model.terms) @ model.coef
+        product, coef = np.matmul, model.coef
+    else:
+        # the pool of the pca_transform just before; NumPy's is asleep by now
+        product = blas.matmul
+        coef = model.coef if model.coef.ndim == 2 else model.coef[:, None]
+    for lo in range(0, len(Z), step):
+        # one expanded block alive at a time: the next reuses its freed memory
+        block = scores[lo : lo + step]
+        block[...] = product(polyterms.expand(Z[lo : lo + step], model.terms), coef).reshape(
+            block.shape)
     scores += model.intercept
     if model.method == "logistic":
         idx = np.argmax(scores, axis=1)

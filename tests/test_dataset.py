@@ -385,6 +385,86 @@ class TestEncodeDesign:
         assert groups.column_names == ("u", "v", "c=b", "c=c", "d=q")
 
 
+def encode_cases():
+    """``(id, dataset, schema)`` of each encoding of ``TestEncodeDesign``, and
+    of a wages-shaped table (numerics, then categoricals of 6, 4 and 2
+    levels) encoded against its own schema and against a training schema
+    that lacks two of its levels."""
+    rng = np.random.default_rng(24)
+
+    def table(specs, columns):
+        return Dataset(Schema(tuple(specs)), columns)
+
+    cases = [
+        ("mixed-widths", table(
+            (ColumnSpec("u", "numeric"), ColumnSpec("c", "categorical", ("a", "b", "c")),
+             ColumnSpec("y", "response_numeric")),
+            {"u": np.array([1.0, 2.0, 3.0]), "c": np.array(["a", "b", "c"]),
+             "y": np.array([0.0, 1.0, 2.0])}), None),
+        ("all-numeric", dataset_from_arrays(rng.normal(size=(10, 5)), rng.normal(size=10)), None),
+        ("single-level", table(
+            (ColumnSpec("u", "numeric"), ColumnSpec("c", "categorical", ("only",)),
+             ColumnSpec("y", "response_numeric")),
+            {"u": np.array([0.5, 1.5]), "c": np.array(["only", "only"]),
+             "y": np.array([1.0, 2.0])}), None),
+        ("zero-width", table(
+            (ColumnSpec("c", "categorical", ("only",)), ColumnSpec("d", "categorical", ("x",)),
+             ColumnSpec("y", "response_numeric")),
+            {"c": np.array(["only"] * 2), "d": np.array(["x"] * 2), "y": np.array([1.0, 2.0])}),
+         None),
+        ("dummy-row-sums", table(
+            (ColumnSpec("c", "categorical", ("a", "b", "c", "d")),
+             ColumnSpec("y", "response_numeric")),
+            {"c": rng.choice(["a", "b", "c", "d"], size=40), "y": np.zeros(40)}), None),
+        ("unseen-level", table(
+            (ColumnSpec("c", "categorical", ("a", "b", "z")), ColumnSpec("y", "response_numeric")),
+            {"c": np.array(["z", "b"]), "y": np.zeros(2)}),
+         Schema((ColumnSpec("c", "categorical", ("a", "b")), ColumnSpec("y", "response_numeric")))),
+        ("column-stack", table(
+            (ColumnSpec("c", "categorical", ("a", "b", "c")), ColumnSpec("u", "numeric"),
+             ColumnSpec("d", "categorical", ("p", "q")), ColumnSpec("v", "numeric"),
+             ColumnSpec("y", "response_numeric")),
+            {"c": rng.choice(["a", "b", "c"], size=50), "u": rng.normal(size=50),
+             "d": rng.choice(["p", "q"], size=50), "v": rng.normal(size=50),
+             "y": rng.normal(size=50)}), None),
+    ]
+    n = 10_000
+    levels = {"occupation": ("clerk", "craft", "manager", "sales", "service", "tech"),
+              "region": ("east", "north", "south", "west"), "sector": ("private", "public")}
+    specs = [ColumnSpec(f"x{j}", "numeric") for j in range(6)]
+    specs += [ColumnSpec(name, "categorical", values) for name, values in levels.items()]
+    specs.append(ColumnSpec("wage", "response_numeric"))
+    columns = {f"x{j}": rng.normal(size=n) for j in range(6)}
+    columns.update({name: rng.choice(values, size=n) for name, values in levels.items()})
+    columns["wage"] = rng.normal(size=n)
+    wages = table(specs, columns)
+    trained = Schema(tuple(
+        ColumnSpec(s.name, s.kind, tuple(v for v in s.levels if v not in ("tech", "west")))
+        for s in specs))
+    cases += [("wages", wages, None), ("wages-unseen", wages, trained)]
+    return cases
+
+
+class TestEncodeDesignReference:
+    """``encode_design`` gives what the reference, its body before the
+    layout moved into the helper shared with ``load_design_for_predict``,
+    gives: the same design bit for bit and in the same order, the same
+    groups, warnings and error."""
+
+    @pytest.mark.parametrize("case", encode_cases(), ids=lambda case: case[0])
+    def test_same_as_the_reference(self, case):
+        _, ds, schema = case
+        got, got_warned, got_error = outcome(encode_design, ds, schema)
+        want, want_warned, want_error = outcome(reference_encode_design, ds, schema)
+        assert (got_warned, got_error) == (want_warned, want_error)
+        if want is not None:
+            (X, groups), (want_X, want_groups) = got, want
+            assert X.flags.f_contiguous and want_X.flags.f_contiguous
+            assert X.dtype == want_X.dtype and X.shape == want_X.shape
+            assert X.tobytes(order="F") == want_X.tobytes(order="F")
+            assert groups == want_groups
+
+
 class TestSplit:
     def test_large_n_caps_test_at_10000(self):
         ds = dataset_from_arrays(np.arange(50000.0)[:, None], np.zeros(50000))
@@ -512,6 +592,103 @@ class TestPredictLoader:
             with pytest.raises(DataError) as err:
                 reader(path, schema)
             assert str(err.value) == f"{path.parent}/{want}"
+
+
+    # Named cases of the direct encoding, each checked against the reference
+    # for the design (bit for bit), the warnings in order and the error
+
+    REGIONS = Schema((ColumnSpec("u", "numeric"),
+                      ColumnSpec("r", "categorical", ("a", "east", "west")),
+                      ColumnSpec("y", "response_numeric")))
+
+    @staticmethod
+    def same_as_reference(path, schema):
+        got, got_warned, got_error = outcome(load_design_for_predict, path, schema)
+        want, want_warned, want_error = outcome(reference_load_design_for_predict, path, schema)
+        assert (got_warned, got_error) == (want_warned, want_error)
+        if want is not None:
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        return got, got_warned, got_error
+
+    @pytest.mark.parametrize("header", ["u,r", '"u",r'], ids=["plain", "quoted"])
+    def test_padded_categorical_cells(self, tmp_path, header):
+        path = write(tmp_path, "t.csv", f"{header}\n1, west \n2,\xa0a\n3,east\t\n4,west\n")
+        X, warned, error = self.same_as_reference(path, self.REGIONS)
+        assert (warned, error) == ([], None)
+        np.testing.assert_array_equal(X, [[1, 0, 1], [2, 0, 0], [3, 1, 0], [4, 0, 1]])
+
+    @pytest.mark.parametrize("cell", ["na", " NA ", "null"])
+    def test_a_level_that_is_a_missing_token_is_still_missing(self, tmp_path, cell):
+        schema = Schema((ColumnSpec("u", "numeric"),
+                         ColumnSpec("c", "categorical", ("a", "na", "null")),
+                         ColumnSpec("y", "response_numeric")))
+        path = write(tmp_path, "t.csv", f"u,c\n1,a\n2,{cell}\n")
+        _, warned, error = self.same_as_reference(path, schema)
+        assert (warned, error) == ([], (DataError, f"{path}:3: missing value in column 'c'"))
+
+    def test_a_padded_level_is_still_unseen(self, tmp_path):
+        schema = Schema((ColumnSpec("u", "numeric"), ColumnSpec("c", "categorical", (" a", "b")),
+                         ColumnSpec("y", "response_numeric")))
+        path = write(tmp_path, "t.csv", "u,c\n1, a\n2,b\n3,a\n")
+        X, warned, error = self.same_as_reference(path, schema)
+        assert (warned, error) == (["2 value(s) outside the schema level sets mapped to reference"],
+                                   None)
+        np.testing.assert_array_equal(X, [[1, 0], [2, 1], [3, 0]])
+
+    def test_unseen_levels_of_two_columns_are_counted_once(self, tmp_path):
+        schema = Schema((ColumnSpec("u", "numeric"), ColumnSpec("c", "categorical", ("a", "b")),
+                         ColumnSpec("d", "categorical", ("p", "q")),
+                         ColumnSpec("y", "response_numeric")))
+        path = write(tmp_path, "t.csv", "u,c,d\n1,z,p\n2,a,x\n3,z,x\n4,b,q\n")
+        X, warned, _ = self.same_as_reference(path, schema)
+        assert warned == ["4 value(s) outside the schema level sets mapped to reference"]
+        np.testing.assert_array_equal(X, [[1, 0, 0], [2, 0, 0], [3, 0, 0], [4, 1, 1]])
+
+    def test_single_level_warnings_in_schema_order_before_the_unseen_one(self, tmp_path):
+        # an unseen value of a single-level column is not counted
+        schema = Schema((ColumnSpec("e", "categorical", ("x",)), ColumnSpec("u", "numeric"),
+                         ColumnSpec("d", "categorical", ("p", "q")),
+                         ColumnSpec("c", "categorical", ("only",)),
+                         ColumnSpec("y", "response_numeric")))
+        path = write(tmp_path, "t.csv", "c,d,e,u\nonly,p,x,1\nother,z,x,2\n")
+        X, warned, _ = self.same_as_reference(path, schema)
+        assert warned == [
+            "categorical column 'e' has a single level; contributes no columns",
+            "categorical column 'c' has a single level; contributes no columns",
+            "1 value(s) outside the schema level sets mapped to reference",
+        ]
+        np.testing.assert_array_equal(X, [[1, 0], [2, 0]])
+
+    @pytest.mark.parametrize("cell", ["inf", "-Infinity", "1e400", " inf"])
+    def test_a_non_finite_number_is_an_error(self, tmp_path, cell):
+        path = write(tmp_path, "t.csv", f"u,r\n1,a\n{cell},south\n")
+        _, warned, error = self.same_as_reference(path, self.REGIONS)
+        assert (warned, error) == ([], (DataError, "non-finite values in numeric column 'u'"))
+
+    def test_a_non_numeric_cell_is_named_before_any_warning(self, tmp_path):
+        # ... and before a non-finite value of an earlier column
+        schema = Schema((ColumnSpec("u", "numeric"), ColumnSpec("v", "numeric"),
+                         ColumnSpec("c", "categorical", ("only",)),
+                         ColumnSpec("d", "categorical", ("p", "q")),
+                         ColumnSpec("y", "response_numeric")))
+        path = write(tmp_path, "t.csv", "u,v,c,d\ninf,1,only,z\n1,abc,only,p\n")
+        _, warned, error = self.same_as_reference(path, schema)
+        assert (warned, error) == (
+            [], (DataError, f"{path}: non-numeric value 'abc' in numeric column 'v'"))
+
+    def test_lf_crlf_and_bare_cr_copies_read_alike(self, tmp_path, tokenizer):
+        lines = ["r,y,u", " west ,1,0.5", "south,2,1.5", "east,3,-2", "a,4,1e3"]
+        designs = []
+        for end, how in (("\n", "loadtxt"), ("\r\n", "loadtxt"), ("\r", "csv")):
+            path = tmp_path / f"t{len(designs)}.csv"
+            path.write_bytes(end.join(lines).encode("utf-8") + end.encode())
+            (X, _, _), ran = tokenizer(self.same_as_reference, path, self.REGIONS)
+            assert ran == how
+            designs.append(X)
+        assert designs[0].tobytes() == designs[1].tobytes() == designs[2].tobytes()
+        np.testing.assert_array_equal(designs[0], [[0.5, 0, 1], [1.5, 0, 0], [-2, 1, 0],
+                                                   [1e3, 0, 0]])
 
 
 class TestDummyGroups:
@@ -656,6 +833,53 @@ def reference_load_design_for_predict(path, schema):
     ds = Dataset(schema, columns)
     design, _ = encode_design(ds, schema)
     return design
+
+
+def reference_encode_design(ds, schema=None):
+    """Oracle: ``encode_design`` as it was before its layout, warnings and
+    fill moved into the helper it shares with ``load_design_for_predict``."""
+    enc = schema if schema is not None else ds.schema
+    absent = [c.name for c in enc.features if c.name not in ds.columns]
+    if absent:
+        raise DataError(f"dataset lacks feature columns {absent} named by the schema")
+    sources = [(spec.name, None) for spec in enc.features if spec.kind == "numeric"]
+    groups = []
+    unseen = 0
+    for spec in enc.features:
+        if spec.kind != "categorical":
+            continue
+        if len(spec.levels) == 1:
+            warnings.warn(
+                f"categorical column {spec.name!r} has a single level; contributes no columns"
+            )
+            groups.append((spec.name, ()))
+            continue
+        values = ds.columns[spec.name]
+        unseen += int(np.sum(~np.isin(values, spec.levels)))
+        idxs = []
+        for level in spec.levels[1:]:
+            idxs.append(len(sources))
+            sources.append((spec.name, level))
+        groups.append((spec.name, tuple(idxs)))
+
+    if unseen:
+        warnings.warn(f"{unseen} value(s) outside the schema level sets mapped to reference")
+
+    if not sources:
+        empty = [name for name, idxs in groups if not idxs]
+        why = f"single-level categorical column(s) {empty} give none" if empty else "no features"
+        raise DataError(f"the design has no columns: {why}")
+    design = np.empty((ds.n, len(sources)), order="F")
+    for j, (name, level) in enumerate(sources):
+        values = ds.columns[name]
+        design[:, j] = values if level is None else values == level
+    info = DummyGroups(
+        groups=tuple(groups),
+        numeric_indices=tuple(j for j, (_, level) in enumerate(sources) if level is None),
+        column_names=tuple(name if level is None else f"{name}={level}"
+                           for name, level in sources),
+    )
+    return design, info
 
 
 def outcome(reader, *args, **kwargs):

@@ -8,6 +8,7 @@ import pytest
 import scipy.linalg
 from scipy.special import expit
 
+from polykit import blas
 from polykit import fitcore as fc
 from polykit import polyterms
 from polykit.dataset import DummyGroups
@@ -1083,6 +1084,42 @@ class TestPredict:
         model = fc.fit_poly_model(X, y, terms, "ols", pca=basis)
         preds = fc.predict(model, X)
         assert fc.mape(preds, y) < 0.2
+
+    @pytest.mark.parametrize("method", ["ols", "logistic"])
+    def test_pca_model_scores_through_blas_matmul(self, monkeypatch, method):
+        # a PCA model's expansion product runs on the pool of the pca_transform
+        # just before it, one product per block, and predicts what NumPy's does
+        rng = np.random.default_rng(12)
+        X = rng.normal(size=(400, 6))
+        y = X[:, 0] - X[:, 1] * X[:, 2] + rng.normal(0, 0.1, 400)
+        basis = fc.pca_fit(X, n_components=4)
+        labels = y if method == "ols" else np.digitize(y, [-0.5, 0.5])
+        model = fc.fit_poly_model(X, labels, numeric_terms(basis.r, 2), method, pca=basis)
+        scores = expand(fc.pca_transform(basis, X), model.terms) @ model.coef + model.intercept
+        want = scores if method == "ols" else np.asarray(model.classes)[scores.argmax(axis=1)]
+
+        calls, matmul = [], blas.matmul
+        def recording_matmul(a, b):
+            calls.append(a.shape)
+            return matmul(a, b)
+        monkeypatch.setattr(blas, "matmul", recording_matmul)
+        l = len(model.terms)
+        for cells, rows in ((fc.PREDICT_BLOCK_CELLS, [400]), (37 * l + 5, [37] * 10 + [30])):
+            monkeypatch.setattr(fc, "PREDICT_BLOCK_CELLS", cells)
+            calls.clear()
+            got = fc.predict(model, X)
+            assert calls == [(400, 6)] + [(k, l) for k in rows]
+            assert got.shape == want.shape
+            if method == "ols":
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
+            else:
+                np.testing.assert_array_equal(got, want)
+
+        # without PCA the product stays NumPy's
+        plain = fc.fit_poly_model(X, labels, numeric_terms(6, 2), method)
+        calls.clear()
+        fc.predict(plain, X)
+        assert calls == []
 
 
 class TestMetrics:
