@@ -2,6 +2,7 @@
 
 import csv
 import io
+import re
 import tracemalloc
 import warnings
 from collections import Counter
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polykit import dataset
+from polykit import dataset, synthdata
 from polykit.dataset import (
     COLUMN_KINDS,
     CATEGORICAL_THRESHOLD,
@@ -1263,3 +1264,137 @@ class TestReaderCases:
         path = write(tmp_path, "t.csv", "u,v,y\n1,a,3\r4,c,6\n")
         X = load_design_for_predict(path, self.SCHEMA)
         np.testing.assert_array_equal(X, [[1.0, 0.0], [4.0, 1.0]])
+
+
+# --------------------------------------------------------------------------
+# dataset_from_arrays: one blocked Fortran copy and one finiteness check,
+# against the per-column body it replaced
+# --------------------------------------------------------------------------
+
+def reference_dataset_from_arrays(X, y, *, classification=False, feature_names=None,
+                                  response_name="y"):
+    """Oracle: ``dataset_from_arrays`` as it was, one strided copy per column
+    and the constructor's finiteness check of every column."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2:
+        raise DataError("feature matrix must be 2-D")
+    if feature_names is None:
+        feature_names = tuple(f"x{i}" for i in range(X.shape[1]))
+    kind = "response_class" if classification else "response_numeric"
+    specs = [ColumnSpec(name, "numeric") for name in feature_names]
+    specs.append(ColumnSpec(response_name, kind))
+    columns = {name: X[:, i].copy() for i, name in enumerate(feature_names)}
+    y = np.asarray(y)
+    columns[response_name] = y.astype(str) if classification else y.astype(np.float64)
+    return Dataset(Schema(tuple(specs)), columns)
+
+
+def wrap_cases():
+    """``(id, X, y, classification)`` for the oracle comparison."""
+    rng = np.random.default_rng(25)
+    wide = rng.normal(size=(40, 30))
+    digits_X, digits_y = synthdata.synthetic_digits(3000, 25, noise=1.2)
+    return [
+        ("c-ordered", wide, rng.normal(size=40), False),
+        ("f-ordered", np.asfortranarray(wide), rng.normal(size=40), False),
+        ("strided", rng.normal(size=(90, 70))[::3, ::-2], rng.normal(size=30), False),
+        ("integer", rng.integers(-5, 5, size=(30, 4)), rng.integers(0, 3, size=30), True),
+        ("bool", rng.random(size=(30, 3)) < 0.5, rng.integers(0, 2, size=30), False),
+        ("float32", wide.astype(np.float32), rng.normal(size=40), False),
+        ("one-row", rng.normal(size=(1, 5)), np.array([1.5]), False),
+        ("one-column", rng.normal(size=(25, 1)), rng.normal(size=25), False),
+        ("digits", digits_X, digits_y, True),
+    ]
+
+
+class TestDatasetFromArrays:
+    @pytest.mark.parametrize("case", wrap_cases(), ids=lambda case: case[0])
+    def test_same_as_the_reference(self, case):
+        _, X, y, classification = case
+        got = dataset_from_arrays(X, y, classification=classification)
+        want = reference_dataset_from_arrays(X, y, classification=classification)
+        assert_same_dataset(got, want)
+        copy = got.columns[got.schema.features[0].name].base
+        assert copy.flags.f_contiguous and copy.shape == np.shape(X)
+        assert all(got.columns[c.name].flags.c_contiguous for c in got.schema.features)
+        got_split, _, got_error = outcome(split, got, 7)
+        want_split, _, want_error = outcome(split, want, 7)
+        assert got_error == want_error
+        for ds, want_ds in zip(got_split or (got,), want_split or (want,)):
+            assert_same_dataset(ds, want_ds)
+            (design, groups), (want_design, want_groups) = encode_design(ds), encode_design(want_ds)
+            assert design.dtype == want_design.dtype and np.array_equal(design, want_design)
+            assert groups == want_groups
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_the_dataset_does_not_alias_the_callers_array(self, order):
+        X = np.asarray(np.arange(60.0).reshape(20, 3), order=order)
+        y = np.arange(20.0)
+        ds = dataset_from_arrays(X, y)
+        want = reference_dataset_from_arrays(X, y)
+        X[:] = -1.0
+        y[:] = -1.0
+        assert_same_dataset(ds, want)
+
+    @pytest.mark.parametrize("where", [
+        {(0, 0): np.nan}, {(299, 39): np.inf}, {(150, 7): -np.inf},
+        {(0, 30): np.nan, (299, 4): np.inf},  # a later row of an earlier column
+        {(299, 0): np.nan, "y": np.inf},  # a feature before the response
+        {"y": np.nan},
+    ], ids=str)
+    def test_a_non_finite_value_names_the_reference_column(self, where):
+        rng = np.random.default_rng(3)
+        X, y = rng.normal(size=(300, 40)), rng.normal(size=300)
+        for cell, value in where.items():
+            if cell == "y":
+                y[0] = value
+            else:
+                X[cell] = value
+        _, _, error = outcome(dataset_from_arrays, X, y)
+        _, _, want_error = outcome(reference_dataset_from_arrays, X, y)
+        assert error == want_error
+        assert error[0] is DataError and "non-finite" in error[1]
+
+    @pytest.mark.parametrize("names, match", [
+        (("a", "b"), "2 feature name.* for 3 feature column"),
+        (("a", "b", "c", "d"), "4 feature name.* for 3 feature column"),
+    ])
+    def test_feature_names_must_name_every_column(self, names, match):
+        # the names were once zipped with the columns: too few dropped
+        # columns, too many raised IndexError
+        with pytest.raises(DataError, match=match):
+            dataset_from_arrays(np.zeros((6, 3)), np.zeros(6), feature_names=names)
+
+    @pytest.mark.parametrize("shape", [(6, 1), (6, 2), (5,)])
+    def test_the_response_must_be_one_value_per_row(self, shape):
+        match = "vector of 6 value.*got shape " + re.escape(str(shape))
+        with pytest.raises(DataError, match=match):
+            dataset_from_arrays(np.zeros((6, 3)), np.zeros(shape))
+
+    def test_split_runs_no_finiteness_check(self, monkeypatch):
+        ds = dataset_from_arrays(np.arange(200.0).reshape(50, 4), np.arange(50.0))
+        checked, check = [], dataset._check_finite
+
+        def spy(name, values):
+            checked.append(name)
+            check(name, values)
+
+        monkeypatch.setattr(dataset, "_check_finite", spy)
+        train, test = split(ds, seed=1)
+        assert checked == [] and (train.n, test.n) == (40, 10)
+        schema = Schema((ColumnSpec("u", "numeric"), ColumnSpec("y", "response_numeric")))
+        for bad in (np.nan, np.inf):
+            with pytest.raises(DataError, match="non-finite"):
+                Dataset(schema, {"u": np.array([1.0, bad]), "y": np.zeros(2)})
+        assert checked == ["u", "u"]
+
+    def test_wrapping_a_wide_table_copies_it_once(self):
+        X, y = synthdata.synthetic_digits(3000, 0)
+        X = X.astype(np.float64)
+        tracemalloc.start()
+        try:
+            dataset_from_arrays(X, y, classification=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * X.nbytes
