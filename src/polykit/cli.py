@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands:
-  fit         split, optionally PCA-reduce, expand, fit, score on the test set
+  fit         encode, split, optionally PCA-reduce, expand, fit, score on the test set
   predict     apply a saved model container to new rows
   vif-probe   per-layer collinearity report for a trained or imported network
   equiv-demo  degree growth and forward-vs-polynomial deviation report
@@ -33,13 +33,14 @@ import numpy as np
 from . import diagnostics, equivalence, fitcore, modelio, mlp as mlpmod, polyterms, stepwise
 from .dataset import (
     DummyGroups,
+    design_rows,
     encode_design,
     holdout,
     key_value_lines,
     load_csv,
     load_design_for_predict,
     parse_schema_sidecar,
-    split,
+    split_rows,
 )
 from .errors import (
     DataError,
@@ -284,8 +285,11 @@ def cmd_fit(args) -> int:
     if method in ("ols", "ridge") and classify:
         raise DataError(f"--method {method} needs a numeric response")
 
-    train, test = split(ds, args.seed)
-    design, groups = encode_design(train)
+    train_idx, test_idx = split_rows(ds.n, args.seed)
+    design, groups = encode_design(ds)  # the whole table's, then its training rows
+    design, test_design = design_rows(design, train_idx), design_rows(design, test_idx)
+    y = ds.response_values()
+    y_train, actual = y[train_idx], y[test_idx]
     spec = polyterms.PolySpec(args.degree, args.interact)
 
     pca_basis = None
@@ -299,7 +303,7 @@ def cmd_fit(args) -> int:
 
     total = polyterms.count_terms(term_width, term_groups, spec)
     polyterms.check_cell_budget(
-        train.n, polyterms.kept_term_count(total, term_width, args.keep_fraction))
+        len(y_train), polyterms.kept_term_count(total, term_width, args.keep_fraction))
     if args.keep_fraction < 1.0:
         terms = polyterms.thinned_terms(term_width, term_groups, spec, args.keep_fraction,
                                         args.seed)
@@ -317,21 +321,19 @@ def cmd_fit(args) -> int:
             improvement_tolerance=args.improvement_tolerance,
             max_iter=args.max_iter, tol=args.tol,
         )
-        result = stepwise.fsr(train, cfg, args.seed)
+        result = stepwise.search(design, groups, y_train, ds.schema, cfg, args.seed)
         model = result.model
         trace_path = out_dir / "fsr_trace.csv"
         trace_path.write_text(stepwise.trace_to_csv(result.trace), encoding="utf-8")
         print(f"fsr selected {len(model.terms)} of {len(terms)} candidate terms")
     else:
         model = fitcore.fit_poly_model(
-            design, train.response_values(), terms, method,
-            lam=args.ridge_lambda, pca=pca_basis, schema=train.schema, groups=groups,
+            design, y_train, terms, method,
+            lam=args.ridge_lambda, pca=pca_basis, schema=ds.schema, groups=groups,
             max_iter=args.max_iter, tol=args.tol,
         )
 
-    test_design, _ = encode_design(test, train.schema)
     preds = fitcore.predict(model, test_design)
-    actual = test.response_values()
     if classify:
         metric, value = "pcc", fitcore.pcc(preds, actual)
     else:
@@ -342,7 +344,7 @@ def cmd_fit(args) -> int:
 
     setting = _setting_string(args)
     dataset_name = Path(args.data).stem
-    print(f"setting={setting} dataset={dataset_name} n_train={train.n} n_test={test.n}")
+    print(f"setting={setting} dataset={dataset_name} n_train={len(y_train)} n_test={len(actual)}")
     print(f"{metric}={value!r}")
     if not classify and len(np.unique(preds)) > 1 and len(np.unique(actual)) > 1:
         print(f"corr={fitcore.corr(preds, actual)!r}")

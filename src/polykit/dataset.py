@@ -1,11 +1,13 @@
 """Tabular ingestion: column typing, dummy encoding, train/test splitting.
 
 A :class:`Dataset` is an immutable table of fully-populated columns plus a
-:class:`Schema` that types each column. Categorical columns are expanded
-into 0/1 indicator ("dummy") columns by :func:`encode_design`, dropping one
-reference level per source column; :class:`DummyGroups` records which design
-columns came from which source so downstream term enumeration can apply the
-indicator degeneracy rules.
+:class:`Schema` that types each column. A categorical column holds integer
+level codes, each an index into its ``ColumnSpec.levels``; a class response
+holds its labels. Categorical columns are expanded into 0/1 indicator
+("dummy") columns by :func:`encode_design`, one per level but the first,
+the indicator of level k being ``codes == k``; :class:`DummyGroups` records
+which design columns came from which source so downstream term enumeration
+can apply the indicator degeneracy rules.
 """
 
 from __future__ import annotations
@@ -114,8 +116,11 @@ class _Column:
         return _Column(stripped, _floats(stripped), stripped)
 
     def typed(self, path, spec: ColumnSpec) -> np.ndarray:
-        """float64 for the numeric kinds, the stripped strings otherwise."""
-        if spec.kind not in ("numeric", "response_numeric"):
+        """float64 for the numeric kinds, the level codes of a categorical,
+        the stripped strings of a class response."""
+        if spec.kind == "categorical":
+            return _level_codes(self.strings(), spec.levels)[0]
+        if spec.kind == "response_class":
             return np.array(self.strings(), dtype=str)
         if self.floats is None:
             bad = next(v for v in self.strings() if _floats([v]) is None)
@@ -206,9 +211,10 @@ class Schema:
 class Dataset:
     """Immutable table: one array per schema column, no missing values.
 
-    Numeric (and numeric-response) columns hold float64; categorical and
-    class-response columns hold strings. ``dropped_rows`` records how many
-    incomplete rows ingestion discarded.
+    Numeric (and numeric-response) columns hold float64; a categorical
+    column holds integer level codes in ``[0, len(levels))`` of its
+    ``ColumnSpec``; a class-response column holds its labels as strings.
+    ``dropped_rows`` records how many incomplete rows ingestion discarded.
     """
 
     schema: Schema
@@ -216,33 +222,38 @@ class Dataset:
     dropped_rows: int = 0
 
     def __post_init__(self):
-        self._check(finite=True)
+        self._check(values=True)
 
-    def _check(self, finite: bool) -> None:
+    def _check(self, values: bool) -> None:
         """Every schema column present, equally long and not empty, and,
-        with ``finite``, every numeric column finite."""
+        with ``values``, every numeric column finite and every categorical
+        one level codes."""
         lengths = set()
         for spec in self.schema.columns:
             if spec.name not in self.columns:
                 raise DataError(f"dataset missing column {spec.name!r}")
-            arr = self.columns[spec.name]
+            arr = np.asarray(self.columns[spec.name])
             lengths.add(len(arr))
-            if finite and spec.kind in ("numeric", "response_numeric"):
+            if values and spec.kind in ("numeric", "response_numeric"):
                 _check_finite(spec.name, np.asarray(arr, dtype=np.float64))
+            elif values and spec.kind == "categorical" and not (
+                    arr.dtype.kind in "iu" and np.all((arr >= 0) & (arr < len(spec.levels)))):
+                raise DataError(f"categorical column {spec.name!r} must hold integer level"
+                                f" codes in [0, {len(spec.levels)})")
         if len(lengths) != 1:
             raise DataError("dataset columns have unequal lengths")
         if self.n < 1:
             raise DataError("dataset must contain at least one row")
 
     @classmethod
-    def _of_finite(cls, schema: Schema, columns: dict[str, np.ndarray]) -> Dataset:
-        """The Dataset of columns whose numeric values are known to be
-        finite: checked as the constructor checks, but for finiteness."""
+    def _of_checked(cls, schema: Schema, columns: dict[str, np.ndarray]) -> Dataset:
+        """The Dataset of columns whose values are known to pass the
+        constructor's checks: checked as it checks, but for the values."""
         ds = object.__new__(cls)
         object.__setattr__(ds, "schema", schema)
         object.__setattr__(ds, "columns", columns)
         object.__setattr__(ds, "dropped_rows", 0)
-        ds._check(finite=False)
+        ds._check(values=False)
         return ds
 
     @property
@@ -253,16 +264,13 @@ class Dataset:
         """Response column: float64 for regression, labels for classification."""
         resp = self.schema.response
         arr = self.columns[resp.name]
-        if resp.kind == "response_numeric":
-            return arr.astype(np.float64)
-        return arr
+        return arr.astype(np.float64) if resp.kind == "response_numeric" else arr
 
     def take(self, indices: np.ndarray) -> "Dataset":
         """Row subset in the given order (shares the schema). Its values were
-        checked for finiteness when this Dataset was built, so they are not
-        checked again."""
+        checked when this Dataset was built, so they are not checked again."""
         cols = {name: arr[indices] for name, arr in self.columns.items()}
-        return Dataset._of_finite(self.schema, cols)
+        return Dataset._of_checked(self.schema, cols)
 
 
 @dataclass(frozen=True)
@@ -295,11 +303,7 @@ class DummyGroups:
 
     def group_of(self) -> dict[int, int]:
         """Map design-column index -> ordinal of its dummy group."""
-        out: dict[int, int] = {}
-        for g, (_, idxs) in enumerate(self.groups):
-            for i in idxs:
-                out[i] = g
-        return out
+        return {i: g for g, (_, idxs) in enumerate(self.groups) for i in idxs}
 
     @classmethod
     def all_numeric(cls, width: int, names: tuple[str, ...] | None = None) -> "DummyGroups":
@@ -496,11 +500,8 @@ def load_csv(
     unknown = [name for name in hints if name not in header]
     if unknown:
         raise DataError(f"{path}: schema names columns {unknown} absent from header")
-    resp_name = response
-    if resp_name is None:
-        resp_name = next((n for n, k in hints.items() if k in RESPONSE_KINDS), None)
-    if resp_name is None:
-        resp_name = header[-1]
+    resp_name = response if response is not None else next(
+        (n for n, k in hints.items() if k in RESPONSE_KINDS), header[-1])
     if resp_name not in header:
         raise DataError(f"{path}: response column {resp_name!r} absent")
     if classify:
@@ -548,38 +549,41 @@ def encode_design(ds: Dataset, schema: Schema | None = None) -> tuple[np.ndarray
     Column order is all numeric features in schema order, then one indicator
     block per categorical feature in schema order; a design with no columns
     is a ``DataError`` that names the features that gave none. Passing a training
-    ``schema`` encodes new data against the training level sets; values
-    outside them map to the all-zero reference encoding with a warning.
+    ``schema`` encodes new data against the training level sets: each code
+    is mapped through the level names onto that schema's level set, and a
+    value outside it maps to the all-zero reference encoding with a warning.
     """
     enc = schema if schema is not None else ds.schema
-    absent = [c.name for c in enc.features if c.name not in ds.columns]
+    own = {c.name: c for c in ds.schema.columns}
+    absent = [c.name for c in enc.features if c.name not in own or own[c.name].kind != c.kind]
     if absent:
-        raise DataError(f"dataset lacks feature columns {absent} named by the schema")
-    unseen = sum(int(np.sum(~np.isin(ds.columns[spec.name], spec.levels)))
-                 for spec in enc.features if len(spec.levels) > 1)
-    return _encode(enc.features, ds.columns, ds.n, unseen,
-                   lambda spec, k: ds.columns[spec.name] == spec.levels[k])
+        raise DataError(f"dataset lacks feature columns {absent} of the kinds the schema names")
+    columns = {c.name: ds.columns[c.name] for c in enc.features}
+    for spec in enc.features:
+        if own[spec.name].levels != spec.levels:  # map the codes by level name
+            index = {level: k for k, level in enumerate(spec.levels)}
+            table = np.array([index.get(level, -1) for level in own[spec.name].levels], np.intp)
+            columns[spec.name] = table[columns[spec.name]]
+    return _encode(enc.features, columns, ds.n)
 
 
-def _encode(features: Sequence[ColumnSpec], columns: dict[str, np.ndarray], n: int,
-            unseen: int, indicator: Callable[[ColumnSpec, int], np.ndarray],
-            ) -> tuple[np.ndarray, DummyGroups]:
+def _encode(features: Sequence[ColumnSpec], columns: dict[str, np.ndarray],
+            n: int) -> tuple[np.ndarray, DummyGroups]:
     """The column-major design of ``n`` rows and its layout: each numeric
     feature in schema order, its values ``columns[name]``, then one block
-    per categorical feature in schema order, a column ``indicator(spec, k)``
-    for each of its levels k but the first.
+    per categorical feature in schema order, the column ``codes == k`` for
+    each of its levels k but the first, ``codes`` being ``columns[name]``.
 
     A single-level categorical gives no column and a warning, in schema
-    order; ``unseen``, the count of values outside the level sets of the
-    other categoricals, gives one warning after them. A design with no
+    order; the codes of -1, values outside the level sets of the other
+    categoricals, are counted in one warning after them. A design with no
     column is a ``DataError`` that names the features that gave none.
     """
     numerics = [spec for spec in features if spec.kind == "numeric"]
+    categoricals = [spec for spec in features if spec.kind == "categorical"]
     names = [spec.name for spec in numerics]
     blocks: list[tuple[ColumnSpec, tuple[int, ...]]] = []
-    for spec in features:
-        if spec.kind != "categorical":
-            continue
+    for spec in categoricals:
         if len(spec.levels) == 1:
             warnings.warn(
                 f"categorical column {spec.name!r} has a single level; contributes no columns"
@@ -587,6 +591,8 @@ def _encode(features: Sequence[ColumnSpec], columns: dict[str, np.ndarray], n: i
         blocks.append((spec, tuple(range(len(names), len(names) + len(spec.levels) - 1))))
         names += [f"{spec.name}={level}" for level in spec.levels[1:]]
 
+    unseen = sum(int(np.count_nonzero(columns[spec.name] < 0))
+                 for spec in categoricals if len(spec.levels) > 1)
     if unseen:
         warnings.warn(f"{unseen} value(s) outside the schema level sets mapped to reference")
 
@@ -599,30 +605,35 @@ def _encode(features: Sequence[ColumnSpec], columns: dict[str, np.ndarray], n: i
         design[:, j] = columns[spec.name]
     for spec, idxs in blocks:
         for k, j in enumerate(idxs, 1):
-            design[:, j] = indicator(spec, k)
-    info = DummyGroups(
-        groups=tuple((spec.name, idxs) for spec, idxs in blocks),
-        numeric_indices=tuple(range(len(numerics))),
-        column_names=tuple(names),
-    )
-    return design, info
+            design[:, j] = columns[spec.name] == k
+    groups = tuple((spec.name, idxs) for spec, idxs in blocks)
+    return design, DummyGroups(groups, tuple(range(len(numerics))), tuple(names))
+
+
+def design_rows(design: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The ``rows`` of a design in one copy, Fortran-ordered as
+    :func:`encode_design` writes a design: NumPy's column means of a C- and
+    an F-ordered copy of the same rows can differ in the last bit."""
+    return np.take(design.T, rows, axis=1).T
 
 
 def split(ds: Dataset, seed: int) -> tuple[Dataset, Dataset]:
-    """Deterministic train/test split.
+    """Deterministic train/test split: the rows of :func:`split_rows`."""
+    return tuple(ds.take(rows) for rows in split_rows(ds.n, seed))
+
+
+def split_rows(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted row indices ``(train, test)`` of a deterministic split of n rows.
 
     Test size is min(10000, n) when n > 20000, otherwise floor(n/5), so
     fewer than 5 rows is a ``DataError``; rows are sampled uniformly without
-    replacement under ``seed`` and the train set is the complement. Both
-    halves keep the original row order.
+    replacement under ``seed`` and the train set is the complement.
     """
-    n = ds.n
     test_n = min(10000, n) if n > 20000 else n // 5
     if test_n == 0:
         raise DataError(f"the test split (a fifth of the rows) of {n} row(s) is empty;"
                         " the data needs at least 5 rows")
-    train_idx, test_idx = holdout(n, test_n, seed)
-    return ds.take(train_idx), ds.take(test_idx)
+    return holdout(n, test_n, seed)
 
 
 def holdout(n: int, k: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -685,9 +696,7 @@ def load_design_for_predict(path, schema: Schema) -> np.ndarray:
         raise DataError(f"{path}:{short + 2}: wrong field count")
 
     n = len(counts)
-    width = sum(
-        1 if c.kind == "numeric" else max(0, len(c.levels) - 1) for c in feats
-    )
+    width = sum(1 if c.kind == "numeric" else len(c.levels) - 1 for c in feats)
     if n == 0:
         return np.empty((0, width))
 
@@ -696,8 +705,7 @@ def load_design_for_predict(path, schema: Schema) -> np.ndarray:
     for c in feats:
         if c.kind == "numeric":
             _check_finite(c.name, columns[c.name])
-    unseen = sum(int(np.count_nonzero(columns[c.name] < 0)) for c in feats if len(c.levels) > 1)
-    design, _ = _encode(feats, columns, n, unseen, lambda spec, k: columns[spec.name] == k)
+    design, _ = _encode(feats, columns, n)
     return design
 
 
@@ -739,7 +747,7 @@ def dataset_from_arrays(
     columns[response_name] = y.astype(str) if classification else y.astype(np.float64)
     if not classification:
         _check_finite(response_name, columns[response_name])
-    return Dataset._of_finite(schema, columns)
+    return Dataset._of_checked(schema, columns)
 
 
 def _fortran_copy(X: np.ndarray, names: Sequence[str]) -> np.ndarray:

@@ -41,7 +41,7 @@ import numpy as np
 from scipy.linalg.blas import dger
 
 from . import blas, fitcore, polyterms
-from .dataset import Dataset, encode_design, holdout
+from .dataset import Dataset, DummyGroups, Schema, encode_design, holdout
 from .errors import DataError
 from .polyterms import TermSet
 
@@ -173,9 +173,17 @@ class _LogisticScorer:
 
 
 def fsr(train: Dataset, config: FSRConfig, seed: int) -> FSRResult:
+    """:func:`search` on the encoded design of ``train``."""
+    return search(*encode_design(train), train.response_values(), train.schema, config, seed)
+
+
+def search(design: np.ndarray, groups: DummyGroups, y: np.ndarray, schema: Schema,
+           config: FSRConfig, seed: int) -> FSRResult:
     """Grow a polynomial model one candidate term at a time.
 
-    The training rows are split ``1 - validation_fraction`` /
+    ``design`` and ``groups`` are the encoded training table and its layout,
+    ``y`` its response and ``schema`` the table's; the model keeps both
+    layouts. The training rows are split ``1 - validation_fraction`` /
     ``validation_fraction`` under ``seed``; growth is scored on the
     holdout and the final model is refit on the sub-training part with
     the best prefix of selected terms.
@@ -189,14 +197,12 @@ def fsr(train: Dataset, config: FSRConfig, seed: int) -> FSRResult:
     the largest column norm among the k model columns is aliased and scores
     the current model, as a pivoted-QR refit would drop it.
     """
-    design, groups = encode_design(train)
     if design.shape[1] != config.candidates.width:
         raise DataError(
             f"candidate terms were built for width {config.candidates.width},"
             f" but the encoded design has width {design.shape[1]}"
         )
-    y = train.response_values()
-    classify = train.schema.is_classification
+    classify = schema.is_classification
     n = design.shape[0]
     n_val = int(n * config.validation_fraction)
     if n_val < 1:
@@ -248,7 +254,7 @@ def fsr(train: Dataset, config: FSRConfig, seed: int) -> FSRResult:
     method = "logistic" if classify else "ols"
     model = fitcore.fit_poly_model(
         rows[:n_sub], y_sub, final_terms, method,
-        schema=train.schema, groups=groups, max_iter=config.max_iter, tol=config.tol,
+        schema=schema, groups=groups, max_iter=config.max_iter, tol=config.tol,
     )
     sign = -1.0 if classify else 1.0
     names = config.candidates.labels()

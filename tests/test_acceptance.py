@@ -22,7 +22,6 @@ from polykit import polyterms as pt
 from polykit import stepwise as sw
 from polykit.dataset import (
     ColumnSpec,
-    Dataset,
     DummyGroups,
     Schema,
     dataset_from_arrays,
@@ -30,6 +29,8 @@ from polykit.dataset import (
     split,
 )
 from polykit.synthdata import linear_response, load_mnist, quadratic_response, synthetic_digits
+
+from conftest import coded
 
 
 @contextmanager
@@ -71,7 +72,7 @@ def test_c02_dummy_rule_correctness():
             )
         )
         rng = np.random.default_rng(0)
-        ds = Dataset(
+        ds = coded(
             schema,
             {
                 "u": rng.normal(size=20),

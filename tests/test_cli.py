@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polykit import dataset, fitcore, polyterms
+from polykit import cli, dataset, fitcore, polyterms, stepwise
 from polykit import mlp as m
 from polykit.cli import EXIT_BUDGET, EXIT_DATA, EXIT_MODEL, EXIT_OK, EXIT_USAGE, main
 from polykit.synthdata import linear_response, quadratic_response
@@ -266,6 +266,45 @@ class TestFit:
         out = capsys.readouterr().out
         pcc = float(next(l for l in out.splitlines() if l.startswith("pcc=")).split("=")[1])
         assert pcc > 0.9
+
+    @staticmethod
+    def _one_level_csv(tmp_path):
+        """60 rows: a numeric u, a single-level k, a three-level w, response y."""
+        rng = np.random.default_rng(7)
+        u, w = rng.uniform(-1, 1, 60), rng.choice(["east", "north", "west"], 60)
+        y = 1 + u + (w == "west") + 0.1 * rng.normal(size=60)
+        path = tmp_path / "one-level.csv"
+        path.write_text("u,k,w,y\n" + "".join(f"{a:.6f},only,{c},{d:.6f}\n"
+                                              for a, c, d in zip(u, w, y)), encoding="utf-8")
+        return path
+
+    @pytest.mark.parametrize("command", [["fit"], ["fit", "--fsr"], ["predict"]],
+                             ids=["fit", "fsr", "predict"])
+    def test_a_single_level_column_warns_once(self, tmp_path, capsys, command):
+        # each command encodes its table once, so it warns once
+        data = self._one_level_csv(tmp_path)
+        assert main(["fit", "--data", str(data), "--out-dir", str(tmp_path / "out")]) == EXIT_OK
+        capsys.readouterr()
+        if command == ["predict"]:
+            args = ["predict", "--model", str(tmp_path / "out" / "model.json"),
+                    "--data", str(data), "--out", str(tmp_path / "preds.csv")]
+        else:
+            args = [*command, "--data", str(data), "--out-dir", str(tmp_path / "again")]
+        assert main(args) == EXIT_OK
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == ["warning: categorical column 'k' has a single level;"
+                         " contributes no columns", "1 warning(s)"]
+
+    @pytest.mark.parametrize("extra", [[], ["--fsr"]], ids=["fit", "fsr"])
+    def test_fit_encodes_the_table_once(self, tmp_path, monkeypatch, extra):
+        encode, calls = dataset.encode_design, []
+        for module in (cli, stepwise):
+            monkeypatch.setattr(module, "encode_design",
+                                lambda *a: calls.append(len(a)) or encode(*a))
+        data = self._one_level_csv(tmp_path)
+        assert main(["fit", "--data", str(data), *extra,
+                     "--out-dir", str(tmp_path / "out")]) == EXIT_OK
+        assert calls == [1]  # the whole table against its own schema
 
 
     @staticmethod

@@ -23,14 +23,18 @@ from polykit.dataset import (
     DummyGroups,
     Schema,
     dataset_from_arrays,
+    design_rows,
     encode_design,
     holdout,
     load_csv,
     load_design_for_predict,
     parse_schema_sidecar,
     split,
+    split_rows,
 )
 from polykit.errors import DataError
+
+from conftest import coded, decoded
 
 
 def write(tmp_path, name, text):
@@ -249,10 +253,19 @@ class TestDatasetChecks:
             tracemalloc.stop()
         assert peak < u.nbytes / 2  # the boolean isfinite mask is an eighth
 
+    CODED = Schema((ColumnSpec("c", "categorical", ("a", "b")),
+                    ColumnSpec("y", "response_numeric")))
+
+    @pytest.mark.parametrize("codes", [["a", "b"], [0.0, 1.0], [0, 2], [-1, 1]],
+                             ids=["strings", "floats", "past-the-levels", "negative"])
+    def test_a_categorical_column_holds_level_codes(self, codes):
+        with pytest.raises(DataError, match=r"'c' must hold integer level codes in \[0, 2\)"):
+            Dataset(self.CODED, {"c": np.array(codes), "y": np.zeros(2)})
+
 
 class TestEncodeDesign:
     def test_mixed_widths(self):
-        ds = Dataset(
+        ds = coded(
             Schema(
                 (
                     ColumnSpec("u", "numeric"),
@@ -287,7 +300,7 @@ class TestEncodeDesign:
         np.testing.assert_array_equal(design2, design)
 
     def test_single_level_categorical_warns(self):
-        ds = Dataset(
+        ds = coded(
             Schema(
                 (
                     ColumnSpec("u", "numeric"),
@@ -304,7 +317,7 @@ class TestEncodeDesign:
         assert groups.groups == (("c", ()),)
 
     def test_zero_width_design_names_its_columns(self):
-        ds = Dataset(
+        ds = coded(
             Schema(
                 (
                     ColumnSpec("c", "categorical", ("only",)),
@@ -321,7 +334,7 @@ class TestEncodeDesign:
     def test_dummy_row_sums(self):
         rng = np.random.default_rng(1)
         values = rng.choice(["a", "b", "c", "d"], size=40)
-        ds = Dataset(
+        ds = coded(
             Schema(
                 (
                     ColumnSpec("c", "categorical", ("a", "b", "c", "d")),
@@ -342,7 +355,7 @@ class TestEncodeDesign:
                 ColumnSpec("y", "response_numeric"),
             )
         )
-        new = Dataset(
+        new = coded(
             Schema(
                 (
                     ColumnSpec("c", "categorical", ("a", "b", "z")),
@@ -375,7 +388,7 @@ class TestEncodeDesign:
             ColumnSpec("v", "numeric"),
             ColumnSpec("y", "response_numeric"),
         ))
-        X, groups = encode_design(Dataset(schema, columns))
+        X, groups = encode_design(coded(schema, columns))
         oracle = np.column_stack([
             columns["u"].astype(np.float64), columns["v"].astype(np.float64),
             (columns["c"] == "b").astype(np.float64), (columns["c"] == "c").astype(np.float64),
@@ -394,7 +407,7 @@ def encode_cases():
     rng = np.random.default_rng(24)
 
     def table(specs, columns):
-        return Dataset(Schema(tuple(specs)), columns)
+        return coded(Schema(tuple(specs)), columns)
 
     cases = [
         ("mixed-widths", table(
@@ -443,7 +456,34 @@ def encode_cases():
         ColumnSpec(s.name, s.kind, tuple(v for v in s.levels if v not in ("tech", "west")))
         for s in specs))
     cases += [("wages", wages, None), ("wages-unseen", wages, trained)]
+
+    # splittable tables: a level only one test row holds, a single-level
+    # column, and new rows against a schema that lacks a level they hold and
+    # holds one they lack
+    n = 20
+    c = np.array(["a", "b"] * (n // 2))
+    c[split_rows(n, SPLIT_SEED)[1][0]] = "z"
+    u = rng.normal(size=n)
+    abc = ColumnSpec("c", "categorical", ("a", "b", "c"))
+    cases += [
+        ("test-only-level", table(
+            (ColumnSpec("u", "numeric"), ColumnSpec("c", "categorical", ("a", "b", "z")),
+             ColumnSpec("y", "response_numeric")), {"u": u, "c": c, "y": u}), None),
+        ("single-level-split", table(
+            (ColumnSpec("u", "numeric"), ColumnSpec("k", "categorical", ("only",)), abc,
+             ColumnSpec("y", "response_numeric")),
+            {"u": u, "k": ["only"] * n, "c": rng.choice(abc.levels, size=n), "y": u}), None),
+        ("foreign-schema", table(
+            (ColumnSpec("u", "numeric"), abc, ColumnSpec("y", "response_numeric")),
+            {"u": u, "c": rng.choice(abc.levels, size=n), "y": u}),
+         Schema((ColumnSpec("u", "numeric"), ColumnSpec("c", "categorical", ("b", "c", "x")),
+                 ColumnSpec("y", "response_numeric")))),
+    ]
     return cases
+
+
+#: The seed of the train/test split in ``encode_cases`` and ``TestEncodeOnce``.
+SPLIT_SEED = 3
 
 
 class TestEncodeDesignReference:
@@ -464,6 +504,41 @@ class TestEncodeDesignReference:
             assert X.dtype == want_X.dtype and X.shape == want_X.shape
             assert X.tobytes(order="F") == want_X.tobytes(order="F")
             assert groups == want_groups
+
+
+class TestEncodeOnce:
+    """``fit`` encodes the whole table once and gathers the train and test
+    rows of ``split_rows``: the same designs bit for bit, Fortran-ordered,
+    and the same groups and error as splitting the table first and encoding
+    each half, the test half against the training schema."""
+
+    @pytest.mark.parametrize("case", encode_cases(), ids=lambda case: case[0])
+    def test_same_as_split_then_encode(self, case):
+        _, ds, schema = case
+        halves, _, split_error = outcome(split, ds, SPLIT_SEED)
+        rows, _, error = outcome(split_rows, ds.n, SPLIT_SEED)
+        assert error == split_error
+        if error is not None:
+            return
+        once, _, error = outcome(encode_design, ds, schema)
+        for half, idx in zip(halves, rows):
+            want, _, want_error = outcome(reference_encode_design, half, schema or ds.schema)
+            assert error == want_error
+            if want is not None:
+                X = design_rows(once[0], idx)
+                assert X.flags.f_contiguous and want[0].flags.f_contiguous
+                assert X.dtype == want[0].dtype and np.array_equal(X, want[0])
+                assert once[1] == want[1]
+
+    def test_the_cases_hold_what_they_are_named_for(self):
+        cases = {name: (ds, schema) for name, ds, schema in encode_cases()}
+        train, test = split(cases["test-only-level"][0], SPLIT_SEED)
+        assert 2 not in train.columns["c"] and 2 in test.columns["c"]  # "z"
+        ds, schema = cases["foreign-schema"]
+        (X, groups), warned, _ = outcome(encode_design, ds, schema)
+        assert warned == [f"{np.count_nonzero(ds.columns['c'] == 0)} value(s) outside the"
+                          " schema level sets mapped to reference"]
+        assert groups.column_names[-1] == "c=x" and not X[:, -1].any()
 
 
 class TestSplit:
@@ -798,7 +873,7 @@ def reference_load_csv(path, *, kind_hints=None, response=None,
     schema = Schema(tuple(specs))
 
     columns = _reference_typed_columns(path, schema.columns, col_values, parsed)
-    return Dataset(schema, columns, dropped_rows=dropped)
+    return coded(schema, columns, dropped)
 
 
 def reference_load_design_for_predict(path, schema):
@@ -831,7 +906,10 @@ def reference_load_design_for_predict(path, schema):
     columns[resp.name] = (
         np.zeros(n) if resp.kind == "response_numeric" else np.array(["?"] * n, dtype=str)
     )
-    ds = Dataset(schema, columns)
+    # the table's own level sets hold the values outside the schema's
+    own = Schema(tuple(ColumnSpec(c.name, c.kind, tuple(sorted({*c.levels, *columns[c.name]})))
+                       if c.kind == "categorical" else c for c in schema.columns))
+    ds = coded(own, columns)
     design, _ = encode_design(ds, schema)
     return design
 
@@ -840,7 +918,8 @@ def reference_encode_design(ds, schema=None):
     """Oracle: ``encode_design`` as it was before its layout, warnings and
     fill moved into the helper it shares with ``load_design_for_predict``."""
     enc = schema if schema is not None else ds.schema
-    absent = [c.name for c in enc.features if c.name not in ds.columns]
+    columns = decoded(ds)
+    absent = [c.name for c in enc.features if c.name not in columns]
     if absent:
         raise DataError(f"dataset lacks feature columns {absent} named by the schema")
     sources = [(spec.name, None) for spec in enc.features if spec.kind == "numeric"]
@@ -855,7 +934,7 @@ def reference_encode_design(ds, schema=None):
             )
             groups.append((spec.name, ()))
             continue
-        values = ds.columns[spec.name]
+        values = columns[spec.name]
         unseen += int(np.sum(~np.isin(values, spec.levels)))
         idxs = []
         for level in spec.levels[1:]:
@@ -872,7 +951,7 @@ def reference_encode_design(ds, schema=None):
         raise DataError(f"the design has no columns: {why}")
     design = np.empty((ds.n, len(sources)), order="F")
     for j, (name, level) in enumerate(sources):
-        values = ds.columns[name]
+        values = columns[name]
         design[:, j] = values if level is None else values == level
     info = DummyGroups(
         groups=tuple(groups),
