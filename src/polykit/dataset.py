@@ -215,6 +215,13 @@ class Dataset:
     column holds integer level codes in ``[0, len(levels))`` of its
     ``ColumnSpec``; a class-response column holds its labels as strings.
     ``dropped_rows`` records how many incomplete rows ingestion discarded.
+
+    The numeric feature columns are read-only views of one Fortran-ordered
+    float64 block, in schema order, whoever builds the Dataset: the
+    constructor adopts the block its columns already are the columns of
+    (:func:`_numeric_block`) and copies them into a new one otherwise;
+    :meth:`take` gathers the block's rows in one copy; :func:`encode_design`
+    of a table with no indicator column returns the block itself.
     """
 
     schema: Schema
@@ -223,6 +230,7 @@ class Dataset:
 
     def __post_init__(self):
         self._check(values=True)
+        self._hold(_numeric_block([self.columns[name] for name in self._numeric_names], self.n))
 
     def _check(self, values: bool) -> None:
         """Every schema column present, equally long and not empty, and,
@@ -245,16 +253,33 @@ class Dataset:
         if self.n < 1:
             raise DataError("dataset must contain at least one row")
 
+    def _hold(self, block: np.ndarray) -> None:
+        """Keep ``block``, made read-only, and make the numeric feature
+        columns its views, in the places ``columns`` has them."""
+        block.flags.writeable = False
+        object.__setattr__(self, "_block", block)
+        object.__setattr__(self, "columns", {**self.columns,
+                                             **dict(zip(self._numeric_names, block.T))})
+
     @classmethod
-    def _of_checked(cls, schema: Schema, columns: dict[str, np.ndarray]) -> Dataset:
-        """The Dataset of columns whose values are known to pass the
-        constructor's checks: checked as it checks, but for the values."""
+    def _of_checked(cls, schema: Schema, columns: dict[str, np.ndarray],
+                    block: np.ndarray) -> Dataset:
+        """The Dataset of ``columns``, whose numeric feature columns are
+        replaced by the views of ``block``, and whose values are known to
+        pass the constructor's checks: checked as it checks, but for the
+        values."""
         ds = object.__new__(cls)
         object.__setattr__(ds, "schema", schema)
         object.__setattr__(ds, "columns", columns)
         object.__setattr__(ds, "dropped_rows", 0)
+        ds._hold(block)
         ds._check(values=False)
         return ds
+
+    @property
+    def _numeric_names(self) -> list[str]:
+        """The numeric feature names in schema order: the block's columns."""
+        return [c.name for c in self.schema.features if c.kind == "numeric"]
 
     @property
     def n(self) -> int:
@@ -267,10 +292,37 @@ class Dataset:
         return arr.astype(np.float64) if resp.kind == "response_numeric" else arr
 
     def take(self, indices: np.ndarray) -> "Dataset":
-        """Row subset in the given order (shares the schema). Its values were
-        checked when this Dataset was built, so they are not checked again."""
-        cols = {name: arr[indices] for name, arr in self.columns.items()}
-        return Dataset._of_checked(self.schema, cols)
+        """Row subset in the given order (shares the schema). The numeric
+        block is gathered in one copy, Fortran-ordered as :func:`design_rows`
+        gathers a design, and each other column by its own index. The values
+        were checked when this Dataset was built, so they are not checked
+        again."""
+        numeric = set(self._numeric_names)
+        cols = {name: arr if name in numeric else arr[indices]
+                for name, arr in self.columns.items()}
+        block = design_rows(self._block, indices)
+        block.base.flags.writeable = False  # the copy itself, so no view of it is writeable
+        return Dataset._of_checked(self.schema, cols, block)
+
+
+def _numeric_block(columns: list[np.ndarray], n: int) -> np.ndarray:
+    """The n x k Fortran-ordered float64 block whose columns are the k
+    numeric ``columns``, in order. Columns that already are such a block's,
+    contiguous float64 arrays back to back in one allocation, are adopted
+    as a view of it with no copy; any others are copied into a new block."""
+    columns = [np.asarray(c) for c in columns]
+    owners = [c if c.base is None else c.base for c in columns]
+    starts = [c.__array_interface__["data"][0] for c in columns]
+    if columns and all(
+            c.dtype == np.float64 and c.strides == (8,) and owner is owners[0]
+            and start == starts[0] + 8 * n * j
+            for j, (c, owner, start) in enumerate(zip(columns, owners, starts))):
+        return np.lib.stride_tricks.as_strided(columns[0], (n, len(columns)), (8, 8 * n),
+                                               writeable=False)
+    block = np.empty((n, len(columns)), order="F")
+    for j, c in enumerate(columns):
+        block[:, j] = c
+    return block
 
 
 @dataclass(frozen=True)
@@ -510,6 +562,7 @@ def load_csv(
     text = [hints.get(name) in ("categorical", "response_class") for name in header]
     counts, cells = rows(lambda first: [not is_text and _floats([cell]) is not None
                                         for is_text, cell in zip(text, first)])
+    del rows  # the file's text goes with it, before the Dataset copies the numeric columns
     read = [_Column.read(column) for column in cells]
     keep = ~np.logical_or.reduce([holes for _, holes in read])
     kept = int(np.count_nonzero(keep))
@@ -543,8 +596,7 @@ def load_csv(
 def encode_design(ds: Dataset, schema: Schema | None = None) -> tuple[np.ndarray, DummyGroups]:
     """Build the numeric design matrix: numerics pass through, categoricals
     become k-1 indicator columns (lexicographically first level dropped).
-    The matrix is column-major (Fortran-ordered), filled one contiguous
-    column at a time.
+    The matrix is column-major (Fortran-ordered).
 
     Column order is all numeric features in schema order, then one indicator
     block per categorical feature in schema order; a design with no columns
@@ -552,6 +604,11 @@ def encode_design(ds: Dataset, schema: Schema | None = None) -> tuple[np.ndarray
     ``schema`` encodes new data against the training level sets: each code
     is mapped through the level names onto that schema's level set, and a
     value outside it maps to the all-zero reference encoding with a warning.
+
+    A design of the numeric features alone, in the Dataset's own order, is
+    the Dataset's numeric block itself, read-only and not copied; with
+    indicator columns the numeric columns are copied in once, one
+    contiguous column at a time, and the indicators written after them.
     """
     enc = schema if schema is not None else ds.schema
     own = {c.name: c for c in ds.schema.columns}
@@ -564,15 +621,18 @@ def encode_design(ds: Dataset, schema: Schema | None = None) -> tuple[np.ndarray
             index = {level: k for k, level in enumerate(spec.levels)}
             table = np.array([index.get(level, -1) for level in own[spec.name].levels], np.intp)
             columns[spec.name] = table[columns[spec.name]]
-    return _encode(enc.features, columns, ds.n)
+    same = [c.name for c in enc.features if c.kind == "numeric"] == ds._numeric_names
+    return _encode(enc.features, columns, ds.n, ds._block if same else None)
 
 
 def _encode(features: Sequence[ColumnSpec], columns: dict[str, np.ndarray],
-            n: int) -> tuple[np.ndarray, DummyGroups]:
+            n: int, block: np.ndarray | None = None) -> tuple[np.ndarray, DummyGroups]:
     """The column-major design of ``n`` rows and its layout: each numeric
     feature in schema order, its values ``columns[name]``, then one block
     per categorical feature in schema order, the column ``codes == k`` for
     each of its levels k but the first, ``codes`` being ``columns[name]``.
+    A given ``block`` holds the numeric features' values, in that order: a
+    view of it is the design when no indicator column follows.
 
     A single-level categorical gives no column and a warning, in schema
     order; the codes of -1, values outside the level sets of the other
@@ -600,14 +660,17 @@ def _encode(features: Sequence[ColumnSpec], columns: dict[str, np.ndarray],
         empty = [spec.name for spec, _ in blocks]
         why = f"single-level categorical column(s) {empty} give none" if empty else "no features"
         raise DataError(f"the design has no columns: {why}")
+    groups = DummyGroups(tuple((spec.name, idxs) for spec, idxs in blocks),
+                         tuple(range(len(numerics))), tuple(names))
+    if block is not None and len(names) == len(numerics):
+        return block.view(), groups  # a view: the block's own flags stay the Dataset's
     design = np.empty((n, len(names)), order="F")
     for j, spec in enumerate(numerics):
         design[:, j] = columns[spec.name]
     for spec, idxs in blocks:
         for k, j in enumerate(idxs, 1):
             design[:, j] = columns[spec.name] == k
-    groups = tuple((spec.name, idxs) for spec, idxs in blocks)
-    return design, DummyGroups(groups, tuple(range(len(numerics))), tuple(names))
+    return design, groups
 
 
 def design_rows(design: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -743,11 +806,11 @@ def dataset_from_arrays(
     specs.append(ColumnSpec(response_name, kind))
     schema = Schema(tuple(specs))
     design = _fortran_copy(X, feature_names)
-    columns = {name: design[:, j] for j, name in enumerate(feature_names)}
+    columns = dict(zip(feature_names, design.T))
     columns[response_name] = y.astype(str) if classification else y.astype(np.float64)
     if not classification:
         _check_finite(response_name, columns[response_name])
-    return Dataset._of_checked(schema, columns)
+    return Dataset._of_checked(schema, columns, design)
 
 
 def _fortran_copy(X: np.ndarray, names: Sequence[str]) -> np.ndarray:
@@ -759,13 +822,21 @@ def _fortran_copy(X: np.ndarray, names: Sequence[str]) -> np.ndarray:
     ``DataError`` that names the first column in ``names`` that holds one."""
     n, width = X.shape
     design = np.empty((n, width), order="F")
-    rows = max(1, (1 << 17) // max(width, 1))
     finite = True
-    for start in range(0, n, rows):
-        block = X[start:start + rows]
+    for rows in _cell_blocks(n, width):
+        block = X[rows]
         finite = finite and bool(np.isfinite(block).all())
-        design[start:start + rows] = block
+        design[rows] = block
     if not finite:
         j = int(np.argmin(np.isfinite(design).all(axis=0)))
         _check_finite(names[j], design[:, j])
     return design
+
+
+def _cell_blocks(length: int, width: int) -> list[slice]:
+    """Consecutive slices that cover ``range(length)``, each of at most
+    ``2**17 // width`` positions (at least one): the row blocks of an
+    ``length x width`` matrix, or the column blocks of a ``width x length``
+    one, of 2**17 cells, a megabyte of float64, each."""
+    step = max(1, (1 << 17) // max(width, 1))
+    return [slice(start, start + step) for start in range(0, length, step)]

@@ -24,7 +24,7 @@ import scipy.linalg
 from scipy.special import expit
 
 from . import blas, polyterms
-from .dataset import DummyGroups, Schema
+from .dataset import DummyGroups, Schema, _cell_blocks
 from .errors import DataError
 from .polyterms import TermSet
 
@@ -70,16 +70,6 @@ def centre_columns(
     constant = column_norms(Xc) <= max(X.shape) * eps * raw
     Xc[:, constant] = 0.0
     return Xc, means, constant
-
-
-def standardize_columns(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Z-scaled columns, their means and scales; the constant columns of
-    :func:`centre_columns` stay exact zeros with scale 1."""
-    Z, means, constant = centre_columns(X)
-    scales = column_norms(Z) / np.sqrt(X.shape[0])  # X.std(), with no centred copy
-    scales[constant] = 1.0
-    Z /= scales
-    return Z, means, scales
 
 
 def _lapack(name: str, *args, **kwargs) -> list:
@@ -298,7 +288,17 @@ def fit_logistic_ova(
     # design a column-major A made the dgemm products below slower (medians
     # of 7 fits in 3 processes: 0.093-0.111 -> 0.109-0.120 s, 2 cores)
     A = np.empty((n, l + 1))
-    A[:, 1:], means, scales = standardize_columns(X)
+    # z-scaled X written straight into A, centred a block of whole columns
+    # at a time: the means, scales and constant columns (exact zeros, scale
+    # 1) of centre_columns(X), with no centred copy of X
+    raw, means, scales = column_norms(X), X.mean(axis=0), np.empty(l)
+    for cols in _cell_blocks(l, n):
+        Zc = X[:, cols] - means[cols]
+        norms = column_norms(Zc)
+        constant = norms <= max(n, l) * np.finfo(np.float64).eps * raw[cols]
+        Zc[:, constant] = 0.0
+        scales[cols] = np.where(constant, 1.0, norms / np.sqrt(n))
+        np.divide(Zc, scales[cols], out=A[:, 1:][:, cols])
     A[:, 0] = 1.0  # after Z: written first, this strided column pages in all of A at peak memory
     Y = (labels[:, None] == classes).astype(np.float64)
     lam = np.r_[0.0, np.full(l, LOGISTIC_PENALTY)][:, None]
@@ -368,45 +368,58 @@ def pca_fit(
     reaches ``var_fraction`` of the total, or exactly ``n_components``
     when a fixed count is requested.
 
-    The total is ``|Xc|_F^2`` of the centred design Xc. A tall design
-    (rows >= columns) takes its components from one symmetric
-    eigendecomposition of the m x m cross-product ``Xc' Xc``, whose
+    The means are taken from Fortran-ordered blocks of whole columns, and
+    every centred value from a Fortran-ordered block, so the basis depends
+    on X's numbers alone, not on its layout. A tall design (rows >=
+    columns) takes its components from one symmetric eigendecomposition of
+    the m x m cross-product ``Xc' Xc`` of the centred design Xc, whose
     eigenvalues are the squared singular values (negative roundoff ones
-    read as 0). That never forms the n x m left factor a thin SVD builds,
-    so it is faster and needs about half the memory. The cross-product is
-    one ``syrk`` (upper triangle only, half a GEMM's flops). A fraction
-    needs the whole spectrum, so it takes every eigenpair; a fixed count
-    r takes only the top r (``subset_by_index``: after the tridiagonal
-    reduction, LAPACK's MRRR routine ``syevr`` computes just those
-    eigenvectors), and ``retained_fraction`` is their sum over the total.
-    A component comes out accurate to about eps * lam_1 / gap, where gap
-    is the distance from its eigenvalue to its neighbours'. A wide design
-    keeps the thin SVD of Xc, whose cost grows with the short side where
-    the eigendecomposition's grows with m^3."""
+    read as 0), and the total variance ``|Xc|_F^2`` is its trace. That never
+    forms the n x m left factor a thin SVD builds, nor Xc itself: the upper
+    triangle of the cross-product is summed by one ``syrk`` (half a GEMM's
+    flops) per centred row block of 2**17 cells, so the fit holds the m x m
+    cross-product and one block besides X. A fraction needs the whole
+    spectrum, so it takes every eigenpair; a fixed count r takes only the
+    top r (``subset_by_index``: after the tridiagonal reduction, LAPACK's
+    MRRR routine ``syevr`` computes just those eigenvectors), and
+    ``retained_fraction`` is their sum over the total. A component comes
+    out accurate to about eps * lam_1 / gap, where gap is the distance from
+    its eigenvalue to its neighbours'. A wide design keeps the thin SVD of
+    Xc, whose cost grows with the short side where the eigendecomposition's
+    grows with m^3; the SVD needs Xc whole, so that branch holds one
+    centred copy of X, which the SVD overwrites."""
     X = np.asarray(X, dtype=np.float64)
     n, m = X.shape
     if n < 2:
         raise ValueError("PCA needs at least two rows")
     if not 0 < var_fraction <= 1:
         raise ValueError("var_fraction must be in (0, 1]")
-    means = X.mean(axis=0)
-    Xc = np.subtract(X, means, order="F")  # column-major, whatever X's layout
-    # einsum, not np.vdot: with OpenBLAS a threaded ddot just before the
-    # wide SVD made that SVD twice as slow (100 x 3,000 on two cores)
-    total = float(np.einsum("ij,ij->", Xc, Xc))
-    if total == 0.0:
-        raise DataError("zero-variance matrix: PCA undefined")
     if n_components is not None and n_components < 1:
         raise ValueError("n_components must be >= 1")
+    means = np.empty(m)
+    for cols in _cell_blocks(m, n):
+        means[cols] = np.asfortranarray(X[:, cols]).mean(axis=0)
     if n >= m:
-        # syrk fills the upper triangle only, Fortran-ordered, so eigh
-        # overwrites it with no copy; trans=1 reads the column-major Xc in place
-        gram = scipy.linalg.blas.dsyrk(1.0, Xc, trans=1, lower=0)
+        # Fortran-ordered upper triangle, so eigh overwrites it with no copy;
+        # trans=1 reads each column-major block in place
+        gram = np.zeros((m, m), order="F")
+        for rows in _cell_blocks(n, m):
+            gram = scipy.linalg.blas.dsyrk(1.0, np.subtract(X[rows], means, order="F"),
+                                           beta=1.0, c=gram, trans=1, lower=0, overwrite_c=1)
+        total = float(np.trace(gram))
+    else:
+        Xc = np.subtract(X, means, order="F")
+        # einsum, not np.vdot: with OpenBLAS a threaded ddot just before the
+        # wide SVD made that SVD twice as slow (100 x 3,000 on two cores)
+        total = float(np.einsum("ij,ij->", Xc, Xc))
+    if total == 0.0:
+        raise DataError("zero-variance matrix: PCA undefined")
+    if n >= m:
         top = None if n_components is None else [m - min(n_components, m), m - 1]
         power, v = scipy.linalg.eigh(gram, lower=False, overwrite_a=True, subset_by_index=top)
         power, v = np.maximum(power[::-1], 0.0), v[:, ::-1]
     else:
-        _, s, vt = scipy.linalg.svd(Xc, full_matrices=False)
+        _, s, vt = scipy.linalg.svd(Xc, full_matrices=False, overwrite_a=True)
         power, v = s**2, vt.T
     cum = np.cumsum(power) / total
     if n_components is not None:
@@ -428,14 +441,17 @@ def pca_fit(
 
 
 def pca_transform(basis: PCABasis, X: np.ndarray) -> np.ndarray:
+    """The component scores ``(X - means) @ components`` of X's rows, each
+    row block of 2**17 cells centred and multiplied on its own and written
+    into the scores, so no centred copy of X is formed."""
     X = np.asarray(X, dtype=np.float64)
     if X.shape[1] != basis.components.shape[0]:
         raise ValueError("matrix width does not match the PCA basis")
-    return blas.matmul(X - basis.means, basis.components)
-
-
-def pca_inverse(basis: PCABasis, scores: np.ndarray) -> np.ndarray:
-    return np.asarray(scores) @ basis.components.T + basis.means
+    scores = np.empty((len(X), basis.r))
+    for rows in _cell_blocks(len(X), X.shape[1]):
+        scores[rows] = blas.matmul(np.subtract(X[rows], basis.means, order="F"),
+                                   basis.components)
+    return scores
 
 
 @dataclass(frozen=True)

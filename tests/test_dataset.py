@@ -1477,3 +1477,103 @@ class TestDatasetFromArrays:
         finally:
             tracemalloc.stop()
         assert peak <= 1.25 * X.nbytes
+
+
+def numeric_block(ds):
+    """The Fortran-ordered float64 block the numeric feature columns of ``ds``
+    are views of, back to back in schema order; an assertion error if they
+    are not."""
+    cols = [ds.columns[c.name] for c in ds.schema.features if c.kind == "numeric"]
+    start = cols[0].__array_interface__["data"][0]
+    for j, col in enumerate(cols):
+        assert col.dtype == np.float64 and col.strides == (8,) and not col.flags.writeable
+        assert col.__array_interface__["data"][0] == start + 8 * ds.n * j
+    return np.lib.stride_tricks.as_strided(cols[0], (ds.n, len(cols)), (8, 8 * ds.n),
+                                           writeable=False)
+
+
+def block_cases(tmp_path):
+    """Datasets by name: a wrapped matrix, a coded table with numerics among
+    categoricals, and a loaded CSV."""
+    rng = np.random.default_rng(28)
+    schema = Schema((
+        ColumnSpec("u", "numeric"), ColumnSpec("c", "categorical", ("a", "b", "c")),
+        ColumnSpec("v", "numeric"), ColumnSpec("w", "numeric"),
+        ColumnSpec("y", "response_class"),
+    ))
+    mixed = coded(schema, {"u": rng.normal(size=60), "c": rng.choice(["a", "b", "c"], 60),
+                           "v": rng.normal(size=60), "w": np.arange(60),
+                           "y": rng.choice(["p", "q"], 60)})
+    path = write(tmp_path, "t.csv", "u,k,v,y\n" + "".join(
+        f"{rng.normal():.6f},{'ab'[i % 2]},{rng.normal():.6f},{rng.normal():.6f}\n"
+        for i in range(40)))
+    return {"wrapped": dataset_from_arrays(rng.normal(size=(50, 7)), rng.normal(size=50)),
+            "mixed": mixed, "csv": load_csv(path)}
+
+
+class TestNumericBlock:
+    """A Dataset holds its numeric feature columns as read-only views of one
+    Fortran-ordered block, however it was built; ``take`` gathers the block
+    in one copy and ``encode_design`` of an all-numeric table returns it."""
+
+    @pytest.mark.parametrize("case", ["wrapped", "mixed", "csv"])
+    def test_take_gathers_one_block(self, case, tmp_path):
+        ds = block_cases(tmp_path)[case]
+        rows = np.array([5, 0, 3, 3, 17, 8])
+        sub = ds.take(rows)
+        block = numeric_block(sub)
+        names = [c.name for c in ds.schema.features if c.kind == "numeric"]
+        want = np.column_stack([ds.columns[name][rows] for name in names])
+        assert block.flags.f_contiguous and np.array_equal(block, want)
+        assert list(sub.columns) == list(ds.columns)
+        for name, arr in ds.columns.items():
+            assert sub.columns[name].dtype == arr.dtype
+            np.testing.assert_array_equal(sub.columns[name], arr[rows])
+
+    def test_the_constructor_adopts_a_block_and_copies_other_columns(self):
+        ds = dataset_from_arrays(np.arange(12.0).reshape(4, 3), np.zeros(4))
+        again = Dataset(ds.schema, ds.columns)
+        assert np.shares_memory(numeric_block(again), numeric_block(ds))
+        columns = {**ds.columns, "x1": np.array([9.0, 8.0, 7.0, 6.0])}
+        other = Dataset(ds.schema, columns)
+        assert not np.shares_memory(numeric_block(other), numeric_block(ds))
+        np.testing.assert_array_equal(other.columns["x1"], columns["x1"])
+
+    def test_the_encoded_block_is_read_only(self):
+        X = np.random.default_rng(1).normal(size=(30, 4))
+        ds = dataset_from_arrays(X, np.zeros(30))
+        for table in (ds, *split(ds, 2)):
+            design, _ = encode_design(table)
+            assert design.flags.f_contiguous and np.shares_memory(design, numeric_block(table))
+            before = {name: arr.copy() for name, arr in table.columns.items()}
+            with pytest.raises(ValueError, match="read-only"):
+                design[0, 0] = 1.0
+            with pytest.raises(ValueError):
+                design.flags.writeable = True
+            for name, arr in before.items():
+                np.testing.assert_array_equal(table.columns[name], arr)
+
+    def test_encoding_a_wrapped_table_copies_nothing(self):
+        X, y = synthdata.synthetic_digits(3000, 0)
+        X = X.astype(np.float64)
+        ds = dataset_from_arrays(X, y, classification=True)
+        tracemalloc.start()
+        try:
+            design, _ = encode_design(ds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.05 * X.nbytes
+        np.testing.assert_array_equal(design, X)
+
+    def test_split_copies_the_table_once(self):
+        X, y = synthdata.synthetic_digits(3000, 0)
+        X = X.astype(np.float64)
+        ds = dataset_from_arrays(X, y, classification=True)
+        tracemalloc.start()
+        try:
+            split(ds, 7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * X.nbytes

@@ -21,13 +21,24 @@ def numeric_terms(p, d, cap=None):
     return enumerate_terms(p, DummyGroups.all_numeric(p), PolySpec(d, cap))
 
 
+def standardize_columns(X):
+    """Oracle: z-scaled columns, their means and scales, from one centred
+    copy of X; the constant columns of ``centre_columns`` stay exact zeros
+    with scale 1."""
+    Z, means, constant = fc.centre_columns(X)
+    scales = fc.column_norms(Z) / np.sqrt(X.shape[0])  # X.std(), with no centred copy
+    scales[constant] = 1.0
+    Z /= scales
+    return Z, means, scales
+
+
 def reference_logistic_ova(X, labels, max_iter=100, tol=1e-10):
     """Oracle: the penalized one-vs-all objective minimized class by class by
     undamped IRLS, each class stacking its own [1 | Z] and solving with the
     dense Hessian A'WA + LOGISTIC_PENALTY * diag(0, 1, ..., 1)."""
     X = np.asarray(X, dtype=np.float64)
     classes = np.unique(labels)
-    Z, means, scales = fc.standardize_columns(X)
+    Z, means, scales = standardize_columns(X)
     n, l = Z.shape
     penalty = np.full(l + 1, fc.LOGISTIC_PENALTY)
     penalty[0] = 0.0
@@ -367,7 +378,7 @@ class TestCentring:
         # squared a design-sized temporary for each of them, and the scales
         # come from the centred columns, where X.std() centred a second copy
         X = np.random.default_rng(8).normal(3.0, 2.0, size=(4000, 150))
-        for centre, bound in ((fc.centre_columns, 1.5), (fc.standardize_columns, 1.5)):
+        for centre, bound in ((fc.centre_columns, 1.5), (standardize_columns, 1.5)):
             tracemalloc.start()
             try:
                 centre(X)
@@ -380,7 +391,7 @@ class TestCentring:
     def test_scales_are_the_standard_deviations(self):
         X = np.random.default_rng(3).normal(3.0, 2.0, size=(500, 4))
         X[:, 2] = 0.1  # constant, with an inexact mean
-        Z, means, scales = fc.standardize_columns(X)
+        Z, means, scales = standardize_columns(X)
         want = X.std(axis=0)
         want[2] = 1.0
         np.testing.assert_allclose(scales, want, rtol=1e-13, atol=0)
@@ -392,7 +403,7 @@ def reference_gram_ridge(X, y, lam):
     """Oracle: fit_ridge as it was, on the penalized normal equations
     ``(Z'Z + lam I) b = Z'yc`` of the z-scaled design Z."""
     X = np.asarray(X, dtype=np.float64)
-    Z, means, scales = fc.standardize_columns(X)
+    Z, means, scales = standardize_columns(X)
     gram = Z.T @ Z
     gram[np.diag_indices(X.shape[1])] += lam
     coef = scipy.linalg.solve(gram, Z.T @ (y - y.mean()), assume_a="pos") / scales
@@ -428,7 +439,7 @@ def _ridge_case(n, l, seed, constant=None):
 def lstsq_ridge(X, y, lam):
     """Oracle: the augmented z-scaled system ``[Z ; sqrt(lam) I] b = [yc ; 0]``
     solved by SVD (``np.linalg.lstsq``); returns the original-scale slopes."""
-    Z, _, scales = fc.standardize_columns(np.asarray(X, dtype=np.float64))
+    Z, _, scales = standardize_columns(np.asarray(X, dtype=np.float64))
     l = Z.shape[1]
     A = np.vstack([Z, np.sqrt(lam) * np.eye(l)])
     return np.linalg.lstsq(A, np.r_[y - y.mean(), np.zeros(l)], rcond=None)[0] / scales
@@ -670,7 +681,7 @@ def reference_numpy_logistic(X, labels, max_iter=fc.NEWTON_MAX_ITER, tol=fc.NEWT
     classes = np.unique(labels)
     n, l = X.shape
     A = np.empty((n, l + 1))
-    A[:, 1:], means, scales = fc.standardize_columns(X)
+    A[:, 1:], means, scales = standardize_columns(X)
     A[:, 0] = 1.0
     Y = (labels[:, None] == classes).astype(np.float64)
     lam = np.r_[0.0, np.full(l, fc.LOGISTIC_PENALTY)][:, None]
@@ -721,6 +732,24 @@ def _digits_ova_design():
     X, labels = synthetic_digits(3000, seed=5, noise=1.2)
     scores = fc.pca_transform(fc.pca_fit(X, n_components=20), X)
     return expand(scores, numeric_terms(20, 2)), labels, {"max_iter": 8, "tol": 0.0}
+
+
+@pytest.mark.parametrize("case", ["constant-column", "digits_ova"])
+def test_logistic_design_is_the_z_scaled_oracle(case, monkeypatch):
+    # the fit writes its z-scaled columns straight into A = [1 | Z], a block
+    # of columns at a time; its first product reads A'
+    X, labels, kw = (_digits_ova_design if case == "digits_ova" else LOGISTIC_CASES[case])()
+    seen, matmul = [], blas.matmul
+
+    def spy(a, b):
+        seen.append(np.array(a))
+        return matmul(a, b)
+
+    monkeypatch.setattr(blas, "matmul", spy)
+    fc.fit_logistic_ova(X, labels, max_iter=0)
+    A, (Z, _, _) = seen[0].T, standardize_columns(X)
+    np.testing.assert_array_equal(A[:, 0], 1.0)
+    assert np.abs(A[:, 1:] - Z).max() <= 1e-15 * np.abs(Z).max()
 
 
 @pytest.mark.parametrize("case", sorted(LOGISTIC_CASES) + ["digits_ova"])
@@ -775,7 +804,7 @@ def reference_pca(X, var_fraction=0.90, *, n_components=None):
     selection and sign rules. Returns the basis and the squared singular
     values (the eigenvalues of Xc'Xc), largest first."""
     X = np.asarray(X, dtype=np.float64)
-    means = X.mean(axis=0)
+    means = np.asfortranarray(X).mean(axis=0)  # of whole columns, whatever X's layout
     _, s, vt = scipy.linalg.svd(X - means, full_matrices=False)
     power = s**2
     cum = np.cumsum(power) / power.sum()
@@ -920,9 +949,10 @@ class TestPCAOracle:
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_peak_memory_is_bounded(self, digits_2400, order):
         # the thin SVD holds the n x m left factor and a copy of the centred
-        # design next to it (4.6x the input); the cross-product route does not,
-        # and the centred design is written column-major, which syrk reads in
-        # place, whatever the input's layout
+        # design next to it (4.6x the input), and one syrk of a whole centred
+        # copy 1.37x; summed over centred row blocks, the cross-product route
+        # holds the m x m cross-product (0.33x here) and one block of 2**17
+        # cells, whatever the input's layout
         X = np.asarray(digits_2400, order=order)
         tracemalloc.start()
         try:
@@ -930,7 +960,19 @@ class TestPCAOracle:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.5 * X.nbytes, peak / X.nbytes
+        assert peak <= 0.6 * X.nbytes, peak / X.nbytes
+
+    @pytest.mark.parametrize("shape, kw", [
+        ((3000, 60), {"n_components": 5}),  # two row blocks
+        ((3000, 60), {"var_fraction": 0.9}),
+        ((100, 3000), {"n_components": 20}),  # the wide SVD; three column blocks of means
+    ], ids=["tall-count", "tall-fraction", "wide"])
+    def test_a_c_and_an_f_ordered_design_give_the_same_basis(self, shape, kw):
+        X = np.random.default_rng(12).normal(3.0, 2.0, size=shape)
+        a, b = fc.pca_fit(np.ascontiguousarray(X), **kw), fc.pca_fit(np.asfortranarray(X), **kw)
+        assert a.means.tobytes() == b.means.tobytes()
+        assert a.components.tobytes() == b.components.tobytes()
+        assert a.retained_fraction == b.retained_fraction and a.r == b.r
 
 
 class TestPCA:
@@ -946,7 +988,7 @@ class TestPCA:
         X = _rank_two()
         basis = fc.pca_fit(X, 0.999)
         Z = fc.pca_transform(basis, X)
-        back = fc.pca_inverse(basis, Z)
+        back = Z @ basis.components.T + basis.means
         assert np.abs(back - X).max() < 1e-8
 
     def test_components_orthonormal(self):
@@ -978,6 +1020,20 @@ def test_pca_transform_matches_the_numpy_product(layout, digits_2400):
     got, want = fc.pca_transform(basis, X), (X - basis.means) @ basis.components
     assert got.shape == want.shape == (len(X), 20)
     assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want).max(initial=0.0))
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_pca_transform_centres_one_row_block_at_a_time(order, digits_2400):
+    # ``X - means`` whole was a copy of X (1.03x); a block is 2**17 cells
+    basis = fc.pca_fit(digits_2400, n_components=20)
+    X = np.asarray(digits_2400, order=order)
+    tracemalloc.start()
+    try:
+        fc.pca_transform(basis, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.2 * X.nbytes, peak / X.nbytes
 
 
 class TestPredict:
