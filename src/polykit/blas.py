@@ -24,9 +24,8 @@ where it had taken 3.4-4.0 ms; right after the fit it takes 3.0 ms here
 against 6.7 ms there (medians of 30 calls, ``BENCH_24_direct_encode.json``).
 A model without PCA runs no LAPACK before
 its product, which follows the ingest and stays NumPy's: the benchmark's
-bit-for-bit reload checks compare its rounding. Past that, one product
-stays on NumPy: the MLP training loop (``mlp.train_mlp``), whose threaded
-minibatches were measured on NumPy's update.
+bit-for-bit reload checks compare its rounding. The MLP training loop
+(``mlp.train_mlp``) runs every product here too, on the default threads.
 """
 
 from __future__ import annotations
@@ -89,11 +88,6 @@ def controls() -> tuple[ThreadControl, ...]:
         set_.argtypes, set_.restype = [ctypes.c_int], None
         found.append(ThreadControl(path, get, set_))
     return tuple(found)
-
-
-def thread_counts() -> dict[str, int]:
-    """The current thread count of each controlled OpenBLAS, by path."""
-    return {c.path: c.get() for c in controls()}
 
 
 # Entries from any thread share one pin: the first entry saves the counts and

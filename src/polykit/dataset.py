@@ -753,6 +753,7 @@ def load_design_for_predict(path, schema: Schema) -> np.ndarray:
         if holes.any():
             hole, name = int(np.argmax(holes)), spec.name
         read.append(col)
+    del rows, cells  # the file's text and cells go with them, before the design is written
     if hole < short:
         raise DataError(f"{path}:{hole + 2}: missing value in column {name!r}")
     if short < len(counts):

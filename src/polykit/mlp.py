@@ -10,7 +10,6 @@ general-purpose deep learning stack.
 from __future__ import annotations
 
 import math
-from contextlib import nullcontext
 from dataclasses import dataclass
 from numbers import Integral, Real
 
@@ -29,18 +28,6 @@ ACTIVATIONS = {
     "identity": (lambda z: z, np.ones_like),
 }
 HIDDEN_ACTIVATIONS = tuple(ACTIVATIONS)
-
-#: Minibatches smaller than this train with OpenBLAS on one thread and
-#: update each weight matrix by one in-place SciPy ``dgemm``; larger ones
-#: keep the threads and update through NumPy's products. NumPy and SciPy
-#: each have their own OpenBLAS, and on threads the idle workers of one
-#: pool spin while the other works: threaded, the ``dgemm`` update trained
-#: 1.3-50x slower than pinned at batch 16 to 8,192. At 784-100-50-10 on a
-#: 2-core host the pinned ``dgemm`` update beat NumPy's threaded update at
-#: batch 32 to 96, lost most pairs at 128, and from 192 on threads won or
-#: tied (BENCH_22_fused_sgd.json): the crossover stayed where
-#: BENCH_17_sgd_one_thread.json found it before the ``dgemm`` update.
-SINGLE_THREAD_BATCH = 128
 
 WEIGHTS_HEADER = "polykit-mlp 2"
 WEIGHTS_V1_HEADER = "polykit-mlp 1"  # no layer count; still loads
@@ -215,7 +202,7 @@ def _loss_and_grads(mlp: MLP, X: np.ndarray, Y: np.ndarray, rng=None):
                 out = out * mask
             caches.append((layer, mask, None))
             continue
-        z = out @ layer.weights + layer.bias
+        z = blas.matmul(out, layer.weights) + layer.bias
         caches.append((layer, out, z))
         out = apply_activation(layer.activation, z)
 
@@ -240,7 +227,7 @@ def _loss_and_grads(mlp: MLP, X: np.ndarray, Y: np.ndarray, rng=None):
                 delta *= activation_grad(layer.activation, z)
             below -= 1
             # no dense layer below reads the input gradient of the first
-            following = delta @ layer.weights.T if below else None
+            following = blas.matmul(delta, layer.weights.T) if below else None
             yield layer, cached_in, delta
             delta = following
 
@@ -266,12 +253,10 @@ def train_mlp(design: np.ndarray, targets: np.ndarray, config: MLPConfig) -> MLP
     (softmax output, one-hot targets). Dropout is applied only while
     training, with inverted scaling, so inference needs no correction.
 
-    Batches smaller than ``SINGLE_THREAD_BATCH`` train inside
-    :func:`blas.one_thread`, where BLAS threads cost them more than they
-    save, and write ``W - lr * input' delta`` into the weights with one
-    ``dgemm``; larger batches keep the threads and form the gradient with
-    NumPy. Every OpenBLAS thread count is restored when the call returns
-    or raises.
+    Every minibatch runs its products on SciPy's OpenBLAS at its default
+    thread count: the forward and backward products through
+    :func:`blas.matmul`, and each weight update as one ``dgemm`` that
+    writes ``W - lr * input' delta`` into the weights in place.
     """
     X = np.asarray(design, dtype=np.float64)
     Y = np.asarray(targets, dtype=np.float64)
@@ -292,11 +277,9 @@ def train_mlp(design: np.ndarray, targets: np.ndarray, config: MLPConfig) -> MLP
     lr = config.learning_rate
     rng = np.random.default_rng([config.seed, 1])
     n = X.shape[0]
-    pinned = config.batch_size < SINGLE_THREAD_BATCH
     # transient overflow shows up as a non-finite loss and is reported
     # through TrainingDiverged rather than as warnings
-    with blas.one_thread() if pinned else nullcontext(), \
-            np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(config.epochs):
             perm = rng.permutation(n)
             for start in range(0, n, config.batch_size):
@@ -307,23 +290,11 @@ def train_mlp(design: np.ndarray, targets: np.ndarray, config: MLPConfig) -> MLP
                         f"non-finite loss at epoch {epoch}, batch offset {start};"
                         f" try a smaller learning rate than {config.learning_rate}"
                     )
-                if pinned:
-                    for layer, cached_in, delta in steps:
-                        dgemm(-lr, delta.T, cached_in.T, beta=1.0, c=layer.weights.T,
-                              trans_b=1, overwrite_c=1)
-                        db = delta.sum(axis=0)
-                        db *= lr
-                        layer.bias -= db
-                    continue
-                # on threads SciPy's OpenBLAS pool would spin against NumPy's;
-                # forming every gradient before the first update ran about 5%
-                # faster at batch 1,024 than updating layer by layer
-                grads = [(layer, cached_in.T @ delta, delta.sum(axis=0))
-                         for layer, cached_in, delta in steps]
-                for layer, dw, db in grads:
-                    dw *= lr
+                for layer, cached_in, delta in steps:
+                    dgemm(-lr, delta.T, cached_in.T, beta=1.0, c=layer.weights.T,
+                          trans_b=1, overwrite_c=1)
+                    db = delta.sum(axis=0)
                     db *= lr
-                    layer.weights -= dw
                     layer.bias -= db
     return mlp
 

@@ -223,10 +223,11 @@ def search(design: np.ndarray, groups: DummyGroups, y: np.ndarray, schema: Schem
     selected: list[int] = []
     losses, fits = [scorer.loss], [0]
     remaining = list(range(len(config.candidates)))
-    # the regression search runs on one BLAS thread: next to each dger, a
-    # threaded gemv made a 4,000-row, 148-candidate search 9x slower, and on
-    # one thread gemv and dger beat threaded dger next to einsum at 1,000 and
-    # 4,000 rows (2-core host; BENCH_17_sgd_one_thread.json)
+    # the regression search runs on one BLAS thread, where its small gemv and
+    # dger calls pay no thread overhead: on a 2-core host the 1,000-row,
+    # 68-candidate wages_fsr search took 10.5-11.5 ms pinned against 17.5 ms
+    # on threads; at 4,000 rows and 148 candidates, 181 against 190 ms
+    # (BENCH_29_one_update_path.json)
     with nullcontext() if classify else blas.one_thread():
         while remaining:
             step_losses = scorer.losses(np.array(remaining))

@@ -1,15 +1,24 @@
-"""The scoped OpenBLAS thread count and minibatch SGD under it."""
+"""The scoped OpenBLAS thread count, the one search that runs under it, and
+the products on SciPy's OpenBLAS."""
 
 import threading
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
 
 from polykit import blas
 from polykit import mlp as m
-from polykit.errors import TrainingDiverged
+from polykit import stepwise as sw
+from polykit.dataset import dataset_from_arrays, encode_design
+from polykit.polyterms import PolySpec, enumerate_terms
 
 needs_openblas = pytest.mark.skipif(not blas.controls(), reason="no controllable OpenBLAS")
+
+
+def thread_counts():
+    """The current thread count of each controlled OpenBLAS, by path."""
+    return {c.path: c.get() for c in blas.controls()}
 
 
 @pytest.fixture
@@ -24,7 +33,7 @@ def rediscover():
 def threaded():
     """Every controlled OpenBLAS on two threads during the test, so that a
     pin to one is visible; the counts found are restored after it."""
-    before = blas.thread_counts()
+    before = thread_counts()
     for c in blas.controls():
         c.set(2)
     yield
@@ -32,16 +41,19 @@ def threaded():
         c.set(before[c.path])
 
 
-def counts_while_training(monkeypatch):
-    """Record the thread counts at every minibatch of the next training run."""
+def counts_at_each_call(monkeypatch, owner, name, fail_at=None):
+    """Record the thread counts at every call of ``owner.name`` from now on;
+    the call numbered ``fail_at`` (1-based) raises after recording them."""
     seen = []
-    inner = m._loss_and_grads
+    inner = getattr(owner, name)
 
     def spy(*args):
-        seen.append(blas.thread_counts())
+        seen.append(thread_counts())
+        if len(seen) == fail_at:
+            raise FloatingPointError("inside the block")
         return inner(*args)
 
-    monkeypatch.setattr(m, "_loss_and_grads", spy)
+    monkeypatch.setattr(owner, name, spy)
     return seen
 
 
@@ -54,39 +66,62 @@ def small_problem(batch_size=32):
     return X, Y, cfg
 
 
-def weights(net):
-    """Every weight matrix and bias vector, in layer order."""
-    return [a for l in net.layers if isinstance(l, m.DenseLayer) for a in (l.weights, l.bias)]
+def small_search(classify=False):
+    """``fsr`` arguments: a search over the degree-2 terms of a 200-row,
+    three-column table with a numeric response, or with three classes."""
+    rng = np.random.default_rng(2)
+    X = rng.uniform(-2, 2, size=(200, 3))
+    if classify:
+        y = (X[:, 0] > 0) + (X[:, 1] ** 2 > 1)
+    else:
+        y = 2 * X[:, 0] + X[:, 0] ** 2 + rng.normal(0, 0.5, 200)
+    ds = dataset_from_arrays(X, y, classification=classify)
+    _, groups = encode_design(ds)
+    return ds, sw.FSRConfig(enumerate_terms(3, groups, PolySpec(2)), min_models=1), 0
+
+
+def same_search(got, want):
+    assert got.trace == want.trace
+    assert got.model.terms.terms == want.model.terms.terms
+    np.testing.assert_array_equal(got.model.coef, want.model.coef)
+    assert got.model.intercept == want.model.intercept
+
+
+def unpinned_search(monkeypatch, problem):
+    """``fsr`` with ``blas.one_thread`` a block that does nothing."""
+    with monkeypatch.context() as patch:
+        patch.setattr(blas, "one_thread", nullcontext)
+        return sw.fsr(*problem)
 
 
 @needs_openblas
 @pytest.mark.usefixtures("threaded")
 class TestOneThread:
     def test_pins_every_library_and_restores_it(self):
-        before = blas.thread_counts()
+        before = thread_counts()
         with blas.one_thread():
-            assert set(blas.thread_counts().values()) == {1}
-        assert blas.thread_counts() == before
+            assert set(thread_counts().values()) == {1}
+        assert thread_counts() == before
 
     def test_nested_blocks_restore_on_the_outer_exit(self):
-        before = blas.thread_counts()
+        before = thread_counts()
         with blas.one_thread():
             with blas.one_thread():
                 pass
-            assert set(blas.thread_counts().values()) == {1}
-        assert blas.thread_counts() == before
+            assert set(thread_counts().values()) == {1}
+        assert thread_counts() == before
 
     def test_restores_after_an_exception(self):
-        before = blas.thread_counts()
+        before = thread_counts()
         with pytest.raises(KeyError):
             with blas.one_thread():
                 raise KeyError("inside")
-        assert blas.thread_counts() == before
+        assert thread_counts() == before
 
     def test_overlapping_threads_restore_on_the_last_exit(self):
         # thread A enters first and exits first; a per-entry save and restore
         # would leave B's saved count of 1 in place
-        before = blas.thread_counts()
+        before = thread_counts()
         b_entered, a_exited = threading.Event(), threading.Event()
 
         def b():
@@ -101,76 +136,59 @@ class TestOneThread:
         a_exited.set()
         worker.join(10)
         assert not worker.is_alive()
-        assert blas.thread_counts() == before
+        assert thread_counts() == before
 
 
 @needs_openblas
 @pytest.mark.usefixtures("threaded")
 class TestTrainingPin:
-    def test_small_batches_train_on_one_thread(self, monkeypatch):
-        before = blas.thread_counts()
-        seen = counts_while_training(monkeypatch)
-        m.train_mlp(*small_problem(batch_size=32))
-        assert seen and all(set(c.values()) == {1} for c in seen)
-        assert blas.thread_counts() == before
-
-    def test_large_batches_keep_the_threads(self, monkeypatch):
-        before = blas.thread_counts()
-        seen = counts_while_training(monkeypatch)
-        m.train_mlp(*small_problem(batch_size=m.SINGLE_THREAD_BATCH))
+    @pytest.mark.parametrize("batch_size", [32, 256])
+    def test_every_minibatch_keeps_the_thread_counts(self, monkeypatch, batch_size):
+        before = thread_counts()
+        seen = counts_at_each_call(monkeypatch, m, "_loss_and_grads")
+        m.train_mlp(*small_problem(batch_size))
         assert seen and all(c == before for c in seen)
+        assert thread_counts() == before
 
-    def test_restored_after_divergence(self, monkeypatch):
-        before = blas.thread_counts()
-        seen = counts_while_training(monkeypatch)
-        rng = np.random.default_rng(1)
-        X = rng.normal(size=(50, 2)) * 10
-        y = rng.normal(size=50) * 10
-        cfg = m.MLPConfig((8, 1), ("square",), epochs=50, learning_rate=10.0, seed=0)
-        with pytest.raises(TrainingDiverged):
-            m.train_mlp(X, y, cfg)
-        assert len(seen) > 1 and set(seen[-1].values()) == {1}
-        assert blas.thread_counts() == before
 
-    def test_pinned_matches_threaded_where_openblas_threads(self, monkeypatch):
-        # 784 -> 100 -> 50 -> 10 at batch 32: products large enough for
-        # OpenBLAS to split across threads, so the rounding may differ
-        rng = np.random.default_rng(3)
-        X = rng.normal(size=(2000, 784))
-        Y, _ = m.one_hot(rng.integers(0, 10, size=2000))
-        cfg = m.MLPConfig((100, 50, 10), ("relu", "relu"), (0.2, 0.2), "softmax",
-                          epochs=1, batch_size=32, learning_rate=0.05, seed=0)
-        pinned = m.train_mlp(X, Y, cfg)
-        monkeypatch.setattr(m, "SINGLE_THREAD_BATCH", 0)
-        threaded = m.train_mlp(X, Y, cfg)
-        for a, b in zip(weights(pinned), weights(threaded)):
-            assert np.abs(a - b).max() <= 1e-14 * np.abs(b).max()
-        np.testing.assert_array_equal(m.forward(pinned, X).argmax(axis=1),
-                                      m.forward(threaded, X).argmax(axis=1))
+@needs_openblas
+@pytest.mark.usefixtures("threaded")
+class TestSearchPin:
+    def test_regression_search_runs_on_one_thread(self, monkeypatch):
+        before = thread_counts()
+        seen = counts_at_each_call(monkeypatch, sw._OrthogonalScorer, "losses")
+        sw.fsr(*small_search())
+        assert seen and all(set(c.values()) == {1} for c in seen)
+        assert thread_counts() == before
+
+    def test_restored_after_an_error_in_the_search(self, monkeypatch):
+        before = thread_counts()
+        seen = counts_at_each_call(monkeypatch, sw._OrthogonalScorer, "losses", fail_at=2)
+        with pytest.raises(FloatingPointError):
+            sw.fsr(*small_search())
+        assert len(seen) == 2 and set(seen[-1].values()) == {1}
+        assert thread_counts() == before
+
+    def test_classification_search_keeps_the_thread_counts(self, monkeypatch):
+        before = thread_counts()
+        seen = counts_at_each_call(monkeypatch, sw._LogisticScorer, "losses")
+        sw.fsr(*small_search(classify=True))
+        assert seen and all(c == before for c in seen)
 
 
 class TestNoControls:
-    def unpinned(self, monkeypatch, problem):
-        with monkeypatch.context() as patch:
-            patch.setattr(m, "SINGLE_THREAD_BATCH", 0)
-            return m.train_mlp(*problem)
-
     def test_library_without_the_symbols(self, monkeypatch, rediscover):
         monkeypatch.setattr(blas, "mapped_openblas", lambda: ["libc.so.6"])
         assert blas.controls() == ()
-        problem = small_problem()
-        reference = self.unpinned(monkeypatch, problem)
-        for a, b in zip(weights(m.train_mlp(*problem)), weights(reference)):
-            np.testing.assert_array_equal(a, b)
+        problem = small_search()
+        same_search(sw.fsr(*problem), unpinned_search(monkeypatch, problem))
 
     def test_unreadable_maps_file(self, monkeypatch, rediscover, tmp_path):
         monkeypatch.setattr(blas, "MAPS", str(tmp_path))  # a directory: open raises
         assert blas.mapped_openblas() == []
         assert blas.controls() == ()
-        problem = small_problem()
-        reference = self.unpinned(monkeypatch, problem)
-        for a, b in zip(weights(m.train_mlp(*problem)), weights(reference)):
-            np.testing.assert_array_equal(a, b)
+        problem = small_search()
+        same_search(sw.fsr(*problem), unpinned_search(monkeypatch, problem))
 
     def test_library_that_cannot_be_loaded(self, monkeypatch, rediscover, tmp_path):
         missing = str(tmp_path / "libopenblas.so")

@@ -753,6 +753,28 @@ class TestPredictLoader:
         assert (warned, error) == (
             [], (DataError, f"{path}: non-numeric value 'abc' in numeric column 'v'"))
 
+    def test_the_reader_is_dropped_before_the_design_is_written(self, tmp_path):
+        # the file's text and its cell strings are gone by then: with them
+        # the traced peak was 5.7 designs, without them 4.7
+        rng = np.random.default_rng(29)
+        n, names = 2000, [f"x{j}" for j in range(20)]
+        numbers = np.char.mod("%.6f", rng.normal(size=(n, 20)))
+        region = np.asarray(["east", "north", "south", "west"])[rng.integers(0, 4, n)]
+        text = ",".join(names + ["r"]) + "\n" + "".join(
+            ",".join(row) + f",{r}\n" for row, r in zip(numbers, region))
+        path = write(tmp_path, "t.csv", text)
+        schema = Schema((*(ColumnSpec(name, "numeric") for name in names),
+                         ColumnSpec("r", "categorical", ("east", "north", "south", "west")),
+                         ColumnSpec("y", "response_numeric")))
+        tracemalloc.start()
+        try:
+            X = load_design_for_predict(path, schema)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert X.shape == (n, 23)
+        assert peak < 5.2 * X.nbytes
+
     def test_lf_crlf_and_bare_cr_copies_read_alike(self, tmp_path, tokenizer):
         lines = ["r,y,u", " west ,1,0.5", "south,2,1.5", "east,3,-2", "a,4,1e3"]
         designs = []

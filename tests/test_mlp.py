@@ -1,8 +1,12 @@
 """Network construction, training, inference and the weights container."""
 
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
+from scipy.linalg.blas import dgemm
 
+from polykit import blas
 from polykit import mlp as m
 from polykit.errors import ModelFormatError, TrainingDiverged
 
@@ -72,6 +76,42 @@ def masks_list_gradients(net, X, Y):
         grads.append((cached.T @ delta, delta.sum(axis=0)))
         delta = delta @ layer.weights.T
     return grads[::-1]
+
+
+def reference_two_path_train(X, Y, config):
+    """Oracle: ``train_mlp`` as it was with two update paths. Batches
+    smaller than 128 trained on one OpenBLAS thread and updated each weight
+    matrix by one in-place ``dgemm``; larger ones kept the threads and
+    formed every gradient with NumPy before the first update."""
+    net = m.build_mlp(X.shape[1], config)
+    for layer in net.layers:
+        if isinstance(layer, m.DenseLayer):
+            layer.weights = np.ascontiguousarray(layer.weights, dtype=np.float64)
+    lr = config.learning_rate
+    rng = np.random.default_rng([config.seed, 1])
+    pinned = config.batch_size < 128
+    with blas.one_thread() if pinned else nullcontext():
+        for _ in range(config.epochs):
+            perm = rng.permutation(X.shape[0])
+            for start in range(0, X.shape[0], config.batch_size):
+                idx = perm[start:start + config.batch_size]
+                _, steps = m._loss_and_grads(net, X[idx], Y[idx], rng)
+                if pinned:
+                    for layer, cached_in, delta in steps:
+                        dgemm(-lr, delta.T, cached_in.T, beta=1.0, c=layer.weights.T,
+                              trans_b=1, overwrite_c=1)
+                        db = delta.sum(axis=0)
+                        db *= lr
+                        layer.bias -= db
+                    continue
+                grads = [(layer, cached_in.T @ delta, delta.sum(axis=0))
+                         for layer, cached_in, delta in steps]
+                for layer, dw, db in grads:
+                    dw *= lr
+                    db *= lr
+                    layer.weights -= dw
+                    layer.bias -= db
+    return net
 
 
 def assert_trained_alike(net, oracle):
@@ -211,12 +251,14 @@ class TestGradients:
 
 
 class TestFusedUpdate:
-    @pytest.mark.parametrize("widths, acts, drops, output_kind", [
-        ((1,), (), (), "linear"),
-        ((6, 4, 2), ("tanh", "square"), (), "linear"),
-        ((12, 8, 3), ("relu", "identity"), (0.3, 0.5), "softmax"),
+    # the oracle's one-column output product goes through NumPy's gemv,
+    # which rounds apart from the dgemm of blas.matmul
+    @pytest.mark.parametrize("widths, acts, drops, output_kind, rel", [
+        ((1,), (), (), "linear", 1e-15),
+        ((6, 4, 2), ("tanh", "square"), (), "linear", 0.0),
+        ((12, 8, 3), ("relu", "identity"), (0.3, 0.5), "softmax", 0.0),
     ], ids=["one-layer", "tanh-square", "dropout-softmax"])
-    def test_gradients_have_the_bits_of_the_oracle(self, widths, acts, drops, output_kind):
+    def test_gradients_have_the_bits_of_the_oracle(self, widths, acts, drops, output_kind, rel):
         rng = np.random.default_rng(5)
         X = rng.normal(size=(40, 7))
         if output_kind == "softmax":
@@ -228,8 +270,8 @@ class TestFusedUpdate:
         want = masks_list_gradients(net, X, Y)
         assert len(grads) == len(want)
         for (dw, db), (ow, ob) in zip(grads, want):
-            np.testing.assert_array_equal(dw, ow)
-            np.testing.assert_array_equal(db, ob)
+            for got, ref in ((dw, ow), (db, ob)):
+                assert np.abs(got - ref).max() <= rel * np.abs(ref).max()
 
     def test_one_full_batch_step_is_w_minus_lr_dw(self):
         rng = np.random.default_rng(8)
@@ -332,6 +374,20 @@ class TestTraining:
         cfg = m.MLPConfig((100, 50, 10), ("relu", "relu"), (0.2, 0.2),
                           output_kind="softmax", epochs=3, learning_rate=0.1, seed=7)
         assert_trained_alike(m.train_mlp(X, Y, cfg), train_with_masks_list(X, Y, cfg))
+
+    @pytest.mark.parametrize("batch_size", [32, 256])
+    def test_one_update_path_matches_the_two_path_oracle(self, batch_size):
+        # 784 -> 100 -> 50 -> 10: products large enough for OpenBLAS to
+        # split across threads, so the rounding may differ
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(2000, 784))
+        Y, _ = m.one_hot(rng.integers(0, 10, size=2000))
+        cfg = m.MLPConfig((100, 50, 10), ("relu", "relu"), (0.2, 0.2), "softmax",
+                          epochs=1, batch_size=batch_size, learning_rate=0.05, seed=0)
+        net, oracle = m.train_mlp(X, Y, cfg), reference_two_path_train(X, Y, cfg)
+        assert_trained_alike(net, oracle)
+        np.testing.assert_array_equal(m.forward(net, X).argmax(axis=1),
+                                      m.forward(oracle, X).argmax(axis=1))
 
     @pytest.mark.parametrize("widths, acts, drops, output_kind", [
         ((1,), (), (), "linear"),
